@@ -35,12 +35,11 @@ from .nuisance import (
     NuisanceConfig,
     cross_fit,
     fit_cond_density,
-    fit_propensity,
     plugin_marginal,
     tabulate_nuisances,
 )
 from .oracle import Experiment, SyntheticDGP, dgp_library, mc_run, oracle_projection
-from .projection import ProjectionEstimate, moment, moment_plugin, solve_onestep
+from .projection import ProjectionEstimate, moment, solve_onestep
 from .selection import aggregate_linear, pseudo_l2_risk, select_model
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "effect_l2_direct",
     "effect_onestep",
     "fit_cond_density",
-    "fit_propensity",
     "from_raw",
     "g_eval",
     "g_grad",
@@ -76,7 +74,6 @@ __all__ = [
     "make_grid",
     "mc_run",
     "moment",
-    "moment_plugin",
     "oracle_projection",
     "parse_distance",
     "parse_model",

@@ -42,7 +42,7 @@ class RunConfig:
     level: int = 1
     level1: int = 1
     level0: int = 0
-    dims: tuple = ()
+    dims: tuple = ()                # --dims text until _validate parses it
     candidates: tuple = ()
     folds: int = 5
     seed: int = 0
@@ -106,8 +106,17 @@ def _validate(cfg: RunConfig):
             parse_distance(cfg.distance)
         except CfdensError:
             bad.append(f"distance: cannot parse {cfg.distance!r}")
-    if cfg.command == "select-model" and not cfg.dims:
-        bad.append("dims: required, e.g. --dims 1..8")
+    if cfg.command == "select-model":
+        text = cfg.dims
+        try:
+            cfg.dims = _parse_dims(text) if isinstance(text, str) else tuple(text)
+        except ValueError:
+            bad.append(f"dims: cannot parse {text!r}, e.g. 1..8 or 2,4,6")
+        else:
+            if not cfg.dims:
+                bad.append("dims: required, e.g. --dims 1..8")
+            elif min(cfg.dims) < 1:
+                bad.append(f"dims: series dimensions must be >= 1, got {text!r}")
     if cfg.command == "aggregate" and not cfg.candidates:
         bad.append("candidates: required, e.g. --candidates series:d=2,series:d=4")
     if cfg.command == "simulate":
@@ -329,73 +338,53 @@ def _parse_dims(text):
     return tuple(int(part) for part in text.split(",") if part)
 
 
+def _flags(*specs):
+    """A parent parser of flags; a flag left out keeps its RunConfig default."""
+    parser = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    for flag, kwargs in specs:
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cfdens",
         description="Counterfactual density projections, density effects, "
                     "model selection, aggregation, and simulations.")
+    shared = _flags(
+        ("--seed", {"type": int}),
+        ("--out", {"help": "JSON report path (default: stdout)"}),
+        ("--csv-out", {"help": "CSV output path for grids/tables"}))
+    data = _flags(
+        ("--data", {}),
+        ("--x-cols", {"help": "comma-separated covariate columns"}),
+        ("--a-col", {}),
+        ("--y-col", {}),
+        ("--missing-code", {}),
+        ("--folds", {"type": int}),
+        ("--grid", {"type": int}),
+        ("--grid-rule", {}),
+        ("--clip-eps", {"type": float}),
+        ("--nuisance-propensity", {}),
+        ("--nuisance-density", {}),
+        ("--bandwidth", {}),
+        ("--quick", {"action": "store_true",
+                     "help": "cap grid at 128 and folds at 2 for smoke tests"}))
+    level = ("--level", {"type": int})
+    own = {
+        "fit-projection": [("--model", {}), ("--distance", {}), level],
+        "density-effect": [("--distance", {}), ("--level1", {"type": int}),
+                           ("--level0", {"type": int})],
+        "select-model": [level, ("--dims", {"help": "e.g. 1..8 or 2,4,6"})],
+        "aggregate": [level, ("--candidates",
+                              {"help": "comma-separated model strings for aggregation"})],
+        "simulate": [("--experiment", {}), ("--reps", {"type": int})],
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--data", default="")
-        p.add_argument("--x-cols", default="", help="comma-separated covariate columns")
-        p.add_argument("--a-col", default="a")
-        p.add_argument("--y-col", default="y")
-        p.add_argument("--missing-code", default=None)
-        p.add_argument("--model", default="series:d=4")
-        p.add_argument("--distance", default="l2")
-        p.add_argument("--level", type=int, default=1)
-        p.add_argument("--level1", type=int, default=1)
-        p.add_argument("--level0", type=int, default=0)
-        p.add_argument("--dims", default="", help="e.g. 1..8 or 2,4,6")
-        p.add_argument("--candidates", default="",
-                       help="comma-separated model strings for aggregation")
-        p.add_argument("--folds", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=512)
-        p.add_argument("--grid-rule", default="trapezoid")
-        p.add_argument("--clip-eps", type=float, default=0.01)
-        p.add_argument("--nuisance-propensity", default="logistic")
-        p.add_argument("--nuisance-density", default="nadaraya_watson")
-        p.add_argument("--bandwidth", default="silverman")
-        p.add_argument("--experiment", default="")
-        p.add_argument("--reps", type=int, default=0)
-        p.add_argument("--out", default="", help="JSON report path (default: stdout)")
-        p.add_argument("--csv-out", default="", help="CSV output path for grids/tables")
-        p.add_argument("--quick", action="store_true",
-                       help="cap grid at 128 and folds at 2 for smoke tests")
+    for name, specs in own.items():
+        parents = [shared] if name == "simulate" else [shared, data]
+        sub.add_parser(name, parents=parents + [_flags(*specs)])
     return parser
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        data=args.data,
-        x_cols=tuple(c for c in args.x_cols.split(",") if c),
-        a_col=args.a_col,
-        y_col=args.y_col,
-        missing_code=args.missing_code,
-        model=args.model,
-        distance=args.distance,
-        level=args.level,
-        level1=args.level1,
-        level0=args.level0,
-        dims=_parse_dims(args.dims) if args.dims else (),
-        candidates=tuple(c for c in args.candidates.split(",") if c),
-        folds=args.folds,
-        seed=args.seed,
-        grid=args.grid,
-        grid_rule=args.grid_rule,
-        clip_eps=args.clip_eps,
-        nuisance_propensity=args.nuisance_propensity,
-        nuisance_density=args.nuisance_density,
-        bandwidth=args.bandwidth,
-        experiment=args.experiment,
-        reps=args.reps,
-        out=args.out,
-        csv_out=args.csv_out,
-        quick=args.quick,
-    )
 
 
 def run(cfg: RunConfig) -> int:
@@ -434,8 +423,11 @@ def _emit_error(cfg, exc, code):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(_config_from_args(args))
+    args = vars(build_parser().parse_args(argv))
+    for key in ("x_cols", "candidates"):
+        if key in args:
+            args[key] = tuple(c for c in args[key].split(",") if c)
+    return run(RunConfig(**args))
 
 
 if __name__ == "__main__":

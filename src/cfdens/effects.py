@@ -15,8 +15,9 @@ import numpy as np
 
 from .data import EvalGrid, ObservationTable
 from .distances import DistanceSpec, divergence
-from .eif import dr_scores, effect_curves, fixed_candidate_curve
+from .eif import dr_scores, effect_curves
 from .errors import DataError
+from .projection import onestep
 
 Z95 = 1.96
 EFFECT_FLOOR = 1e-8  # density floor for the ratio-based divergences
@@ -70,25 +71,16 @@ def effect_onestep(distance: DistanceSpec, table: ObservationTable, folds_nuis,
         if lev not in folds_nuis[0].pi:
             raise DataError(f"level {lev} missing from nuisance tabulations")
     floor = EFFECT_FLOOR if _needs_floor(distance) else None
-    sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
-    weights = sizes / sizes.sum()
-    psi = 0.0
-    pooled = []
-    for w, fold in zip(weights, folds_nuis):
+
+    def terms(fold):
         p1, p0 = fold.p_hat[lev1], fold.p_hat[lev0]
         if floor is not None:
             p1 = np.maximum(p1, floor)
             p0 = np.maximum(p0, floor)
         lam1, lam0 = effect_curves(distance, p1, p0)
-        plug = divergence(distance, p1, p0, grid)
-        c1 = float(grid.integrate(lam1 * p1))
-        c0 = float(grid.integrate(lam0 * p0))
-        s1 = dr_scores(table, fold, lev1, lam1, grid, center=c1)
-        s0 = dr_scores(table, fold, lev0, lam0, grid, center=c0)
-        psi += w * (plug + float((s1 + s0).mean()))
-        centered = (s1 - s1.mean()) + (s0 - s0.mean())
-        pooled.append(centered)
-    influence = np.concatenate(pooled)
+        return divergence(distance, p1, p0, grid), [(lev1, lam1, p1), (lev0, lam0, p0)]
+
+    psi, influence = onestep(table, folds_nuis, grid, terms)
     return _finalize(psi, influence, distance, levels, floor)
 
 
@@ -148,21 +140,14 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
     if g.shape != grid.points.shape:
         raise DataError("candidate density must be tabulated on the grid")
     floor = EFFECT_FLOOR if _needs_floor(distance) else None
-    sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
-    weights = sizes / sizes.sum()
-    psi = 0.0
-    pooled = []
-    for w, fold in zip(weights, folds_nuis):
-        p_hat = fold.p_hat[level]
-        gf = g
+
+    def terms(fold):
+        p_hat, gf = fold.p_hat[level], g
         if floor is not None:
             p_hat = np.maximum(p_hat, floor)
             gf = np.maximum(g, floor)
-        lam = fixed_candidate_curve(distance, p_hat, gf)
-        plug = divergence(distance, p_hat, gf, grid)
-        center = float(grid.integrate(lam * p_hat))
-        scores = dr_scores(table, fold, level, lam, grid, center=center)
-        psi += w * (plug + float(scores.mean()))
-        pooled.append(scores - scores.mean())
-    influence = np.concatenate(pooled)
+        lam = effect_curves(distance, p_hat, gf)[0]
+        return divergence(distance, p_hat, gf, grid), [(level, lam, p_hat)]
+
+    psi, influence = onestep(table, folds_nuis, grid, terms)
     return _finalize(psi, influence, distance, (level,), floor)

@@ -9,8 +9,6 @@ curves, fixed-candidate curves) are tabulated by the companion helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import EvalGrid, ObservationTable
@@ -18,33 +16,6 @@ from .distances import DistanceSpec, clamp_densities, influence_integrand_factor
 from .errors import DistanceDomainError
 from .models import g_grad_on_grid, g_on_grid
 from .nuisance import FoldNuisance
-
-
-@dataclass
-class InfluenceValues:
-    """Per-row influence evaluations with their first two moments."""
-
-    values: np.ndarray  # (n, m)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        self.values = v
-
-    @property
-    def mean(self):
-        return self.values.mean(axis=0)
-
-    @property
-    def covariance(self):
-        v = self.values
-        if v.shape[0] < 2:
-            return np.zeros((v.shape[1], v.shape[1]))
-        cov = np.cov(v, rowvar=False, ddof=1)
-        cov = np.atleast_2d(cov)
-        # symmetric PSD up to roundoff by construction
-        return 0.5 * (cov + cov.T)
 
 
 def dr_scores(table: ObservationTable, fold: FoldNuisance, level, h_grid,
@@ -103,7 +74,7 @@ def moment_correction_curve(distance: DistanceSpec, model, beta, p_a, grid: Eval
     return gg * fac[:, None]
 
 
-def effect_curves(distance: DistanceSpec, p1, p0, floor=None):
+def effect_curves(distance: DistanceSpec, p1, p0):
     """The pair of outcome transforms behind the density-effect correction.
 
     lam1(y) = p0 f_dp(p1, p0);  lam0(y) = f(p1, p0) + p0 f_dq(p1, p0).
@@ -113,16 +84,14 @@ def effect_curves(distance: DistanceSpec, p1, p0, floor=None):
       chisq:     lam1 = 2 (p1 - p0)/p0,     lam0 = (p1/p0 - 1)^2 - 2 p1 (p1 - p0)/p0^2
       hellinger: lam1 = 1 - sqrt(p0/p1),    lam0 = 1 - sqrt(p1/p0)
       tv:        lam1 = nu'(p1 - p0)/2 = -lam0
-    ``floor`` (optional) clamps both densities below before evaluation.
+    With p1 a density p_a and p0 a fixed, known candidate g, lam1 alone is the
+    transform behind the distance D(p_a, g).
     """
     p1 = np.asarray(p1, dtype=float)
     p0 = np.asarray(p0, dtype=float)
     if distance.kind == "l2":
         lam1 = 2.0 * (p1 - p0)
         return lam1, -lam1
-    if floor is not None:
-        p1 = np.maximum(p1, floor)
-        p0 = np.maximum(p0, floor)
     if distance.kind == "tv":
         from .distances import abs_smooth_d1
 
@@ -135,32 +104,3 @@ def effect_curves(distance: DistanceSpec, p1, p0, floor=None):
     if distance.kind == "chisq":
         return 2.0 * (p1c - p0c) / p0c, (r - 1.0) ** 2 - 2.0 * p1c * (p1c - p0c) / p0c**2
     return 1.0 - np.sqrt(1.0 / r), 1.0 - np.sqrt(r)
-
-
-def fixed_candidate_curve(distance: DistanceSpec, p_a, g, floor=None):
-    """Outcome transform for the distance to a fixed, known candidate density.
-
-    g(y) f_dp(p_a(y), g(y)); reduces to 2 (p_a - g) for l2.
-    """
-    p_a = np.asarray(p_a, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if distance.kind == "l2":
-        return 2.0 * (p_a - g)
-    if floor is not None:
-        p_a = np.maximum(p_a, floor)
-        g = np.maximum(g, floor)
-    if distance.kind == "tv":
-        from .distances import abs_smooth_d1
-
-        return abs_smooth_d1(p_a - g, distance.tv_t, distance.tv_kind) / 2.0
-    pc, gc = clamp_densities(distance, p_a, g)
-    if distance.kind == "kl":
-        return np.log(pc / gc) + 1.0
-    if distance.kind == "chisq":
-        return 2.0 * (pc - gc) / gc
-    return np.sqrt(gc) * (1.0 / np.sqrt(gc) - 1.0 / np.sqrt(pc))
-
-
-def pooled_scores(per_fold_values):
-    """Stack per-fold score arrays into one InfluenceValues across all rows."""
-    return InfluenceValues(np.concatenate([np.atleast_2d(v.T).T for v in per_fold_values], axis=0))

@@ -11,8 +11,6 @@ density. Analytic or deliberately misspecified nuisances enter through
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,14 +23,6 @@ from .errors import (
 )
 
 _CHUNK = 2048  # eval rows per kernel-matrix block, bounds peak memory
-
-
-def worker_count():
-    """Worker cap for per-fold parallelism, from CFDENS_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("CFDENS_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -186,12 +176,6 @@ def fit_propensity_all(train: ObservationTable, method="logistic", clip_eps=0.01
     if method == "knn":
         return PropensityModel(levels, _fit_knn_propensity(train.x, train.a, levels), clip_eps)
     raise DataError(f"unknown propensity method {method!r}")
-
-
-def fit_propensity(train: ObservationTable, level, method="logistic", clip_eps=0.01):
-    """Propensity function x -> pi_hat_level(x) for a single level."""
-    model = fit_propensity_all(train, method=method, clip_eps=clip_eps)
-    return lambda x: model.predict_level(x, level)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +351,10 @@ def single_split(table: ObservationTable, train_idx, eval_idx, levels,
     eval_idx = np.asarray(eval_idx)
     train = table.rows(train_idx)
     prop = fit_propensity_all(train, method=config.propensity, clip_eps=config.clip_eps)
+    absent = [lev for lev in levels if lev not in prop.levels]
+    if absent:
+        raise DataError(f"level {absent[0]} absent from the training rows; "
+                        f"levels present: {list(prop.levels)}")
     probs = prop.predict(table.x[eval_idx])
     pi = {lev: probs[:, prop.levels.index(lev)] for lev in levels}
     eta, p_hat = {}, {}
@@ -382,21 +370,9 @@ def single_split(table: ObservationTable, train_idx, eval_idx, levels,
 
 def cross_fit(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid,
               config: NuisanceConfig = NuisanceConfig()) -> list:
-    """Fit nuisances per fold on the complement, tabulate on the held-out rows.
-
-    Fold fits are independent; with CFDENS_THREADS > 1 they run on a thread
-    pool (the heavy work is in BLAS, which releases the GIL) and results are
-    collected in fold order, so the output is identical either way.
-    """
-    splits = list(folds.splits())
-    workers = min(worker_count(), len(splits))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(
-                lambda s: single_split(table, s[1], s[2], levels, grid, config),
-                splits))
+    """Fit nuisances per fold on the complement, tabulate on the held-out rows."""
     return [single_split(table, train_idx, eval_idx, levels, grid, config)
-            for _, train_idx, eval_idx in splits]
+            for _, train_idx, eval_idx in folds.splits()]
 
 
 def tabulate_nuisances(table: ObservationTable, eval_idx, levels, grid: EvalGrid,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import EvalGrid, ObservationTable
 from .distances import DistanceSpec, moment_integrand_factor
-from .eif import dr_scores, moment_correction_curve, pooled_scores
+from .eif import dr_scores, moment_correction_curve
 from .errors import DataError, InfeasibleMomentError, RankError, SolverError
 from .models import (
     ExponentialFamily,
@@ -85,14 +85,38 @@ def moment(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
     return grid.integrate(gg * fac[:, None])
 
 
-def moment_plugin(distance: DistanceSpec, model, beta, p_hat, grid: EvalGrid):
-    """Plug-in moment: m(beta) with the estimated marginal in place of the truth."""
-    return moment(distance, model, beta, p_hat, grid)
+def onestep(table, folds_nuis, grid, terms):
+    """Cross-fit one-step estimate and its pooled influence values.
 
-
-def _fold_weights(folds_nuis):
+    ``terms(fold)`` returns ``(plug_in, arms)`` with each arm a triple
+    ``(level, h, p)``: an outcome transform h tabulated on the grid and the
+    fold marginal p it is centred against. A fold's estimate is its plug-in
+    plus the mean doubly-robust summand of every arm net of the plug-in
+    counterpart int h p; folds are pooled with weights proportional to their
+    sizes. The influence values stack, fold by fold, the arm sums of the
+    exactly centred summands (None when there are no arms).
+    """
     sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
-    return sizes / sizes.sum()
+    estimate, influence = 0.0, []
+    for w, fold in zip(sizes / sizes.sum(), folds_nuis):
+        plug_in, arms = terms(fold)
+        scores = [dr_scores(table, fold, level, h, grid,
+                            center=grid.integrate(h * (p[:, None] if h.ndim > 1 else p)))
+                  for level, h, p in arms]
+        if scores:
+            plug_in = plug_in + sum(scores).mean(axis=0)
+            influence.append(sum(s - s.mean(axis=0) for s in scores))
+        estimate = estimate + w * plug_in
+    return estimate, (np.concatenate(influence) if influence else None)
+
+
+def _moment_terms(distance, model, beta, level, grid):
+    """Per-fold plug-in moment at beta and the arm that corrects it."""
+    def terms(fold):
+        p_hat = fold.p_hat[level]
+        curve = moment_correction_curve(distance, model, beta, p_hat, grid)
+        return moment(distance, model, beta, p_hat, grid), [(level, curve, p_hat)]
+    return terms
 
 
 def one_step_equation(distance, model, beta, table, folds_nuis, level, grid):
@@ -103,14 +127,8 @@ def one_step_equation(distance, model, beta, table, folds_nuis, level, grid):
     that fold's marginal); the plug-in parts cancel the tabulated hbar means
     exactly, leaving the bias-correcting inverse-probability residual term.
     """
-    total = np.zeros(model.beta_dim)
-    for w, fold in zip(_fold_weights(folds_nuis), folds_nuis):
-        p_hat = fold.p_hat[level]
-        curve = moment_correction_curve(distance, model, beta, p_hat, grid)
-        center = grid.integrate(curve * p_hat[:, None])
-        corr = dr_scores(table, fold, level, curve, grid, center=center).mean(axis=0)
-        total += w * (moment_plugin(distance, model, beta, p_hat, grid) + corr)
-    return total
+    return onestep(table, folds_nuis, grid,
+                   _moment_terms(distance, model, beta, level, grid))[0]
 
 
 def _dr_basis_target(table, folds_nuis, level, basis_tab, grid):
@@ -130,8 +148,7 @@ def default_start(model, folds_nuis, level, grid):
     """
     if not isinstance(model, GaussianMixture):
         return np.zeros(model.beta_dim)
-    weights = _fold_weights(folds_nuis)
-    p_hat = sum(w * fold.p_hat[level] for w, fold in zip(weights, folds_nuis))
+    p_hat, _ = onestep(None, folds_nuis, grid, lambda fold: (fold.p_hat[level], []))
     p_hat = np.maximum(p_hat, 0.0)
     p_hat = p_hat / grid.integrate(p_hat)
     m1 = float(grid.integrate(grid.points * p_hat))
@@ -230,13 +247,6 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
         def match(beta):
             return log_partition(model, beta, grid)[1] - target
 
-        def match_jac(beta):
-            _, dc = log_partition(model, beta, grid)
-            bt = model.basis.eval(grid.points)
-            gv = g_on_grid(model, beta, grid)
-            second = grid.integrate(bt[:, :, None] * bt[:, None, :] * gv[:, None, None])
-            return second - np.outer(dc, dc)
-
         def guard(beta):
             if np.linalg.norm(beta) > BETA_RUNAWAY:
                 raise InfeasibleMomentError(
@@ -247,7 +257,7 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
             match, start, scale=1.0 + float(np.linalg.norm(match(start * 0))),
             opts=SolverOptions(tol=1e-12, max_iter=options.max_iter,
                                max_halvings=options.max_halvings),
-            jac=match_jac, guard=guard)
+            jac=lambda beta: _kl_expfam_jacobian(model, beta, grid), guard=guard)
         resid = one_step_equation(distance, model, beta_hat, table, folds_nuis, level, grid)
         report = SolverReport(method="moment_matching_kl_expfam", iterations=iters,
                               residual_norm=float(np.linalg.norm(resid)),
@@ -291,6 +301,15 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
         model_label=model.label, level=int(level), n=n_total)
 
 
+def _kl_expfam_jacobian(model, beta, grid):
+    """Basis covariance under g(.; beta): the Jacobian of the log-partition gradient."""
+    _, dc = log_partition(model, beta, grid)
+    bt = model.basis.eval(grid.points)
+    gv = g_on_grid(model, beta, grid)
+    second = grid.integrate(bt[:, :, None] * bt[:, None, :] * gv[:, None, None])
+    return second - np.outer(dc, dc)
+
+
 def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid, fd_step=1e-6):
     """Derivative of the pooled plug-in moment at beta.
 
@@ -302,16 +321,11 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid, fd_step=1e-
     if distance.kind == "l2" and isinstance(model, TruncatedSeries):
         return 2.0 * np.eye(p)
     if distance.kind == "kl" and isinstance(model, ExponentialFamily):
-        _, dc = log_partition(model, beta, grid)
-        bt = model.basis.eval(grid.points)
-        gv = g_on_grid(model, beta, grid)
-        second = grid.integrate(bt[:, :, None] * bt[:, None, :] * gv[:, None, None])
-        return second - np.outer(dc, dc)
-    weights = _fold_weights(folds_nuis)
+        return _kl_expfam_jacobian(model, beta, grid)
 
     def pooled_m(b):
-        return sum(w * moment_plugin(distance, model, b, fold.p_hat[level], grid)
-                   for w, fold in zip(weights, folds_nuis))
+        return onestep(None, folds_nuis, grid,
+                       lambda fold: (moment(distance, model, b, fold.p_hat[level], grid), []))[0]
 
     jac = np.empty((p, p))
     for k in range(p):
@@ -341,26 +355,11 @@ def sandwich_cov(distance: DistanceSpec, model, beta_hat, table, folds_nuis,
     warn = ""
     if cond > 1e8:
         warn = f"ill-conditioned moment derivative (cond={cond:.2e})"
-    per_fold = []
-    for fold in folds_nuis:
-        curve = moment_correction_curve(distance, model, beta_hat, fold.p_hat[level], grid)
-        per_fold.append(dr_scores(table, fold, level, curve, grid, center="sample"))
-    pooled = pooled_scores(per_fold)
-    n = pooled.values.shape[0]
+    _, influence = onestep(table, folds_nuis, grid,
+                           _moment_terms(distance, model, beta_hat, level, grid))
     vinv = np.linalg.inv(v)
-    cov = vinv @ pooled.covariance @ vinv.T / n
+    cov = vinv @ np.atleast_2d(np.cov(influence, rowvar=False)) @ vinv.T / len(influence)
     cov = 0.5 * (cov + cov.T)
     if return_warning:
         return cov, warn
     return cov
-
-
-def influence_values_at(distance, model, beta_hat, table, folds_nuis, level, grid):
-    """Pooled, exactly centered influence values at the fitted beta."""
-    per_fold = [
-        dr_scores(table, fold, level,
-                  moment_correction_curve(distance, model, beta_hat, fold.p_hat[level], grid),
-                  grid, center="sample")
-        for fold in folds_nuis
-    ]
-    return pooled_scores(per_fold)

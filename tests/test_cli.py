@@ -147,6 +147,29 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["exit_code"] == 3
 
+    @pytest.mark.parametrize("dims", ["a..3", "0..3"])
+    def test_bad_dims_is_config_error(self, capsys, synthetic_csv, dims):
+        code = main(["select-model", "--data", synthetic_csv, *BASE, "--dims", dims])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert [v.split(":")[0] for v in err["error"]["violations"]] == ["dims"]
+
+    @pytest.mark.parametrize("flags", [["fit-projection", "--level", "7"],
+                                       ["density-effect", "--level1", "7"]])
+    def test_absent_level_is_data_error(self, capsys, synthetic_csv, flags):
+        code = main([flags[0], "--data", synthetic_csv, *BASE, "--quick", *flags[1:]])
+        assert code == 3
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "level 7" in message and "[0, 1]" in message
+
+    @pytest.mark.parametrize("argv", [["simulate", "--grid", "64"],
+                                      ["fit-projection", "--dims", "1..3"]])
+    def test_flag_of_another_command_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_experiment(self, capsys):
         code = main(["simulate", "--experiment", "nope"])
         assert code == 2

@@ -5,10 +5,8 @@ from cfdens import DistanceSpec
 from cfdens.data import ObservationTable
 from cfdens.distances import f1, f2, f_eval, moment_integrand_factor
 from cfdens.eif import (
-    InfluenceValues,
     dr_scores,
     effect_curves,
-    fixed_candidate_curve,
     moment_correction_curve,
 )
 from cfdens.errors import DistanceDomainError
@@ -169,16 +167,18 @@ class TestEffectCurves:
 
 
 class TestFixedCandidateCurve:
+    """lam1 of ``effect_curves(spec, p_a, g)`` is the fixed-candidate transform."""
+
     def test_l2_cases(self, grid):
         g = 1.0 + 0.5 * np.sqrt(2) * np.cos(np.pi * grid.points)
-        assert np.allclose(fixed_candidate_curve(DistanceSpec("l2"), g, g), 0.0)
-        lam = fixed_candidate_curve(DistanceSpec("l2"), np.ones(grid.size), g)
+        assert np.allclose(effect_curves(DistanceSpec("l2"), g, g)[0], 0.0)
+        lam = effect_curves(DistanceSpec("l2"), np.ones(grid.size), g)[0]
         assert np.allclose(lam, -np.sqrt(2) * np.cos(np.pi * grid.points))
         assert lam[0] == pytest.approx(-np.sqrt(2))
 
     def test_kl_identity_at_equal_densities(self, grid):
         g = 1.0 + 0.2 * np.sin(2 * np.pi * grid.points)
-        lam = fixed_candidate_curve(DistanceSpec("kl"), g, g)
+        lam = effect_curves(DistanceSpec("kl"), g, g)[0]
         assert np.allclose(lam, 1.0)
 
     @pytest.mark.parametrize("kind", ["chisq", "hellinger", "tv"])
@@ -186,17 +186,6 @@ class TestFixedCandidateCurve:
         spec = DistanceSpec(kind, tv_t=50.0)
         p = 1.0 + 0.4 * np.sin(2 * np.pi * grid.points)
         g = 1.0 + 0.3 * np.cos(2 * np.pi * grid.points)
-        assert np.allclose(fixed_candidate_curve(spec, p, g),
+        assert np.allclose(effect_curves(spec, p, g)[0],
                            g * f1(spec, p, g), atol=1e-12)
 
-
-class TestInfluenceValues:
-    def test_covariance_psd(self, rng):
-        vals = InfluenceValues(rng.normal(size=(200, 4)))
-        eig = np.linalg.eigvalsh(vals.covariance)
-        assert eig.min() >= -1e-10
-
-    def test_vector_input_promoted(self, rng):
-        vals = InfluenceValues(rng.normal(size=50))
-        assert vals.values.shape == (50, 1)
-        assert vals.covariance.shape == (1, 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfdens import cross_fit, fit_cond_density, fit_propensity, make_folds
+from cfdens import cross_fit, fit_cond_density, make_folds
 from cfdens.data import ObservationTable
 from cfdens.errors import CrossFitViolationError, DataError, InsufficientDataError
 from cfdens.nuisance import (
@@ -47,15 +47,15 @@ class TestFloorProbs:
 class TestPropensity:
     def test_randomized_design_near_half(self, rng):
         table = uniform_table(2000, rng)
-        fn = fit_propensity(table, 1, method="logistic")
+        model = fit_propensity_all(table, method="logistic")
         test_x = rng.uniform(size=(200, 2))
-        preds = fn(test_x)
+        preds = model.predict_level(test_x, 1)
         assert preds.min() > 0.45 and preds.max() < 0.55
 
     def test_knn_randomized(self, rng):
         table = uniform_table(4000, rng)
-        fn = fit_propensity(table, 1, method="knn")
-        preds = fn(rng.uniform(0.2, 0.8, size=(100, 2)))
+        model = fit_propensity_all(table, method="knn")
+        preds = model.predict_level(rng.uniform(0.2, 0.8, size=(100, 2)), 1)
         assert preds.min() > 0.35 and preds.max() < 0.65
 
     def test_separation_degrades_with_warning(self, rng):

@@ -11,7 +11,6 @@ from cfdens.oracle import get_dgp, oracle_projection
 from cfdens.projection import (
     SolverOptions,
     moment,
-    moment_plugin,
     one_step_equation,
     sandwich_cov,
     solve_onestep,
@@ -47,12 +46,6 @@ class TestMoment:
         p_a = g_on_grid(model, beta_star, grid)
         m = moment(KL, model, beta_star, p_a, grid)
         assert np.all(np.abs(m) < 1e-8)
-
-    def test_plugin_is_same_function(self, grid):
-        model = TruncatedSeries(CosineBasis(2))
-        p = bump(grid, 0.3)
-        assert np.array_equal(moment(L2, model, np.array([0.1, 0.0]), p, grid),
-                              moment_plugin(L2, model, np.array([0.1, 0.0]), p, grid))
 
 
 class TestSolveOnestep:

@@ -1,0 +1,107 @@
+"""Golden CLI reports: every subcommand's JSON report on one small seeded CSV.
+
+Each run's report is compared with ``tests/data/golden_reports.json``:
+numeric leaves to a relative 1e-12, every other leaf exactly. The
+timestamp and the output path are dropped. Regenerate the reference with
+
+    PYTHONPATH=src python tests/test_reports.py
+
+only when a change to the reported numbers is intended.
+"""
+
+import csv
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cfdens.cli import main
+from cfdens.oracle import get_dgp
+
+GOLDEN = Path(__file__).parent / "data" / "golden_reports.json"
+BASE = ["--x-cols", "x1,x2", "--quick", "--seed", "4"]
+
+# name -> argv; "{data}" is replaced by the CSV path
+RUNS = {
+    "fit-projection:l2-series": ["fit-projection", "--data", "{data}", *BASE,
+                                 "--model", "series:d=4", "--distance", "l2"],
+    "fit-projection:kl-expfam": ["fit-projection", "--data", "{data}", *BASE,
+                                 "--model", "expfam:d=2", "--distance", "kl"],
+    "fit-projection:hellinger-series": ["fit-projection", "--data", "{data}", *BASE,
+                                        "--model", "series:d=2", "--distance", "hellinger",
+                                        "--level", "0"],
+    "density-effect:l2": ["density-effect", "--data", "{data}", *BASE, "--distance", "l2"],
+    "density-effect:kl": ["density-effect", "--data", "{data}", *BASE, "--distance", "kl"],
+    "select-model": ["select-model", "--data", "{data}", *BASE, "--dims", "1..4"],
+    "aggregate": ["aggregate", "--data", "{data}", *BASE,
+                  "--candidates", "series:d=1,series:d=3"],
+    "simulate": ["simulate", "--experiment", "effect-null", "--reps", "2", "--seed", "3"],
+}
+
+
+def write_csv(path):
+    table = get_dgp("confounded_shift").sample(300, np.random.default_rng(2021))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "a", "y"])
+        for i in range(table.n):
+            writer.writerow([table.x[i, 0], table.x[i, 1], table.a[i], table.y[i]])
+
+
+def run_report(argv, data, out):
+    code = main([a.replace("{data}", str(data)) for a in argv] + ["--out", str(out)])
+    assert code == 0
+    report = json.loads(Path(out).read_text())
+    report.pop("timestamp")
+    report["config"].pop("out")
+    report["config"].pop("data")
+    return report
+
+
+def assert_same(got, want, path="report"):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), path
+        for key in want:
+            assert_same(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_same(g, w, f"{path}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), path
+        if math.isnan(want):
+            assert math.isnan(got), path
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert got == want, path
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def data_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "demo.csv"
+    write_csv(path)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_report_matches_golden(name, golden, data_csv, tmp_path):
+    assert_same(run_report(RUNS[name], data_csv, tmp_path / "out.json"), golden[name])
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "demo.csv"
+        write_csv(data)
+        reports = {name: run_report(argv, data, Path(tmp) / "out.json")
+                   for name, argv in RUNS.items()}
+    GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=1) + "\n")
