@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -346,8 +347,15 @@ def _flags(*specs):
     return parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the JSON configuration error, exit 2."""
+
+    def error(self, message):
+        sys.exit(_emit_error(ConfigError([f"{self.prog}: {message}"])))
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cfdens",
         description="Counterfactual density projections, density effects, "
                     "model selection, aggregation, and simulations.")
@@ -387,6 +395,9 @@ def build_parser():
     return parser
 
 
+_EXIT_CODES = ((ConfigError, 2), (DataError, 3), (SolverError, 4), (Exception, 5))
+
+
 def run(cfg: RunConfig) -> int:
     """Validate and execute one command; returns the process exit status."""
     try:
@@ -395,21 +406,13 @@ def run(cfg: RunConfig) -> int:
         results = _COMMANDS[cfg.command](cfg)
         _emit(_report(cfg, results), cfg)
         return 0
-    except ConfigError as exc:
-        _emit_error(cfg, exc, code=2)
-        return 2
-    except DataError as exc:
-        _emit_error(cfg, exc, code=3)
-        return 3
-    except SolverError as exc:
-        _emit_error(cfg, exc, code=4)
-        return 4
-    except CfdensError as exc:
-        _emit_error(cfg, exc, code=5)
-        return 5
+    except Exception as exc:  # noqa: BLE001 - the CLI boundary reports every failure
+        return _emit_error(exc)
 
 
-def _emit_error(cfg, exc, code):
+def _emit_error(exc):
+    """Print exc as the JSON error on stderr; returns its exit code."""
+    code = next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     payload = {
         "error": {
             "type": type(exc).__name__,
@@ -419,7 +422,10 @@ def _emit_error(cfg, exc, code):
     }
     if isinstance(exc, ConfigError):
         payload["error"]["violations"] = exc.violations
+    elif not isinstance(exc, CfdensError):
+        payload["error"]["traceback"] = traceback.format_exception(exc)
     print(json.dumps(payload, sort_keys=True, indent=2), file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:

@@ -217,7 +217,7 @@ def f21(spec, p, q):
 # ---------------------------------------------------------------------------
 # density-level helpers: clamp, then evaluate
 
-def clamp_densities(spec, p, q, where="grid"):
+def clamp_densities(spec, p, q):
     """Validate and clamp a (target, approximant) density pair to the floors.
 
     The target p must be a genuine density: negative values raise. The
@@ -231,10 +231,10 @@ def clamp_densities(spec, p, q, where="grid"):
     for name, arr in (("p", p), ("q", q)):
         if not np.all(np.isfinite(arr)):
             idx = int(np.flatnonzero(~np.isfinite(arr))[0])
-            raise DistanceDomainError(f"{spec.label}: non-finite {name} at {where} index {idx}")
+            raise DistanceDomainError(f"{spec.label}: non-finite {name} at grid index {idx}")
     if np.any(p < -1e-12):
         idx = int(np.flatnonzero(p < -1e-12)[0])
-        raise DistanceDomainError(f"{spec.label}: negative p at {where} index {idx}")
+        raise DistanceDomainError(f"{spec.label}: negative p at grid index {idx}")
     return _clamp_p(spec, p), np.maximum(q, Q_FLOOR)
 
 

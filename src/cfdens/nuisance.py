@@ -11,7 +11,7 @@ density. Analytic or deliberately misspecified nuisances enter through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,14 +138,13 @@ def _fit_multinomial_logistic(x, a, levels, tol=1e-8, max_iter=100):
     return predict_raw, converged
 
 
-def _fit_knn_propensity(x, a, levels, k=None):
+def _fit_knn_propensity(x, a, levels):
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     sd = np.where(sd < 1e-12, 1.0, sd)
     xt = (x - mean) / sd
     m = len(a)
-    if k is None:
-        k = min(m, max(10, int(np.ceil(m ** (2.0 / 3.0)))))
+    k = min(m, max(10, int(np.ceil(m ** (2.0 / 3.0)))))
     onehot = np.stack([(a == lev).astype(float) for lev in levels], axis=1)
 
     def predict_raw(x_new):
@@ -162,14 +161,12 @@ def _fit_knn_propensity(x, a, levels, k=None):
     return predict_raw
 
 
-def fit_propensity_all(train: ObservationTable, method="logistic", clip_eps=0.01,
-                       levels=None) -> PropensityModel:
+def fit_propensity_all(train: ObservationTable, method="logistic",
+                       clip_eps=0.01) -> PropensityModel:
     """Fit one joint propensity model over every level present in training rows."""
-    levels = tuple(sorted(levels if levels is not None else train.levels()))
-    counts = {lev: int((train.a == lev).sum()) for lev in levels}
-    absent = [lev for lev, c in counts.items() if c == 0]
-    if absent or len(levels) < 2:
-        raise DataError(f"propensity fit needs rows at every level; missing {absent}")
+    levels = train.levels()
+    if len(levels) < 2:
+        raise DataError(f"propensity fit needs rows at two levels or more; have {list(levels)}")
     if method == "logistic":
         predict_raw, converged = _fit_multinomial_logistic(train.x, train.a, levels)
         return PropensityModel(levels, predict_raw, clip_eps, warn=not converged)
@@ -245,8 +242,9 @@ class CondDensityModel:
         elif regressor == "knn":
             self._k = min(m, max(20, int(np.ceil(m ** 0.7))))
         self._xt = (x_train - self._x_mean) / self._x_sd
-        self._kmat = k_matrix  # (m, G)
-        self._kmat32 = k_matrix.astype(np.float32)
+        # (m, G); Nadaraya-Watson contracts it in float32 against float32 weights
+        self._kmat = (k_matrix.astype(np.float32) if regressor == "nadaraya_watson"
+                      else k_matrix)
 
     def predict(self, x, grid: EvalGrid):
         x = np.asarray(x, dtype=float)
@@ -272,7 +270,7 @@ class CondDensityModel:
                     w[np.flatnonzero(empty), nearest] = 1.0
                     rowsum = w.sum(axis=1, keepdims=True)
                 w /= rowsum
-                out[lo:lo + len(blk)] = (w @ self._kmat32).astype(np.float64)
+                out[lo:lo + len(blk)] = (w @ self._kmat).astype(np.float64)
             else:
                 nbr = np.argpartition(d2, self._k - 1, axis=1)[:, :self._k]
                 w = np.zeros_like(d2)
@@ -328,15 +326,17 @@ class FoldNuisance:
 
     pi[level]:    (n_ev,) clipped propensities
     eta[level]:   (n_ev, G) conditional densities, each row unit mass
-    p_hat[level]: (G,) plug-in marginal = column mean of eta
+    p_hat[level]: (G,) plug-in marginal = column mean of eta, derived here
     """
 
     eval_idx: np.ndarray
-    levels: tuple
     pi: dict
     eta: dict
-    p_hat: dict
     warn_separation: bool = False
+    p_hat: dict = field(init=False)
+
+    def __post_init__(self):
+        self.p_hat = {lev: tab.mean(axis=0) for lev, tab in self.eta.items()}
 
     @property
     def n_eval(self):
@@ -357,15 +357,11 @@ def single_split(table: ObservationTable, train_idx, eval_idx, levels,
                         f"levels present: {list(prop.levels)}")
     probs = prop.predict(table.x[eval_idx])
     pi = {lev: probs[:, prop.levels.index(lev)] for lev in levels}
-    eta, p_hat = {}, {}
-    for lev in levels:
-        cd = fit_cond_density(train, lev, grid, bandwidth=config.bandwidth,
-                              regressor=config.density, train_row_ids=train_idx)
-        tab = cd.predict(table.x[eval_idx], grid)
-        eta[lev] = tab
-        p_hat[lev] = tab.mean(axis=0)
-    return FoldNuisance(eval_idx=eval_idx, levels=levels, pi=pi, eta=eta,
-                        p_hat=p_hat, warn_separation=prop.warn)
+    eta = {lev: fit_cond_density(train, lev, grid, bandwidth=config.bandwidth,
+                                 regressor=config.density,
+                                 train_row_ids=train_idx).predict(table.x[eval_idx], grid)
+           for lev in levels}
+    return FoldNuisance(eval_idx=eval_idx, pi=pi, eta=eta, warn_separation=prop.warn)
 
 
 def cross_fit(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid,
@@ -386,11 +382,8 @@ def tabulate_nuisances(table: ObservationTable, eval_idx, levels, grid: EvalGrid
     """
     eval_idx = np.asarray(eval_idx)
     x = table.x[eval_idx]
-    pi, eta, p_hat = {}, {}, {}
-    for lev in levels:
-        pi[lev] = np.asarray(pi_fn(x, lev), dtype=float)
-        tab = np.asarray(eta_fn(x, lev, grid.points), dtype=float)
-        tab = _normalize_rows_to_density(tab, grid)
-        eta[lev] = tab
-        p_hat[lev] = tab.mean(axis=0)
-    return FoldNuisance(eval_idx=eval_idx, levels=tuple(levels), pi=pi, eta=eta, p_hat=p_hat)
+    pi = {lev: np.asarray(pi_fn(x, lev), dtype=float) for lev in levels}
+    eta = {lev: _normalize_rows_to_density(
+               np.asarray(eta_fn(x, lev, grid.points), dtype=float), grid)
+           for lev in levels}
+    return FoldNuisance(eval_idx=eval_idx, pi=pi, eta=eta)

@@ -20,10 +20,10 @@ from .data import EvalGrid, ObservationTable, make_folds, make_grid
 from .distances import DistanceSpec, divergence, parse_distance
 from .effects import effect_onestep
 from .eif import effect_curves
-from .errors import DataError
+from .errors import CfdensError, DataError
 from .models import TruncatedSeries, parse_model
 from .nuisance import NuisanceConfig, cross_fit, tabulate_nuisances
-from .projection import SolverOptions, _damped_newton, moment, solve_onestep
+from .projection import _damped_newton, moment, solve_onestep
 
 # ---------------------------------------------------------------------------
 # truncated-normal building blocks (support [0,1], vectorized in the mean)
@@ -53,10 +53,6 @@ def cosine_series_pdf(points, coefs):
     return 1.0 + np.sqrt(2.0) * np.cos(np.pi * np.multiply.outer(points, j)) @ coefs
 
 
-def cosine_bump_pdf(points, coef=0.5):
-    return cosine_series_pdf(points, [coef])
-
-
 def cosine_series_sample(n, rng, coefs):
     # rejection against the uniform envelope
     peak = 1.0 + np.sqrt(2.0) * np.sum(np.abs(coefs))
@@ -70,10 +66,6 @@ def cosine_series_sample(n, rng, coefs):
         out[filled:filled + take] = y[keep][:take]
         filled += take
     return out
-
-
-def cosine_bump_sample(n, rng, coef=0.5):
-    return cosine_series_sample(n, rng, [coef])
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +315,7 @@ def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
         warnings.append("starts disagree beyond 1e-3 in achieved divergence; "
                         "possible multimodality")
     beta_root, resid, _, _ = _damped_newton(
-        lambda b: moment(distance, model, b, p_a, grid), nm_beta,
-        scale=1.0, opts=SolverOptions(tol=1e-12, max_iter=200))
+        lambda b: moment(distance, model, b, p_a, grid), nm_beta, tol=1e-12, max_iter=200)
     moment_norm = float(np.linalg.norm(resid))
     beta_star = beta_root if moment_norm < 1e-6 else nm_beta
     method = "nelder_mead+moment_root" if moment_norm < 1e-6 else "nelder_mead"
@@ -405,8 +396,9 @@ def mc_run(exp: Experiment) -> McResult:
     """Run the experiment; bit-identical output for identical descriptors.
 
     Per (n, rep): draw data, estimate, record (estimate, se, CI coverage of
-    the oracle target, runtime). Estimator failures are recorded as failed
-    reps, never raised. Summaries aggregate bias / RMSE / coverage per n.
+    the oracle target, runtime). A CfdensError or LinAlgError fails the rep;
+    any other exception propagates. Summaries aggregate bias / RMSE /
+    coverage per n.
     """
     if exp.reps < 2:
         raise DataError("need reps >= 2")
@@ -456,7 +448,7 @@ def mc_run(exp: Experiment) -> McResult:
                                                <= est.ci_conservative[1]),
                         "near_null": est.near_null,
                     })
-            except Exception as exc:  # noqa: BLE001 - failures are data, not crashes
+            except (CfdensError, np.linalg.LinAlgError) as exc:  # failures are data
                 rec["failed"] = True
                 rec["error_message"] = str(exc)
             rec["runtime"] = time.perf_counter() - t0

@@ -35,6 +35,9 @@ from .models import (
 
 Z95 = 1.96
 BETA_RUNAWAY = 60.0
+ACCEPT = 1e-8           # certificate threshold, relative to 1 + ||F(0)||
+MAX_HALVINGS = 20
+FD_STEP = 1e-5          # forward-difference step of the generic Newton Jacobian
 
 
 @dataclass
@@ -64,17 +67,6 @@ class ProjectionEstimate:
     @property
     def se(self):
         return np.sqrt(np.diag(self.covariance))
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    start: object = None
-    tol: float = 1e-11              # Newton target, relative to 1 + ||F(0)||
-    accept: float = 1e-8            # certificate threshold, same scaling
-    max_iter: int = 100
-    max_halvings: int = 20
-    fd_step: float = 1e-5
-    method: str = "auto"            # auto | generic
 
 
 def moment(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
@@ -131,13 +123,6 @@ def one_step_equation(distance, model, beta, table, folds_nuis, level, grid):
                    _moment_terms(distance, model, beta, level, grid))[0]
 
 
-def _dr_basis_target(table, folds_nuis, level, basis_tab, grid):
-    """Pooled mean of the raw doubly-robust summands of tabulated basis functions."""
-    chunks = [dr_scores(table, fold, level, basis_tab, grid, center=0.0)
-              for fold in folds_nuis]
-    return np.concatenate(chunks, axis=0).mean(axis=0)
-
-
 def default_start(model, folds_nuis, level, grid):
     """Solver starting point: the base density, or matched moments for mixtures.
 
@@ -168,13 +153,14 @@ def default_start(model, folds_nuis, level, grid):
     return np.concatenate([np.zeros(k - 1), quantiles, np.full(k, scale)])
 
 
-def _damped_newton(func, beta0, scale, opts: SolverOptions, jac=None, guard=None):
+def _damped_newton(func, beta0, tol, max_iter=100, jac=None, guard=None):
+    """Step-halving Newton from beta0 until ||func|| <= tol (absolute), or until no
+    halving lowers ||func||. Returns (beta, func(beta), iterations, norm history)."""
     beta = np.array(beta0, dtype=float)
     fval = func(beta)
     history = [float(np.linalg.norm(fval))]
-    tol = opts.tol * scale
     iterations = 0
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         norm = np.linalg.norm(fval)
         if norm <= tol:
             break
@@ -183,7 +169,7 @@ def _damped_newton(func, beta0, scale, opts: SolverOptions, jac=None, guard=None
         else:
             j = np.empty((len(fval), len(beta)))
             for k in range(len(beta)):
-                h = opts.fd_step * (1.0 + abs(beta[k]))
+                h = FD_STEP * (1.0 + abs(beta[k]))
                 bp = beta.copy()
                 bp[k] += h
                 j[:, k] = (func(bp) - fval) / h
@@ -192,7 +178,7 @@ def _damped_newton(func, beta0, scale, opts: SolverOptions, jac=None, guard=None
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(j, -fval, rcond=None)[0]
         accepted = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cand = beta + step
             cand_val = func(cand)
             if np.all(np.isfinite(cand_val)) and np.linalg.norm(cand_val) < norm:
@@ -205,40 +191,47 @@ def _damped_newton(func, beta0, scale, opts: SolverOptions, jac=None, guard=None
             break
         if guard is not None:
             guard(beta)
-    else:
-        norm = np.linalg.norm(fval)
     return beta, fval, iterations, history
 
 
+def _special_route(distance, model):
+    """Name of the closed route for (distance, model); None means generic Newton."""
+    if distance.kind == "l2" and isinstance(model, TruncatedSeries):
+        return "closed_form_l2_series"
+    if distance.kind == "kl" and isinstance(model, ExponentialFamily):
+        return "moment_matching_kl_expfam"
+    return None
+
+
 def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
-                  folds_nuis, level, grid: EvalGrid,
-                  options: SolverOptions = SolverOptions()) -> ProjectionEstimate:
+                  folds_nuis, level, grid: EvalGrid, generic=False) -> ProjectionEstimate:
     """One-step bias-corrected projection fit with sandwich inference.
 
     Routes: closed form for l2 + truncated series; doubly-robust moment
     matching (Newton on the log-partition gradient) for KL + exponential
-    family; damped Newton on the pooled estimating equation otherwise.
+    family; damped Newton on the pooled estimating equation otherwise, and
+    always when ``generic`` is set (the reference for the closed routes).
+    Whatever the route, the returned root is certified: its pooled equation
+    residual must be within ACCEPT of 1 + ||equation at beta = 0||.
     """
     if level not in folds_nuis[0].pi:
         raise DataError(f"level {level} missing from nuisance tabulations")
-    scale = 1.0 + float(np.linalg.norm(
-        one_step_equation(distance, model, np.zeros(model.beta_dim),
-                          table, folds_nuis, level, grid)))
 
-    closed_l2 = distance.kind == "l2" and isinstance(model, TruncatedSeries)
-    closed_kl = distance.kind == "kl" and isinstance(model, ExponentialFamily)
+    def equation(beta):
+        return one_step_equation(distance, model, beta, table, folds_nuis, level, grid)
 
-    if options.method == "auto" and closed_l2:
+    scale = 1.0 + float(np.linalg.norm(equation(np.zeros(model.beta_dim))))
+
+    route = (None if generic else _special_route(distance, model)) or "generic_damped_newton"
+    resid, iters, history = None, 0, None
+    if route != "generic_damped_newton":
+        # both closed routes reduce to the pooled mean of the raw DR summands of the basis
         basis_tab = model.basis.eval(grid.points)
-        beta_hat = _dr_basis_target(table, folds_nuis, level, basis_tab, grid)
-        resid = one_step_equation(distance, model, beta_hat, table, folds_nuis, level, grid)
-        report = SolverReport(method="closed_form_l2_series", iterations=0,
-                              residual_norm=float(np.linalg.norm(resid)),
-                              residual_scale=scale,
-                              residual_history=[float(np.linalg.norm(resid))])
-    elif options.method == "auto" and closed_kl:
-        basis_tab = model.basis.eval(grid.points)
-        target = _dr_basis_target(table, folds_nuis, level, basis_tab, grid)
+        target = np.concatenate([dr_scores(table, fold, level, basis_tab, grid, center=0.0)
+                                 for fold in folds_nuis]).mean(axis=0)
+    if route == "closed_form_l2_series":
+        beta_hat = target
+    elif route == "moment_matching_kl_expfam":
         limit = np.sqrt(2.0)  # attainable basis means lie strictly inside (-sqrt2, sqrt2)
         if np.any(np.abs(target) >= limit - 1e-12):
             raise InfeasibleMomentError(
@@ -252,52 +245,42 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
                 raise InfeasibleMomentError(
                     "moment matching diverged; target appears unattainable")
 
-        start = np.zeros(model.beta_dim) if options.start is None else np.asarray(options.start, float)
-        beta_hat, resid, iters, history = _damped_newton(
-            match, start, scale=1.0 + float(np.linalg.norm(match(start * 0))),
-            opts=SolverOptions(tol=1e-12, max_iter=options.max_iter,
-                               max_halvings=options.max_halvings),
+        start = np.zeros(model.beta_dim)
+        beta_hat, _, iters, history = _damped_newton(
+            match, start, tol=1e-12 * (1.0 + float(np.linalg.norm(match(start)))),
             jac=lambda beta: _kl_expfam_jacobian(model, beta, grid), guard=guard)
-        resid = one_step_equation(distance, model, beta_hat, table, folds_nuis, level, grid)
-        report = SolverReport(method="moment_matching_kl_expfam", iterations=iters,
-                              residual_norm=float(np.linalg.norm(resid)),
-                              residual_scale=scale, residual_history=history)
     else:
-        def func(beta):
-            return one_step_equation(distance, model, beta, table, folds_nuis, level, grid)
-
         def guard(beta):
             if np.max(np.abs(beta)) > BETA_RUNAWAY:
                 raise SolverError(
                     "solver ran away toward a degenerate root; "
                     "supply a start closer to the support", residual_history=[])
 
-        if options.start is None:
-            start = default_start(model, folds_nuis, level, grid)
-        else:
-            start = np.asarray(options.start, float)
-        beta_hat, resid, iters, history = _damped_newton(func, start, scale, options,
-                                                         guard=guard)
-        report = SolverReport(method="generic_damped_newton", iterations=iters,
-                              residual_norm=float(np.linalg.norm(resid)),
-                              residual_scale=scale, residual_history=history)
+        beta_hat, resid, iters, history = _damped_newton(
+            equation, default_start(model, folds_nuis, level, grid), tol=1e-11 * scale,
+            guard=guard)
 
-    if report.residual_norm > options.accept * report.residual_scale:
+    if resid is None:
+        resid = equation(beta_hat)
+    residual = float(np.linalg.norm(resid))
+    history = history or [residual]
+    if residual > ACCEPT * scale:
         raise SolverError(
-            f"estimating equation not solved: residual {report.residual_norm:.3e} "
-            f"exceeds {options.accept:.1e} x {report.residual_scale:.3e}",
-            residual_history=report.residual_history)
+            f"estimating equation not solved: residual {residual:.3e} "
+            f"exceeds {ACCEPT:.1e} x {scale:.3e}", residual_history=history)
 
     covariance, warn = sandwich_cov(distance, model, beta_hat, table, folds_nuis,
-                                    level, grid, return_warning=True)
-    report.warn = warn
+                                    level, grid)
     se = np.sqrt(np.maximum(np.diag(covariance), 0.0))
     wald = np.column_stack([beta_hat - Z95 * se, beta_hat + Z95 * se])
     fitted = clip_to_density(g_on_grid(model, beta_hat, grid), grid)
     n_total = sum(f.n_eval for f in folds_nuis)
     return ProjectionEstimate(
         beta_hat=beta_hat, covariance=covariance, wald_ci=wald,
-        fitted_density=fitted, solver_report=report, distance=distance,
+        fitted_density=fitted, distance=distance,
+        solver_report=SolverReport(method=route, iterations=iters, residual_norm=residual,
+                                   residual_scale=scale, residual_history=history,
+                                   warn=warn),
         model_label=model.label, level=int(level), n=n_total)
 
 
@@ -310,7 +293,7 @@ def _kl_expfam_jacobian(model, beta, grid):
     return second - np.outer(dc, dc)
 
 
-def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid, fd_step=1e-6):
+def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid):
     """Derivative of the pooled plug-in moment at beta.
 
     Analytic for the two special routes (2 I for l2 + orthonormal series;
@@ -318,9 +301,10 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid, fd_step=1e-
     differences otherwise.
     """
     p = model.beta_dim
-    if distance.kind == "l2" and isinstance(model, TruncatedSeries):
+    route = _special_route(distance, model)
+    if route == "closed_form_l2_series":
         return 2.0 * np.eye(p)
-    if distance.kind == "kl" and isinstance(model, ExponentialFamily):
+    if route == "moment_matching_kl_expfam":
         return _kl_expfam_jacobian(model, beta, grid)
 
     def pooled_m(b):
@@ -329,7 +313,7 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid, fd_step=1e-
 
     jac = np.empty((p, p))
     for k in range(p):
-        h = fd_step * (1.0 + abs(beta[k]))
+        h = 1e-6 * (1.0 + abs(beta[k]))
         bp, bm = np.array(beta, float), np.array(beta, float)
         bp[k] += h
         bm[k] -= h
@@ -338,12 +322,12 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid, fd_step=1e-
 
 
 def sandwich_cov(distance: DistanceSpec, model, beta_hat, table, folds_nuis,
-                 level, grid: EvalGrid, return_warning=False):
-    """Sandwich covariance of beta_hat, scaled by 1/n.
+                 level, grid: EvalGrid):
+    """Sandwich covariance of beta_hat, scaled by 1/n, and a conditioning warning.
 
     V^-1 Cov(influence values at beta_hat) V^-T / n, with V the plug-in
     moment derivative and influence values pooled across folds (each fold
-    centered exactly).
+    centered exactly). The warning is empty unless cond(V) exceeds 1e8.
     """
     v = _plugin_jacobian(distance, model, np.asarray(beta_hat, float),
                          folds_nuis, level, grid)
@@ -359,7 +343,4 @@ def sandwich_cov(distance: DistanceSpec, model, beta_hat, table, folds_nuis,
                            _moment_terms(distance, model, beta_hat, level, grid))
     vinv = np.linalg.inv(v)
     cov = vinv @ np.atleast_2d(np.cov(influence, rowvar=False)) @ vinv.T / len(influence)
-    cov = 0.5 * (cov + cov.T)
-    if return_warning:
-        return cov, warn
-    return cov
+    return 0.5 * (cov + cov.T), warn

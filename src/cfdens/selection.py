@@ -16,10 +16,13 @@ import numpy as np
 from .data import EvalGrid, FoldPlan, ObservationTable, make_folds
 from .distances import DistanceSpec
 from .eif import dr_scores
-from .errors import DataError
+from .errors import CfdensError, DataError
 from .models import ExponentialFamily, clip_to_density
 from .nuisance import NuisanceConfig, cross_fit, single_split
 from .projection import solve_onestep
+
+INNER_FOLDS = 2         # inner cross-fit of candidate fits on each training split
+DROP_TOL = 1e-8         # Gram-Schmidt: residual L2 norm below which a curve adds nothing
 
 
 @dataclass
@@ -76,18 +79,17 @@ class _CandidateFitter:
     Fixed densities pass through untouched.
     """
 
-    def __init__(self, train, grid, level, inner_folds, nuis_config, seed):
+    def __init__(self, train, grid, level, nuis_config, seed):
         self.train = train
         self.grid = grid
         self.level = level
-        self.inner_folds = inner_folds
         self.nuis_config = nuis_config
         self.seed = seed
         self._folds_nuis = None
 
     def _nuisances(self):
         if self._folds_nuis is None:
-            plan = make_folds(self.train.n, self.inner_folds, self.seed)
+            plan = make_folds(self.train.n, INNER_FOLDS, self.seed)
             self._folds_nuis = cross_fit(self.train, plan, (self.level,),
                                          self.grid, self.nuis_config)
         return self._folds_nuis
@@ -107,15 +109,16 @@ class _CandidateFitter:
 
 def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
                  grid: EvalGrid, nuis_config: NuisanceConfig = NuisanceConfig(),
-                 inner_folds: int = 2, labels=None) -> RiskTable:
+                 labels=None) -> RiskTable:
     """Pick the pseudo-risk argmin over candidate models or fixed densities.
 
     For every fold role, model candidates are fit on the training folds (with
     their own inner cross-fitting) and clipped to densities, nuisances are
     fit on the same training folds, and the pseudo risk is scored on the
     held-out fold; per-row summands pool across roles. Ties break to the
-    earlier (smaller-dimension) candidate. Candidates whose fit fails are
-    flagged infeasible and excluded with a warning.
+    earlier (smaller-dimension) candidate. Candidates whose fit raises a
+    CfdensError or LinAlgError are flagged infeasible and excluded with a
+    warning; any other exception propagates.
     """
     if len(candidates) < 1:
         raise DataError("need at least one candidate")
@@ -129,15 +132,14 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
     for j, train_idx, eval_idx in folds.splits():
         train = table.rows(train_idx)
         fold = single_split(table, train_idx, eval_idx, (level,), grid, nuis_config)
-        fitter = _CandidateFitter(train, grid, level, inner_folds, nuis_config,
-                                  seed=folds.seed + 7 * j + 1)
+        fitter = _CandidateFitter(train, grid, level, nuis_config, seed=folds.seed + 7 * j + 1)
         for i, cand in enumerate(candidates):
             if failed[i]:
                 continue
             try:
                 dens = fitter.fit(cand)
                 summands[i].append(_pseudo_risk_summands(table, fold, level, dens, grid))
-            except Exception as exc:  # noqa: BLE001 - candidate failure is data-dependent
+            except (CfdensError, np.linalg.LinAlgError) as exc:  # data-dependent failure
                 failed[i] = True
                 warnings.append(f"candidate {labels[i]} infeasible: {exc}")
     feasible = [i for i in range(k) if not failed[i]]
@@ -155,7 +157,7 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
                      warnings=warnings)
 
 
-def _gram_schmidt(curves, grid, drop_tol=1e-8):
+def _gram_schmidt(curves, grid):
     """Orthonormalize curves in L2([0,1]) under the grid inner product.
 
     Returns (ortho (R, G), coef (R, K), dropped) with
@@ -172,7 +174,7 @@ def _gram_schmidt(curves, grid, drop_tol=1e-8):
             v -= proj * e
             c -= proj * ce
         norm = float(np.sqrt(max(grid.integrate(v * v), 0.0)))
-        if norm < drop_tol:
+        if norm < DROP_TOL:
             dropped.append(k_i)
             continue
         ortho.append(v / norm)
@@ -184,7 +186,7 @@ def _gram_schmidt(curves, grid, drop_tol=1e-8):
 
 def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates,
                      grid: EvalGrid, nuis_config: NuisanceConfig = NuisanceConfig(),
-                     inner_folds: int = 2, swap: bool = True) -> AggregateEstimate:
+                     swap: bool = True) -> AggregateEstimate:
     """Linear aggregation of candidate densities under squared-L2 distance.
 
     Per fold role: fit model candidates on the training rows, orthonormalize
@@ -202,8 +204,7 @@ def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates
     dropped_all = set()
     for j, train_idx, eval_idx in roles:
         train = table.rows(train_idx)
-        fitter = _CandidateFitter(train, grid, level, inner_folds, nuis_config,
-                                  seed=folds.seed + 11 * j + 3)
+        fitter = _CandidateFitter(train, grid, level, nuis_config, seed=folds.seed + 11 * j + 3)
         curves = [fitter.fit(c) for c in candidates]
         ortho, coef, dropped = _gram_schmidt(curves, grid)
         dropped_all.update(dropped)

@@ -34,7 +34,7 @@ from cfdens.oracle import (
     tensor_uniform_quad,
     vonmises_remainder,
 )
-from cfdens.projection import SolverOptions, solve_onestep
+from cfdens.projection import solve_onestep
 from cfdens.selection import select_model
 
 GRID = make_grid(128)
@@ -89,7 +89,7 @@ class TestAcceptance:
             model = TruncatedSeries(CosineBasis(3))
             closed = solve_onestep(DistanceSpec("l2"), model, table, fn, 1, GRID)
             generic = solve_onestep(DistanceSpec("l2"), model, table, fn, 1, GRID,
-                                    SolverOptions(method="generic"))
+                                    generic=True)
             worst_beta = max(worst_beta,
                              float(np.max(np.abs(closed.beta_hat - generic.beta_hat))))
             onestep = effect_onestep(DistanceSpec("l2"), table, fn, GRID)

@@ -168,7 +168,21 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert "unrecognized arguments" in stderr
+        err = json.loads(stderr)["error"]
+        assert err["exit_code"] == 2 and err["type"] == "ConfigError"
+        assert "unrecognized arguments" in err["violations"][0]
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv-out"])
+    def test_unwritable_output_is_internal_error(self, capsys, tmp_path, synthetic_csv,
+                                                 flag):
+        args = ["fit-projection", "--data", synthetic_csv, *BASE, "--quick",
+                flag, str(tmp_path / "no" / "such" / "dir" / "x")]
+        code = main(args)
+        assert code == 5
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["exit_code"] == 5 and err["type"] == "FileNotFoundError"
 
     def test_unknown_experiment(self, capsys):
         code = main(["simulate", "--experiment", "nope"])

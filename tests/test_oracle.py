@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import minimize
 
 from cfdens import DistanceSpec, divergence, make_grid
+from cfdens.errors import SolverError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_grid
 from cfdens.oracle import (
     Experiment,
@@ -146,6 +147,22 @@ class TestMcRun:
         assert len(out.records) == 2
         assert all(not r["failed"] for r in out.records)
         assert out.summary[300]["reps"] == 2
+
+    def test_only_package_errors_count_as_failed_reps(self, monkeypatch):
+        exp = Experiment(name="smoke", dgp="cosine_bump", estimator="projection",
+                         n_values=(300,), reps=2, seed=1, model="series:d=2",
+                         grid_size=64)
+        raised = {}
+
+        def failing_solve(*args):
+            raise raised["exc"]
+
+        monkeypatch.setattr("cfdens.oracle.solve_onestep", failing_solve)
+        raised["exc"] = SolverError("no root")
+        assert mc_run(exp).summary[300]["failures"] == 2
+        raised["exc"] = ValueError("a bug, not a data-dependent failure")
+        with pytest.raises(ValueError, match="a bug"):
+            mc_run(exp)
 
     def test_determinism_modulo_runtime(self):
         exp = Experiment(name="det", dgp="randomized_shift", estimator="effect",

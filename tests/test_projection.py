@@ -9,7 +9,6 @@ from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_
 from cfdens.nuisance import tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_projection
 from cfdens.projection import (
-    SolverOptions,
     moment,
     one_step_equation,
     sandwich_cov,
@@ -56,7 +55,7 @@ class TestSolveOnestep:
         fn = cross_fit(table, folds, (1,), grid128)
         model = TruncatedSeries(CosineBasis(3))
         a = solve_onestep(L2, model, table, fn, 1, grid128)
-        b = solve_onestep(L2, model, table, fn, 1, grid128, SolverOptions(method="generic"))
+        b = solve_onestep(L2, model, table, fn, 1, grid128, generic=True)
         assert np.max(np.abs(a.beta_hat - b.beta_hat)) < 1e-8
         assert a.solver_report.method == "closed_form_l2_series"
 
@@ -67,7 +66,7 @@ class TestSolveOnestep:
         fn = cross_fit(table, folds, (1,), grid128)
         model = ExponentialFamily(CosineBasis(3))
         a = solve_onestep(KL, model, table, fn, 1, grid128)
-        b = solve_onestep(KL, model, table, fn, 1, grid128, SolverOptions(method="generic"))
+        b = solve_onestep(KL, model, table, fn, 1, grid128, generic=True)
         assert np.max(np.abs(a.beta_hat - b.beta_hat)) < 1e-8
         assert a.solver_report.method == "moment_matching_kl_expfam"
 
@@ -196,13 +195,13 @@ class TestSandwich:
         table = dgp.sample(1000, rng)
         fn = true_fold(dgp, table, (1,), grid128)
         model = TruncatedSeries(CosineBasis(2))
-        cov1 = sandwich_cov(L2, model, np.zeros(2), table, fn, 1, grid128)
+        cov1 = sandwich_cov(L2, model, np.zeros(2), table, fn, 1, grid128)[0]
         # duplicate every row: same empirical covariance, doubled n
         table2 = ObservationTable(np.vstack([table.x, table.x]),
                                   np.concatenate([table.a, table.a]),
                                   np.concatenate([table.y, table.y]), (0.0, 1.0))
         fn2 = true_fold(dgp, table2, (1,), grid128)
-        cov2 = sandwich_cov(L2, model, np.zeros(2), table2, fn2, 1, grid128)
+        cov2 = sandwich_cov(L2, model, np.zeros(2), table2, fn2, 1, grid128)[0]
         width_ratio = np.sqrt(np.diag(cov1)) / np.sqrt(np.diag(cov2))
         assert np.allclose(width_ratio, np.sqrt(2.0), rtol=2e-3)
 

@@ -4,7 +4,7 @@ import pytest
 from cfdens import cross_fit, make_folds, make_grid
 from cfdens.distances import DistanceSpec
 from cfdens.effects import effect_fixed_candidate
-from cfdens.errors import DataError
+from cfdens.errors import DataError, SolverError
 from cfdens.models import CosineBasis, TruncatedSeries
 from cfdens.nuisance import NuisanceConfig, tabulate_nuisances
 from cfdens.oracle import get_dgp
@@ -103,6 +103,25 @@ class TestSelectModel:
         assert len(rt.risks) == 2
         assert np.all(np.isfinite(rt.risks))
         assert rt.infeasible == []
+
+    def test_only_package_errors_make_a_candidate_infeasible(self, rng, grid128,
+                                                              monkeypatch):
+        dgp = get_dgp("cosine_bump")
+        table = dgp.sample(400, rng)
+        folds = make_folds(400, 2, seed=8)
+        cands = [TruncatedSeries(CosineBasis(d)) for d in (1, 2)]
+        raised = {}
+
+        def failing_solve(distance, model, *args):
+            raise raised["exc"]
+
+        monkeypatch.setattr("cfdens.selection.solve_onestep", failing_solve)
+        raised["exc"] = SolverError("no root")
+        with pytest.raises(DataError, match="every candidate failed"):
+            select_model(table, folds, 1, cands, grid128)
+        raised["exc"] = ValueError("a bug, not a data-dependent failure")
+        with pytest.raises(ValueError, match="a bug"):
+            select_model(table, folds, 1, cands, grid128)
 
 
 class TestSelectionConsistency:
