@@ -54,7 +54,7 @@ class RunConfig:
     nuisance_density: str = "nadaraya_watson"
     bandwidth: str = "silverman"
     experiment: str = ""
-    reps: int = 0
+    reps: int = 0                   # 0: the experiment's own count; --reps takes >= 2
     out: str = ""
     csv_out: str = ""
     quick: bool = False
@@ -92,8 +92,8 @@ def _validate(cfg: RunConfig):
         bad.append(f"nuisance-density: unknown method {cfg.nuisance_density!r}")
     if cfg.bandwidth != "silverman":
         try:
-            if float(cfg.bandwidth) <= 0:
-                bad.append("bandwidth: fixed bandwidth must be positive")
+            if not 0.0 < float(cfg.bandwidth) < float("inf"):  # nan fails too
+                bad.append("bandwidth: fixed bandwidth must be positive and finite")
         except ValueError:
             bad.append(f"bandwidth: expected 'silverman' or a number, got {cfg.bandwidth!r}")
     if cfg.command in ("fit-projection", "aggregate"):
@@ -339,6 +339,17 @@ def _parse_dims(text):
     return tuple(int(part) for part in text.split(",") if part)
 
 
+def _reps(text):
+    """--reps: an integer >= 2, the fewest reps a Monte-Carlo summary takes."""
+    try:
+        reps = int(text)
+    except ValueError:
+        reps = 0
+    if reps < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return reps
+
+
 def _flags(*specs):
     """A parent parser of flags; a flag left out keeps its RunConfig default."""
     parser = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
@@ -386,7 +397,7 @@ def build_parser():
         "select-model": [level, ("--dims", {"help": "e.g. 1..8 or 2,4,6"})],
         "aggregate": [level, ("--candidates",
                               {"help": "comma-separated model strings for aggregation"})],
-        "simulate": [("--experiment", {}), ("--reps", {"type": int})],
+        "simulate": [("--experiment", {}), ("--reps", {"type": _reps})],
     }
     sub = parser.add_subparsers(dest="command", required=True)
     for name, specs in own.items():

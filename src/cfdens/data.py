@@ -92,10 +92,6 @@ class ObservationTable:
         lo, hi = self.rescale_params
         return lo + np.asarray(y_unit, dtype=float) * (hi - lo)
 
-    def to_unit(self, y_raw):
-        lo, hi = self.rescale_params
-        return (np.asarray(y_raw, dtype=float) - lo) / (hi - lo)
-
     def density_to_original(self, dens_unit):
         """Jacobian-correct a density on [0,1] to original outcome units."""
         lo, hi = self.rescale_params
@@ -258,6 +254,19 @@ class EvalGrid:
         for j in range(values.shape[1]):
             out[..., j] = np.interp(at, self.points, values[:, j])
         return out
+
+    def interp_weights(self, at, coef):
+        """The (G,) measure r with r @ values == coef @ interp(values, at).
+
+        Sums coef_i times the linear-interpolation weights of at_i on the grid
+        nodes, constant beyond the end points as in ``interp``.
+        """
+        pts = self.points
+        at = np.clip(np.asarray(at, dtype=float), pts[0], pts[-1])
+        j = np.clip(np.searchsorted(pts, at, side="right") - 1, 0, self.size - 2)
+        t = (at - pts[j]) / (pts[j + 1] - pts[j])
+        return (np.bincount(j, coef * (1.0 - t), minlength=self.size)
+                + np.bincount(j + 1, coef * t, minlength=self.size))
 
 
 def make_grid(size, rule="trapezoid") -> EvalGrid:

@@ -60,7 +60,10 @@ def parse_distance(text) -> DistanceSpec:
             for part in text.split(":", 1)[1].split(","):
                 key, _, val = part.partition("=")
                 if key == "t":
-                    t = float(val)
+                    try:
+                        t = float(val)
+                    except ValueError:
+                        raise DistanceDomainError(f"tv option t={val!r} is not a number") from None
                 elif key == "kind":
                     kind = val
                 else:

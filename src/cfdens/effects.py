@@ -17,7 +17,7 @@ from .data import EvalGrid, ObservationTable
 from .distances import DistanceSpec, divergence
 from .eif import dr_scores, effect_curves
 from .errors import DataError
-from .projection import onestep
+from .projection import onestep, onestep_influence
 
 Z95 = 1.96
 EFFECT_FLOOR = 1e-8  # density floor for the ratio-based divergences
@@ -80,7 +80,8 @@ def effect_onestep(distance: DistanceSpec, table: ObservationTable, folds_nuis,
         lam1, lam0 = effect_curves(distance, p1, p0)
         return divergence(distance, p1, p0, grid), [(lev1, lam1, p1), (lev0, lam0, p0)]
 
-    psi, influence = onestep(table, folds_nuis, grid, terms)
+    psi = onestep(folds_nuis, grid, terms)
+    influence = onestep_influence(table, folds_nuis, grid, terms)
     return _finalize(psi, influence, distance, levels, floor)
 
 
@@ -106,8 +107,8 @@ def effect_l2_direct(table: ObservationTable, folds_nuis, grid: EvalGrid,
         a = table.a[idx]
         delta = fold.p_hat[lev1] - fold.p_hat[lev0]          # (G,)
         wdelta = grid.weights * delta
-        int_d_eta1 = fold.eta[lev1] @ wdelta                 # (n_ev,)
-        int_d_eta0 = fold.eta[lev0] @ wdelta
+        int_d_eta1 = fold.eta[lev1].contract(wdelta)         # (n_ev,)
+        int_d_eta0 = fold.eta[lev0].contract(wdelta)
         terms = int_d_eta1 - int_d_eta0                      # int delta (eta1 - eta0)
         hit1 = a == lev1
         hit0 = a == lev0
@@ -149,5 +150,6 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
         lam = effect_curves(distance, p_hat, gf)[0]
         return divergence(distance, p_hat, gf, grid), [(level, lam, p_hat)]
 
-    psi, influence = onestep(table, folds_nuis, grid, terms)
+    psi = onestep(folds_nuis, grid, terms)
+    influence = onestep_influence(table, folds_nuis, grid, terms)
     return _finalize(psi, influence, distance, (level,), floor)

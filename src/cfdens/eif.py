@@ -1,10 +1,21 @@
 """Influence-function algebra for counterfactual density functionals.
 
-Everything here reduces to one map: given an outcome transform h tabulated on
-the grid, ``dr_scores`` returns the per-row doubly-robust, exactly centered
-scores whose average corrects the plug-in bias of the counterfactual mean of
-h. The transforms themselves (projection moment corrections, density-effect
-curves, fixed-candidate curves) are tabulated by the companion helpers.
+Every target is a cross-fit one-step estimate whose correction is a
+counterfactual mean of an outcome transform h tabulated on the grid. Per
+row, the raw doubly-robust summand of h is
+
+    1(A_i = a)/pi_hat(X_i) * (h(Y_i) - hbar(X_i)) + hbar(X_i),
+
+hbar the quadrature of h against eta_hat(.|X_i). Its mean needs no per-row
+work: it is d_hat @ h, with d_hat the fold's doubly-robust grid measure
+(``nuisance.fold_nuisance``), and that is all the estimates use. Per-row
+values, from ``dr_scores``, are needed only for influence values
+(covariances, standard errors) and per-row risk summands; they contract the
+fold's factored eta_hat (per level: K in float32 (m, G), the eval rows'
+covariates and 1/mass, next to p_hat and d_hat), so no (n_ev, G) array is
+built unless ``CondDensityModel.predict`` is called. The transforms
+themselves (projection moment corrections, density-effect curves,
+fixed-candidate curves) are tabulated by the companion helpers.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ def dr_scores(table: ObservationTable, fold: FoldNuisance, level, h_grid,
     the sample mean of the raw summands, so the output averages to zero
     exactly (the influence-value form used for covariances and diagnostics);
     a numeric value subtracts that instead (0.0 gives the raw doubly-robust
-    summands whose mean is the one-step estimate of the counterfactual mean).
+    summands, whose mean is ``fold.d_hat[level] @ h``).
 
     h_grid: (G,) or (G, m); returns (n_ev,) or (n_ev, m).
     """
@@ -45,8 +56,7 @@ def dr_scores(table: ObservationTable, fold: FoldNuisance, level, h_grid,
     idx = fold.eval_idx
     a = table.a[idx]
     pi = fold.pi[level]
-    eta = fold.eta[level]                       # (n_ev, G)
-    hbar = eta @ (grid.weights[:, None] * h_grid)   # (n_ev, m)
+    hbar = fold.eta[level].contract(grid.weights[:, None] * h_grid)   # (n_ev, m)
     out = hbar.copy()
     hit = a == level
     if hit.any():

@@ -1,17 +1,24 @@
 """Nuisance estimation: propensities, conditional outcome densities, plug-in marginals.
 
-The estimators downstream consume nuisances only through per-row tabulations
-(`FoldNuisance`), so the learners here are swappable: anything that can fill
-those tables works. Shipped learners are multinomial logistic regression and
-k-NN for the propensity, and Nadaraya-Watson / k-NN / marginal-only kernel
-regressions of a Gaussian-kernel-transformed outcome for the conditional
-density. Analytic or deliberately misspecified nuisances enter through
-``tabulate_nuisances``.
+The estimators downstream consume nuisances only through ``FoldNuisance``,
+so the learners here are swappable. Per fold and level it holds the clipped
+propensities, the conditional density on the eval rows as an operator whose
+``contract(w * h)`` gives the quadrature of h against every row, the plug-in
+marginal p_hat and the doubly-robust grid measure d_hat, with d_hat @ h the
+mean of the raw doubly-robust summands of h (``fold_nuisance``). A fitted
+density keeps its outcome-kernel matrix K in float32 (m, G), the eval rows'
+covariates and their 1/mass (``FactoredEta``); no (n_ev, G) array is built
+unless ``CondDensityModel.predict`` is called. Shipped learners are
+multinomial logistic regression and k-NN for the propensity, and
+Nadaraya-Watson / k-NN / marginal-only kernel regressions of a
+Gaussian-kernel-transformed outcome for the conditional density. Analytic or
+deliberately misspecified nuisances enter through ``tabulate_nuisances``,
+the dense special case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +29,9 @@ from .errors import (
     InsufficientDataError,
 )
 
-_CHUNK = 2048  # eval rows per kernel-matrix block, bounds peak memory
+_CHUNK = 256           # eval rows per covariate-weight block, bounds peak memory
+LOGIT_TOL = 1e-8        # gradient norm at which the logistic Newton fit stops
+LOGIT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -73,7 +82,7 @@ class PropensityModel:
         return self.predict(x)[:, self.levels.index(level)]
 
 
-def _fit_multinomial_logistic(x, a, levels, tol=1e-8, max_iter=100):
+def _fit_multinomial_logistic(x, a, levels):
     """Newton-IRLS multinomial fit; returns (predict_raw, converged)."""
     n, d = x.shape
     z = np.column_stack([np.ones(n), x])
@@ -96,10 +105,10 @@ def _fit_multinomial_logistic(x, a, levels, tol=1e-8, max_iter=100):
 
     converged = False
     ll = loglik(coef)
-    for _ in range(max_iter):
+    for _ in range(LOGIT_MAX_ITER):
         p = probs(coef)[:, 1:]                          # (n, L-1)
         grad = (z.T @ (onehot - p)).T.ravel()           # (L-1)(d+1)
-        if np.linalg.norm(grad) < tol:
+        if np.linalg.norm(grad) < LOGIT_TOL:
             converged = True
             break
         hess = np.zeros((nb, nb))
@@ -198,11 +207,16 @@ def _kernel_outcome_matrix(y_train, points, h):
     quadratic term in the effect estimators picks up a visible bias.
     """
     out = np.zeros((len(y_train), len(points)))
+    z = np.empty_like(out)
     for yy in (y_train, -y_train, 2.0 - y_train):
-        z = (yy[:, None] - points[None, :]) / h
+        np.subtract.outer(yy, points, out=z)
+        z /= h
         np.clip(z, -38.0, 38.0, out=z)
-        out += np.exp(-0.5 * z**2)
-    return out / (h * np.sqrt(2.0 * np.pi))
+        np.square(z, out=z)
+        z *= -0.5
+        out += np.exp(z, out=z)
+    out /= h * np.sqrt(2.0 * np.pi)
+    return out
 
 
 def _normalize_rows_to_density(eta, grid):
@@ -216,14 +230,23 @@ def _normalize_rows_to_density(eta, grid):
 
 
 class CondDensityModel:
-    """Conditional density eta_hat(. | x) tabulated on an EvalGrid.
+    """Conditional density eta_hat(. | x) on an EvalGrid, held in factored form.
 
     Regression of the Gaussian-kernel-transformed outcome on covariates among
-    rows at one treatment level. The covariate weights use an Epanechnikov
-    kernel on standardized coordinates (compact support keeps the weight
-    matrix cheap); rows with no in-window neighbor fall back to their nearest
-    one. Every predicted curve is floored at zero and renormalized to unit
-    mass on the grid.
+    rows at one treatment level: eta_hat(. | x) = W(x) K / mass(x), with K
+    (m, G) the training rows' outcome kernels on the grid, W(x) (m,) the
+    covariate weights of x against the training rows and mass(x) = W(x) K w
+    the unit-mass normaliser under the grid quadrature w (so the scale of W
+    never matters). Nadaraya-Watson weights are Epanechnikov on standardized
+    coordinates (compact support keeps them cheap) and a row with no
+    in-window neighbor falls back to its nearest one; k-NN weights mark the
+    k nearest rows; marginal weights are uniform, so there K collapses to the
+    (1, G) sum of its rows.
+
+    K is kept in float32 (``kmat``; the marginal's summed row in float64) and
+    every product with it runs in float64.
+    ``predict`` materialises (n, G) rows on request; the estimators only ever
+    contract the factored form (``FactoredEta``).
     """
 
     def __init__(self, level, x_train, k_matrix, regressor, h_y, train_row_ids=None):
@@ -235,48 +258,107 @@ class CondDensityModel:
         sd = x_train.std(axis=0)
         self._x_sd = np.where(sd < 1e-12, np.inf, sd)  # inf: dim carries no distance
         m, d = x_train.shape
+        x_bw = 1.0  # k-NN only ranks distances
         if regressor == "nadaraya_watson":
             # Scott-style rate; the constant is sized for regression, where
             # local sample size matters more than in density estimation
-            self._x_bw = 3.5 * m ** (-1.0 / (d + 4))
+            x_bw = 3.5 * m ** (-1.0 / (d + 4))
         elif regressor == "knn":
             self._k = min(m, max(20, int(np.ceil(m ** 0.7))))
-        self._xt = (x_train - self._x_mean) / self._x_sd
-        # (m, G); Nadaraya-Watson contracts it in float32 against float32 weights
-        self._kmat = (k_matrix.astype(np.float32) if regressor == "nadaraya_watson"
-                      else k_matrix)
+        self._inv_bw2 = 1.0 / x_bw**2
+        xt = (x_train - self._x_mean) / self._x_sd
+        # training half of [2x/b^2, 1 - |x|^2/b^2, 1] . [x_j, 1, -|x_j|^2/b^2]
+        # = 1 - |x - x_j|^2 / b^2
+        self._train_aug = np.column_stack(
+            [xt, np.ones(m), -self._inv_bw2 * (xt**2).sum(axis=1)])
+        self.kmat = k_matrix.astype(np.float32)
+        if regressor == "marginal":
+            # uniform covariate weights: K collapses to the sum of its rows
+            self.kmat = self.kmat.sum(axis=0, keepdims=True, dtype=float)
+
+    def covariates(self, x):
+        """Standardized covariates of the rows of x, augmented to [2x/b^2, 1 - |x|^2/b^2, 1]."""
+        xn = (np.asarray(x, dtype=float) - self._x_mean) / self._x_sd
+        return np.column_stack([2.0 * self._inv_bw2 * xn,
+                                1.0 - self._inv_bw2 * (xn**2).sum(axis=1),
+                                np.ones(len(xn))])
+
+    def weight_blocks(self, xa):
+        """Yield (rows, W): unnormalised covariate weights of ``_CHUNK`` rows of
+        ``covariates(x)`` against the training rows, each block from one GEMM."""
+        m = len(self.kmat)
+        for lo in range(0, len(xa), _CHUNK):
+            rows = slice(lo, min(lo + _CHUNK, len(xa)))
+            if self.regressor == "marginal":
+                yield rows, np.ones((rows.stop - lo, m))
+                continue
+            w = xa[rows] @ self._train_aug.T            # 1 - |x - x_j|^2 / b^2
+            if self.regressor == "knn":
+                nbr = np.argpartition(w, m - self._k, axis=1)[:, m - self._k:]
+                w.fill(0.0)
+                np.put_along_axis(w, nbr, 1.0, axis=1)
+            else:
+                empty = np.flatnonzero(w.max(axis=1) <= 0.0)
+                nearest = w[empty].argmax(axis=1)
+                np.maximum(w, 0.0, out=w)
+                w[empty, nearest] = 1.0
+            yield rows, w
 
     def predict(self, x, grid: EvalGrid):
-        x = np.asarray(x, dtype=float)
-        if self.regressor == "marginal":
-            curve = self._kmat.mean(axis=0)
-            eta = np.tile(curve, (len(x), 1))
-            return _normalize_rows_to_density(eta, grid)
-        xn = (x - self._x_mean) / self._x_sd
-        out = np.empty((len(x), self._kmat.shape[1]))
-        for lo in range(0, len(x), _CHUNK):
-            blk = xn[lo:lo + _CHUNK]
-            d2 = ((blk**2).sum(axis=1)[:, None] + (self._xt**2).sum(axis=1)[None, :]
-                  - 2.0 * blk @ self._xt.T)
-            np.maximum(d2, 0.0, out=d2)
-            if self.regressor == "nadaraya_watson":
-                w = (1.0 - d2 / self._x_bw**2).astype(np.float32)
-                np.maximum(w, np.float32(0.0), out=w)
-                rowsum = w.sum(axis=1, keepdims=True)
-                empty = rowsum[:, 0] <= 0
-                if empty.any():
-                    nearest = d2[empty].argmin(axis=1)
-                    w[empty] = 0.0
-                    w[np.flatnonzero(empty), nearest] = 1.0
-                    rowsum = w.sum(axis=1, keepdims=True)
-                w /= rowsum
-                out[lo:lo + len(blk)] = (w @ self._kmat).astype(np.float64)
-            else:
-                nbr = np.argpartition(d2, self._k - 1, axis=1)[:, :self._k]
-                w = np.zeros_like(d2)
-                np.put_along_axis(w, nbr, 1.0 / self._k, axis=1)
-                out[lo:lo + len(blk)] = w @ self._kmat
+        """Materialise eta_hat on the rows of x: (n, G), each row unit mass."""
+        kmat = self.kmat.astype(float)
+        xa = self.covariates(x)
+        out = np.empty((len(xa), kmat.shape[1]))
+        for rows, w in self.weight_blocks(xa):
+            out[rows] = w @ kmat
         return _normalize_rows_to_density(out, grid)
+
+
+class FactoredEta:
+    """eta_hat on a fold's eval rows as diag(1/mass) W K, never materialised.
+
+    Keeps the fitted model (K in float32 and the training covariates), the
+    eval rows' augmented covariates and their 1/mass. ``contract`` rebuilds W
+    one ``_CHUNK``-row block at a time. ``row_sums`` is v.T @ eta_hat for the
+    row weights v (n_ev, k) given at construction, accumulated in the same
+    pass that finds 1/mass.
+    """
+
+    def __init__(self, model: CondDensityModel, x, grid: EvalGrid, row_weights):
+        self.model = model
+        self._xa = model.covariates(x)
+        kmat = model.kmat.astype(float)
+        kw = kmat @ grid.weights                        # (m,) mass of each training kernel
+        self.inv_mass = np.empty(len(self._xa))
+        acc = np.zeros((row_weights.shape[1], len(kw)))
+        for rows, w in model.weight_blocks(self._xa):
+            self.inv_mass[rows] = 1.0 / (w @ kw)
+            acc += (row_weights[rows] * self.inv_mass[rows, None]).T @ w
+        self.row_sums = acc @ kmat
+
+    def contract(self, wh):
+        """eta_hat @ wh for wh of shape (G,) or (G, k); with wh = w * h, the
+        quadrature of h against each row."""
+        kwh = self.model.kmat @ np.asarray(wh, dtype=float)     # float64 product
+        out = np.empty((len(self._xa),) + kwh.shape[1:])
+        for rows, w in self.model.weight_blocks(self._xa):
+            out[rows] = ((w @ kwh).T * self.inv_mass[rows]).T
+        return out
+
+
+class DenseEta:
+    """eta_hat tabulated on a fold's eval rows, (n_ev, G): closed-form nuisances.
+
+    The dense special case of ``FactoredEta``, with the same ``contract`` and
+    ``row_sums``.
+    """
+
+    def __init__(self, eta, row_weights):
+        self.eta = eta
+        self.row_sums = row_weights.T @ eta
+
+    def contract(self, wh):
+        return self.eta @ wh
 
 
 def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
@@ -313,61 +395,113 @@ def plugin_marginal(model: CondDensityModel, table: ObservationTable, eval_idx,
             raise CrossFitViolationError(
                 f"evaluation rows overlap training rows (e.g. row {int(overlap[0])})"
             )
-    eta = model.predict(table.x[eval_idx], grid)
-    return eta.mean(axis=0)
+    n_ev = len(eval_idx)
+    return FactoredEta(model, table.x[eval_idx], grid,
+                       np.full((n_ev, 1), 1.0 / n_ev)).row_sums[0]
 
 
 # ---------------------------------------------------------------------------
-# per-fold tabulations consumed by every estimator
+# per-fold nuisances consumed by every estimator
 
 @dataclass
 class FoldNuisance:
     """Nuisances evaluated on one fold's held-out rows.
 
     pi[level]:    (n_ev,) clipped propensities
-    eta[level]:   (n_ev, G) conditional densities, each row unit mass
-    p_hat[level]: (G,) plug-in marginal = column mean of eta, derived here
+    eta[level]:   conditional densities on the eval rows, each row unit mass:
+                  ``FactoredEta`` (fitted: K in float32 (m, G), the eval rows'
+                  covariates and 1/mass) or ``DenseEta`` (closed form);
+                  ``eta[level].contract(w * h)`` is the quadrature of h
+                  against every row. No (n_ev, G) array is built for fitted
+                  nuisances.
+    p_hat[level]: (G,) plug-in marginal, the mean of the eta rows
+    d_hat[level]: (G,) doubly-robust grid measure: for any h on the grid,
+                  d_hat @ h is the mean of the raw doubly-robust summands of h
+                  (see ``fold_nuisance``)
     """
 
     eval_idx: np.ndarray
     pi: dict
     eta: dict
+    p_hat: dict
+    d_hat: dict
     warn_separation: bool = False
-    p_hat: dict = field(init=False)
-
-    def __post_init__(self):
-        self.p_hat = {lev: tab.mean(axis=0) for lev, tab in self.eta.items()}
 
     @property
     def n_eval(self):
         return len(self.eval_idx)
 
 
+def fold_nuisance(table: ObservationTable, eval_idx, grid: EvalGrid, pi, tabulate,
+                  warn_separation=False) -> FoldNuisance:
+    """Assemble a FoldNuisance from per-level propensities and densities.
+
+    ``tabulate(level, v)`` returns the level's eta with ``row_sums = v.T @ eta``
+    for the row weights v = [1/n_ev, 1(A_i = level)/(n_ev pi_i)]. They give
+    p_hat and q_hat = n_ev^-1 sum_{A_i = level} eta_i / pi_i, and
+
+        d_hat = w (p_hat - q_hat) + r,
+
+    with r the linear-interpolation weights of the level's observed Y_i on
+    the grid nodes scaled by 1/(n_ev pi_i). For any h tabulated on the grid,
+    d_hat @ h then equals the mean over the eval rows of the raw summand
+
+        1(A_i = level)/pi_i (h(Y_i) - hbar_i) + hbar_i,   hbar_i = eta_i @ (w h).
+    """
+    eval_idx = np.asarray(eval_idx)
+    n_ev = len(eval_idx)
+    a, y = table.a[eval_idx], table.y[eval_idx]
+    eta, p_hat, d_hat = {}, {}, {}
+    for lev, pi_lev in pi.items():
+        hit = a == lev
+        ipw = np.zeros(n_ev)
+        ipw[hit] = 1.0 / (n_ev * pi_lev[hit])
+        eta[lev] = tabulate(lev, np.column_stack([np.full(n_ev, 1.0 / n_ev), ipw]))
+        p_hat[lev], q_hat = eta[lev].row_sums
+        d_hat[lev] = (grid.weights * (p_hat[lev] - q_hat)
+                      + grid.interp_weights(y[hit], ipw[hit]))
+    return FoldNuisance(eval_idx=eval_idx, pi=pi, eta=eta, p_hat=p_hat, d_hat=d_hat,
+                        warn_separation=warn_separation)
+
+
 def single_split(table: ObservationTable, train_idx, eval_idx, levels,
-                 grid: EvalGrid, config: NuisanceConfig = NuisanceConfig()) -> FoldNuisance:
-    """Fit nuisances on the training rows and tabulate them on the eval rows."""
+                 grid: EvalGrid, config: NuisanceConfig = NuisanceConfig(),
+                 pi_fn=None) -> FoldNuisance:
+    """Fit nuisances on the training rows and tabulate them on the eval rows.
+
+    ``pi_fn(x, level) -> (n,)``, when given, replaces the fitted propensity
+    with a closed-form one (the oracle's true-propensity mode).
+    """
     levels = tuple(levels)
     train_idx = np.asarray(train_idx)
     eval_idx = np.asarray(eval_idx)
     train = table.rows(train_idx)
-    prop = fit_propensity_all(train, method=config.propensity, clip_eps=config.clip_eps)
-    absent = [lev for lev in levels if lev not in prop.levels]
-    if absent:
-        raise DataError(f"level {absent[0]} absent from the training rows; "
-                        f"levels present: {list(prop.levels)}")
-    probs = prop.predict(table.x[eval_idx])
-    pi = {lev: probs[:, prop.levels.index(lev)] for lev in levels}
-    eta = {lev: fit_cond_density(train, lev, grid, bandwidth=config.bandwidth,
-                                 regressor=config.density,
-                                 train_row_ids=train_idx).predict(table.x[eval_idx], grid)
-           for lev in levels}
-    return FoldNuisance(eval_idx=eval_idx, pi=pi, eta=eta, warn_separation=prop.warn)
+    x = table.x[eval_idx]
+    warn = False
+    if pi_fn is None:
+        prop = fit_propensity_all(train, method=config.propensity, clip_eps=config.clip_eps)
+        absent = [lev for lev in levels if lev not in prop.levels]
+        if absent:
+            raise DataError(f"level {absent[0]} absent from the training rows; "
+                            f"levels present: {list(prop.levels)}")
+        probs = prop.predict(x)
+        pi = {lev: probs[:, prop.levels.index(lev)] for lev in levels}
+        warn = prop.warn
+    else:
+        pi = {lev: np.asarray(pi_fn(x, lev), dtype=float) for lev in levels}
+
+    def tabulate(lev, row_weights):
+        model = fit_cond_density(train, lev, grid, bandwidth=config.bandwidth,
+                                 regressor=config.density, train_row_ids=train_idx)
+        return FactoredEta(model, x, grid, row_weights)
+
+    return fold_nuisance(table, eval_idx, grid, pi, tabulate, warn)
 
 
 def cross_fit(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid,
-              config: NuisanceConfig = NuisanceConfig()) -> list:
+              config: NuisanceConfig = NuisanceConfig(), pi_fn=None) -> list:
     """Fit nuisances per fold on the complement, tabulate on the held-out rows."""
-    return [single_split(table, train_idx, eval_idx, levels, grid, config)
+    return [single_split(table, train_idx, eval_idx, levels, grid, config, pi_fn)
             for _, train_idx, eval_idx in folds.splits()]
 
 
@@ -376,14 +510,17 @@ def tabulate_nuisances(table: ObservationTable, eval_idx, levels, grid: EvalGrid
     """Build a FoldNuisance from closed-form nuisance functions.
 
     ``pi_fn(x, level) -> (n,)`` and ``eta_fn(x, level, points) -> (n, G)``.
-    Used to inject true or deliberately misspecified nuisances. Tabulated
-    conditional curves are renormalized to unit mass under the grid
-    quadrature so the exact-centering identities hold on the working grid.
+    Used to inject true or deliberately misspecified nuisances; the dense
+    special case (``DenseEta``) of the fitted ones. Tabulated conditional
+    curves are renormalized to unit mass under the grid quadrature so the
+    exact-centering identities hold on the working grid.
     """
     eval_idx = np.asarray(eval_idx)
     x = table.x[eval_idx]
     pi = {lev: np.asarray(pi_fn(x, lev), dtype=float) for lev in levels}
-    eta = {lev: _normalize_rows_to_density(
-               np.asarray(eta_fn(x, lev, grid.points), dtype=float), grid)
-           for lev in levels}
-    return FoldNuisance(eval_idx=eval_idx, pi=pi, eta=eta)
+
+    def tabulate(lev, row_weights):
+        eta = np.asarray(eta_fn(x, lev, grid.points), dtype=float)
+        return DenseEta(_normalize_rows_to_density(eta, grid), row_weights)
+
+    return fold_nuisance(table, eval_idx, grid, pi, tabulate)

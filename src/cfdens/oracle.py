@@ -383,12 +383,7 @@ def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, leve
         return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
                                    pi_const, dgp.eta_fn)]
     if mode == "true_pi_fitted_eta":
-        out = cross_fit(table, folds, levels, grid, exp.nuisance)
-        for fold in out:
-            x = table.x[fold.eval_idx]
-            for lev in levels:
-                fold.pi[lev] = np.asarray(dgp.pi_fn(x, lev), dtype=float)
-        return out
+        return cross_fit(table, folds, levels, grid, exp.nuisance, pi_fn=dgp.pi_fn)
     raise DataError(f"unknown nuisance mode {mode!r}")
 
 

@@ -77,29 +77,32 @@ def moment(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
     return grid.integrate(gg * fac[:, None])
 
 
-def onestep(table, folds_nuis, grid, terms):
-    """Cross-fit one-step estimate and its pooled influence values.
+def onestep(folds_nuis, grid, terms):
+    """Cross-fit one-step estimate.
 
     ``terms(fold)`` returns ``(plug_in, arms)`` with each arm a triple
     ``(level, h, p)``: an outcome transform h tabulated on the grid and the
     fold marginal p it is centred against. A fold's estimate is its plug-in
-    plus the mean doubly-robust summand of every arm net of the plug-in
-    counterpart int h p; folds are pooled with weights proportional to their
-    sizes. The influence values stack, fold by fold, the arm sums of the
-    exactly centred summands (None when there are no arms).
+    plus, per arm, the mean doubly-robust summand of h net of its plug-in
+    counterpart int h p, which is (d_hat - w p) @ h; folds are pooled with
+    weights proportional to their sizes. No per-row work is done.
     """
     sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
-    estimate, influence = 0.0, []
+    estimate = 0.0
     for w, fold in zip(sizes / sizes.sum(), folds_nuis):
         plug_in, arms = terms(fold)
-        scores = [dr_scores(table, fold, level, h, grid,
-                            center=grid.integrate(h * (p[:, None] if h.ndim > 1 else p)))
-                  for level, h, p in arms]
-        if scores:
-            plug_in = plug_in + sum(scores).mean(axis=0)
-            influence.append(sum(s - s.mean(axis=0) for s in scores))
+        for level, h, p in arms:
+            plug_in = plug_in + (fold.d_hat[level] - grid.weights * p) @ h
         estimate = estimate + w * plug_in
-    return estimate, (np.concatenate(influence) if influence else None)
+    return estimate
+
+
+def onestep_influence(table, folds_nuis, grid, terms):
+    """Pooled influence values of ``onestep``: per fold, the arm sum of the
+    exactly centred doubly-robust summands, stacked fold by fold."""
+    return np.concatenate([sum(dr_scores(table, fold, level, h, grid)
+                               for level, h, _ in terms(fold)[1])
+                           for fold in folds_nuis])
 
 
 def _moment_terms(distance, model, beta, level, grid):
@@ -111,16 +114,14 @@ def _moment_terms(distance, model, beta, level, grid):
     return terms
 
 
-def one_step_equation(distance, model, beta, table, folds_nuis, level, grid):
+def one_step_equation(distance, model, beta, folds_nuis, level, grid):
     """Pooled one-step estimating equation value at beta.
 
     Per fold, the correction is the mean doubly-robust summand of the
     correction transform minus its plug-in counterpart (quadrature against
-    that fold's marginal); the plug-in parts cancel the tabulated hbar means
-    exactly, leaving the bias-correcting inverse-probability residual term.
+    that fold's marginal), read off the fold's grid measure d_hat.
     """
-    return onestep(table, folds_nuis, grid,
-                   _moment_terms(distance, model, beta, level, grid))[0]
+    return onestep(folds_nuis, grid, _moment_terms(distance, model, beta, level, grid))
 
 
 def default_start(model, folds_nuis, level, grid):
@@ -133,7 +134,7 @@ def default_start(model, folds_nuis, level, grid):
     """
     if not isinstance(model, GaussianMixture):
         return np.zeros(model.beta_dim)
-    p_hat, _ = onestep(None, folds_nuis, grid, lambda fold: (fold.p_hat[level], []))
+    p_hat = onestep(folds_nuis, grid, lambda fold: (fold.p_hat[level], []))
     p_hat = np.maximum(p_hat, 0.0)
     p_hat = p_hat / grid.integrate(p_hat)
     m1 = float(grid.integrate(grid.points * p_hat))
@@ -218,17 +219,16 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
         raise DataError(f"level {level} missing from nuisance tabulations")
 
     def equation(beta):
-        return one_step_equation(distance, model, beta, table, folds_nuis, level, grid)
+        return one_step_equation(distance, model, beta, folds_nuis, level, grid)
 
     scale = 1.0 + float(np.linalg.norm(equation(np.zeros(model.beta_dim))))
 
     route = (None if generic else _special_route(distance, model)) or "generic_damped_newton"
     resid, iters, history = None, 0, None
     if route != "generic_damped_newton":
-        # both closed routes reduce to the pooled mean of the raw DR summands of the basis
+        # both closed routes reduce to the one-step mean of the basis
         basis_tab = model.basis.eval(grid.points)
-        target = np.concatenate([dr_scores(table, fold, level, basis_tab, grid, center=0.0)
-                                 for fold in folds_nuis]).mean(axis=0)
+        target = onestep(folds_nuis, grid, lambda fold: (0.0, [(level, basis_tab, 0.0)]))
     if route == "closed_form_l2_series":
         beta_hat = target
     elif route == "moment_matching_kl_expfam":
@@ -308,8 +308,8 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid):
         return _kl_expfam_jacobian(model, beta, grid)
 
     def pooled_m(b):
-        return onestep(None, folds_nuis, grid,
-                       lambda fold: (moment(distance, model, b, fold.p_hat[level], grid), []))[0]
+        return onestep(folds_nuis, grid,
+                       lambda fold: (moment(distance, model, b, fold.p_hat[level], grid), []))
 
     jac = np.empty((p, p))
     for k in range(p):
@@ -339,8 +339,8 @@ def sandwich_cov(distance: DistanceSpec, model, beta_hat, table, folds_nuis,
     warn = ""
     if cond > 1e8:
         warn = f"ill-conditioned moment derivative (cond={cond:.2e})"
-    _, influence = onestep(table, folds_nuis, grid,
-                           _moment_terms(distance, model, beta_hat, level, grid))
+    influence = onestep_influence(table, folds_nuis, grid,
+                                  _moment_terms(distance, model, beta_hat, level, grid))
     vinv = np.linalg.inv(v)
     cov = vinv @ np.atleast_2d(np.cov(influence, rowvar=False)) @ vinv.T / len(influence)
     return 0.5 * (cov + cov.T), warn

@@ -210,7 +210,7 @@ def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates
         dropped_all.update(dropped)
         fold = single_split(table, train_idx, eval_idx, (level,), grid, nuis_config)
         # closed-form doubly-robust coefficients on the orthonormalized span
-        theta = dr_scores(table, fold, level, ortho.T, grid, center=0.0).mean(axis=0)
+        theta = fold.d_hat[level] @ ortho.T
         weight_acc += theta @ coef
         density_acc += theta @ ortho
     nroles = len(roles)

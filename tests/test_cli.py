@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cfdens.cli import main
 from cfdens.oracle import get_dgp
@@ -184,6 +188,15 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["exit_code"] == 5 and err["type"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize("reps", ["-3", "0", "1"])
+    def test_reps_below_two_is_config_error(self, capsys, reps):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--experiment", "effect-null", "--reps", reps])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["exit_code"] == 2 and err["type"] == "ConfigError"
+        assert "--reps" in err["violations"][0]
+
     def test_unknown_experiment(self, capsys):
         code = main(["simulate", "--experiment", "nope"])
         assert code == 2
@@ -201,3 +214,75 @@ class TestErrors:
             "--missing-code", "-999", "--quick", "--seed", "1"])
         assert code == 0
         assert report["results"]["n"] == 120
+
+
+# per subcommand: flags with a list of values that each make the run invalid;
+# "--level 7" names a level absent from the data (exit 3), the rest exit 2
+_DATA_INVALID = {
+    "--data": ["{missing}"],
+    "--x-cols": [","],
+    "--grid": ["4", "0", "-3", "x"],
+    "--folds": ["1", "0", "two"],
+    "--clip-eps": ["0", "0.5", "-0.1", "nan", "inf"],
+    "--grid-rule": ["simpson", ""],
+    "--nuisance-propensity": ["forest"],
+    "--nuisance-density": ["gp"],
+    "--bandwidth": ["0", "-1", "wide", "nan", "inf"],
+}
+_INVALID = {
+    "fit-projection": {**_DATA_INVALID, "--model": ["mystery:d=2", "series:d=x"],
+                       "--distance": ["l3", "tv:t=x"], "--level": ["7", "x"]},
+    "density-effect": {**_DATA_INVALID, "--distance": ["l3"], "--level1": ["7"]},
+    "select-model": {**_DATA_INVALID, "--dims": ["a..3", "0..3", ""], "--level": ["7"]},
+    "aggregate": {**_DATA_INVALID, "--candidates": ["", "bogus"], "--level": ["7"]},
+    "simulate": {"--experiment": ["nope", ""], "--reps": ["1", "0", "-3", "x"],
+                 "--seed": ["x"]},
+}
+
+
+@st.composite
+def invalid_argv(draw):
+    command = draw(st.sampled_from(sorted(_INVALID)))
+    table = _INVALID[command]
+    flags = draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=4,
+                          unique=True))
+    if command == "simulate":
+        argv = ["simulate", "--experiment", "effect-null"]
+    else:
+        argv = [command, "--data", "{data}", *BASE, "--quick"]
+        argv += {"select-model": ["--dims", "1..2"],
+                 "aggregate": ["--candidates", "series:d=1"]}.get(command, [])
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(table[flag]))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def module_csv(tmp_path_factory):
+    dgp = get_dgp("confounded_shift")
+    table = dgp.sample(200, np.random.default_rng(42))
+    path = tmp_path_factory.mktemp("cli") / "synthetic.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "a", "y"])
+        for i in range(table.n):
+            writer.writerow([table.x[i, 0], table.x[i, 1], table.a[i], table.y[i]])
+    return path
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=invalid_argv())
+def test_invalid_config_exits_2_or_3_with_json(argv, module_csv):
+    argv = [a.replace("{data}", str(module_csv))
+            .replace("{missing}", str(module_csv.parent / "missing.csv")) for a in argv]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (2, 3), (argv, code, stderr.getvalue())
+    err = json.loads(stderr.getvalue())["error"]
+    assert err["exit_code"] == code
+    assert "traceback" not in err and "Traceback" not in stderr.getvalue()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfdens import DistanceSpec
+from cfdens import DistanceSpec, make_grid
 from cfdens.data import ObservationTable
 from cfdens.distances import f1, f2, f_eval, moment_integrand_factor
 from cfdens.eif import (
@@ -11,7 +11,7 @@ from cfdens.eif import (
 )
 from cfdens.errors import DistanceDomainError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_grad_on_grid, g_on_grid
-from cfdens.nuisance import tabulate_nuisances
+from cfdens.nuisance import single_split, tabulate_nuisances
 from cfdens.oracle import get_dgp, tensor_uniform_quad
 
 
@@ -95,6 +95,29 @@ class TestDrScores:
             variances.append(out.var(axis=0, ddof=1))
         rel = np.abs(variances[1] - variances[0]) / variances[0]
         assert np.all(rel < 0.10)
+
+
+class TestDHat:
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+    def test_d_hat_is_mean_of_raw_summands(self, rule, rng):
+        # d_hat @ h is the mean of the raw doubly-robust summands, for fitted
+        # (factored) and closed-form (dense) nuisances alike; outcomes at 0 and
+        # 1 lie outside the Gauss-Legendre end points, where h is constant
+        grid = make_grid(64, rule)
+        dgp = get_dgp("confounded_shift")
+        sample = dgp.sample(800, rng)
+        a, y = sample.a.copy(), sample.y.copy()
+        a[:6] = [0, 0, 1, 1, 0, 1]
+        y[:6] = [0.0, 1.0, 0.0, 1.0, grid.points[0], grid.points[-1]]
+        table = ObservationTable(sample.x, a, y, (0.0, 1.0))
+        eval_idx = np.concatenate([np.arange(6), np.arange(400, 800)])
+        folds = [single_split(table, np.arange(6, 400), eval_idx, (0, 1), grid),
+                 true_nuisance_fold(dgp, table, (0, 1), grid)]
+        h = np.column_stack([np.sin(7 * grid.points), 1.0 + grid.points**3])
+        for fold in folds:
+            for lev in (0, 1):
+                want = dr_scores(table, fold, lev, h, grid, center=0.0).mean(axis=0)
+                assert np.allclose(fold.d_hat[lev] @ h, want, rtol=1e-12, atol=0.0)
 
 
 class TestMomentCorrectionCurve:

@@ -5,6 +5,7 @@ from cfdens import cross_fit, fit_cond_density, make_folds
 from cfdens.data import ObservationTable
 from cfdens.errors import CrossFitViolationError, DataError, InsufficientDataError
 from cfdens.nuisance import (
+    FactoredEta,
     fit_propensity_all,
     floor_probs,
     plugin_marginal,
@@ -153,6 +154,27 @@ class TestCondDensity:
         assert model.h_y == 0.08
 
 
+class TestFactoredEta:
+    @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
+    def test_contraction_matches_dense_predict(self, regressor, rng, grid128):
+        # the factored W(K(w h)) / mass equals predict's materialised rows
+        # contracted with the same h, and so do the row-weighted sums
+        table = get_dgp("confounded_shift").sample(1200, rng)
+        model = fit_cond_density(table, 1, grid128, regressor=regressor)
+        x = np.vstack([rng.uniform(size=(600, 2)), [[40.0, -40.0]]])
+        if regressor == "nadaraya_watson":
+            in_window = model.covariates(x[-1:]) @ model._train_aug.T
+            assert in_window.max() <= 0.0  # the last row falls back to its nearest
+        h = np.column_stack([grid128.points**2, np.cos(5 * grid128.points)])
+        v = rng.uniform(size=(len(x), 2))
+        factored = FactoredEta(model, x, grid128, v)
+        eta = model.predict(x, grid128)
+        wh = grid128.weights[:, None] * h
+        assert np.allclose(factored.contract(wh), eta @ wh, rtol=0.0, atol=1e-12)
+        assert np.allclose(factored.contract(wh[:, 0]), eta @ wh[:, 0], rtol=0.0, atol=1e-12)
+        assert np.allclose(factored.row_sums, v.T @ eta, rtol=1e-12, atol=0.0)
+
+
 class TestPluginMarginal:
     def test_average_of_two_rows(self, grid128):
         # one row carries the uniform curve, the other the 2y triangle
@@ -217,7 +239,7 @@ class TestCrossFit:
         for fold in out:
             for lev in (0, 1):
                 assert fold.pi[lev].min() >= 0.01
-                assert np.allclose(fold.eta[lev] @ grid128.weights, 1.0, atol=1e-6)
+                assert np.allclose(fold.eta[lev].contract(grid128.weights), 1.0, atol=1e-6)
                 assert abs(fold.p_hat[lev] @ grid128.weights - 1.0) < 1e-6
 
     def test_single_split_matches_manual(self, rng, grid128):

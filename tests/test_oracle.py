@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from cfdens import DistanceSpec, divergence, make_grid
+from cfdens import DistanceSpec, divergence, effect_onestep, fit_cond_density, make_folds, make_grid
 from cfdens.errors import SolverError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_grid
+from cfdens.nuisance import FactoredEta, cross_fit, fold_nuisance
 from cfdens.oracle import (
     Experiment,
+    _fold_nuisances,
     SyntheticDGP,
     dgp_library,
     effect_population_bias,
@@ -173,6 +175,31 @@ class TestMcRun:
                               for r in recs]
         assert strip(a.records) == strip(b.records)
         assert a.summary == b.summary
+
+    def test_true_pi_mode_matches_direct_build(self, grid128):
+        # fitted eta with the true propensity: the same estimate as folds
+        # assembled directly from the true pi, not the fitted one
+        dgp = get_dgp("confounded_shift")
+        table = dgp.sample(1200, np.random.default_rng(8))
+        folds = make_folds(table.n, 2, seed=3)
+        levels = (1, 0)
+        exp = Experiment(name="tp", estimator="effect", nuisance_mode="true_pi_fitted_eta")
+        got = _fold_nuisances(exp, dgp, table, folds, grid128, levels)
+        want = []
+        for _, train_idx, eval_idx in folds.splits():
+            x = table.x[eval_idx]
+            pi = {lev: dgp.pi_fn(x, lev) for lev in levels}
+            models = {lev: fit_cond_density(table.rows(train_idx), lev, grid128,
+                                            train_row_ids=train_idx) for lev in levels}
+            want.append(fold_nuisance(
+                table, eval_idx, grid128, pi,
+                lambda lev, v: FactoredEta(models[lev], x, grid128, v)))
+        est = effect_onestep(L2, table, got, grid128)
+        ref = effect_onestep(L2, table, want, grid128)
+        assert est.psi_hat == pytest.approx(ref.psi_hat, rel=1e-12)
+        assert est.se == pytest.approx(ref.se, rel=1e-12)
+        fitted = effect_onestep(L2, table, cross_fit(table, folds, levels, grid128), grid128)
+        assert abs(fitted.psi_hat - ref.psi_hat) > 1e-6
 
     def test_rmse_shrinks_at_root_n_rate(self):
         exp = Experiment(name="rate", dgp="confounded_shift", estimator="projection",

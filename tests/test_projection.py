@@ -78,7 +78,7 @@ class TestSolveOnestep:
                             (KL, ExponentialFamily(CosineBasis(3))),
                             (DistanceSpec("hellinger"), ExponentialFamily(CosineBasis(2)))):
             est = solve_onestep(spec, model, table, fn, 1, grid128)
-            resid = one_step_equation(spec, model, est.beta_hat, table, fn, 1, grid128)
+            resid = one_step_equation(spec, model, est.beta_hat, fn, 1, grid128)
             scale = est.solver_report.residual_scale
             assert np.linalg.norm(resid) < 1e-8 * scale
 

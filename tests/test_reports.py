@@ -6,7 +6,9 @@ timestamp and the output path are dropped. Regenerate the reference with
 
     PYTHONPATH=src python tests/test_reports.py
 
-only when a change to the reported numbers is intended.
+only when a change to the reported numbers is intended. Before it
+overwrites the file, the regenerator prints per report the largest absolute
+and relative drift of the numeric leaves and every other leaf that changed.
 """
 
 import csv
@@ -60,6 +62,10 @@ def run_report(argv, data, out):
     return report
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def assert_same(got, want, path="report"):
     if isinstance(want, dict):
         assert isinstance(got, dict) and sorted(got) == sorted(want), path
@@ -69,14 +75,44 @@ def assert_same(got, want, path="report"):
         assert isinstance(got, list) and len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
             assert_same(g, w, f"{path}[{i}]")
-    elif isinstance(want, (int, float)) and not isinstance(want, bool):
-        assert isinstance(got, (int, float)) and not isinstance(got, bool), path
+    elif _is_number(want):
+        assert _is_number(got), path
         if math.isnan(want):
             assert math.isnan(got), path
         else:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
     else:
         assert got == want, path
+
+
+def leaves(obj, path="report"):
+    """(path, value) for every leaf of a JSON report."""
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from leaves(obj[key], f"{path}.{key}")
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def drift(got, want):
+    """Largest absolute and relative drift of the numeric leaves of got from
+    want, with their paths, and the lines naming every other changed leaf."""
+    new, old = dict(leaves(got)), dict(leaves(want))
+    worst_abs, worst_rel, changed = (0.0, None), (0.0, None), []
+    for path in sorted(new.keys() | old.keys()):
+        g, w = new.get(path, "<absent>"), old.get(path, "<absent>")
+        numbers = _is_number(g) and _is_number(w)
+        if numbers and not (math.isnan(g) or math.isnan(w)):
+            gap = abs(g - w)
+            rel = gap / abs(w) if w else (math.inf if gap else 0.0)
+            worst_abs = max(worst_abs, (gap, path), key=lambda t: t[0])
+            worst_rel = max(worst_rel, (rel, path), key=lambda t: t[0])
+        elif g != w and not (numbers and math.isnan(g) and math.isnan(w)):
+            changed.append(f"  {path}: {w!r} -> {g!r}")
+    return worst_abs, worst_rel, changed
 
 
 @pytest.fixture(scope="module")
@@ -104,4 +140,15 @@ if __name__ == "__main__":
         write_csv(data)
         reports = {name: run_report(argv, data, Path(tmp) / "out.json")
                    for name, argv in RUNS.items()}
+    previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in sorted(reports.keys() | previous.keys()):
+        if name not in previous or name not in reports:
+            print(f"{name}: {'added' if name in reports else 'removed'}")
+            continue
+        (gap, gap_at), (rel, rel_at), changed = drift(reports[name], previous[name])
+        print(f"{name}: max abs drift {gap:.3g} at {gap_at}; "
+              f"max rel drift {rel:.3g} at {rel_at}; "
+              f"changed non-numeric leaves: {len(changed)}")
+        for line in changed:
+            print(line)
     GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=1) + "\n")
