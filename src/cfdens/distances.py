@@ -282,6 +282,23 @@ def moment_integrand_factor(spec, p, q):
     return 1.0 - np.sqrt(r)
 
 
+def effect_integrand_factor(spec, p, q):
+    """The scalar factor q * f_dp(p,q), i.e. d/dp of f(p,q) q, reduced per kind:
+      l2: 2(p - q); kl: log(p/q) + 1; chisq: 2(p - q)/q;
+      hellinger: 1 - sqrt(q/p); tv: nu'(p - q)/2.
+    For l2 and tv, f(p,q) q depends on p - q alone: the negated moment factor.
+    """
+    if spec.kind in ("l2", "tv"):
+        return -moment_integrand_factor(spec, p, q)
+    p, q = clamp_densities(spec, p, q)
+    r = p / q
+    if spec.kind == "kl":
+        return np.log(r) + 1.0
+    if spec.kind == "chisq":
+        return 2.0 * (p - q) / q
+    return 1.0 - np.sqrt(1.0 / r)
+
+
 def influence_integrand_factor(spec, p, q):
     """The scalar factor f_dp(p,q) + q * f_dpdq(p,q), reduced per kind.
 

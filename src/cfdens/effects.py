@@ -122,9 +122,9 @@ def effect_l2_direct(table: ObservationTable, folds_nuis, grid: EvalGrid,
         psi += w * (2.0 * float(terms.mean()) - int_d2)
         # influence values match the one-step path exactly
         lam1, lam0 = effect_curves(distance, fold.p_hat[lev1], fold.p_hat[lev0])
-        s1 = dr_scores(table, fold, lev1, lam1, grid, center="sample")
-        s0 = dr_scores(table, fold, lev0, lam0, grid, center="sample")
-        pooled.append(s1 + s0)
+        s1 = dr_scores(table, fold, lev1, lam1, grid)
+        s0 = dr_scores(table, fold, lev0, lam0, grid)
+        pooled.append((s1 - s1.mean()) + (s0 - s0.mean()))
     influence = np.concatenate(pooled)
     return _finalize(psi, influence, distance, levels, None)
 

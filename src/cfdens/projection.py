@@ -99,9 +99,13 @@ def onestep(folds_nuis, grid, terms):
 
 def onestep_influence(table, folds_nuis, grid, terms):
     """Pooled influence values of ``onestep``: per fold, the arm sum of the
-    exactly centred doubly-robust summands, stacked fold by fold."""
-    return np.concatenate([sum(dr_scores(table, fold, level, h, grid)
-                               for level, h, _ in terms(fold)[1])
+    doubly-robust summands, each arm centred exactly at its fold mean, stacked
+    fold by fold."""
+    def centred(fold, level, h):
+        raw = dr_scores(table, fold, level, h, grid)
+        return raw - raw.mean(axis=0)
+
+    return np.concatenate([sum(centred(fold, level, h) for level, h, _ in terms(fold)[1])
                            for fold in folds_nuis])
 
 

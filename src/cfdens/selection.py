@@ -4,7 +4,7 @@ Selection scores each candidate density with an estimable risk that differs
 from its true squared-L2 distance to the counterfactual density only by a
 candidate-independent constant, so the argmin is unchanged. Aggregation
 orthonormalizes the candidate span and runs the closed-form doubly-robust
-series fit on a held-out split, then swaps the roles and averages.
+series fit on a held-out split, then averages over every fold role.
 """
 
 from __future__ import annotations
@@ -47,9 +47,17 @@ class AggregateEstimate:
     meta: dict
 
 
-def _pseudo_risk_summands(table, fold, level, g_k, grid):
-    const = float(grid.integrate(np.asarray(g_k, dtype=float) ** 2))
-    return -2.0 * dr_scores(table, fold, level, g_k, grid, center=0.0) + const
+def _pseudo_risk_summands(table, fold, level, dens, grid):
+    """Per-row pseudo-risk summands, (n_ev, k), of a (G, k) stack of candidate
+    densities: -2 x each one's raw doubly-robust summand plus its int g^2."""
+    return -2.0 * dr_scores(table, fold, level, dens, grid) + grid.integrate(dens**2)
+
+
+def _pooled_risk(summands):
+    """Per column of the pooled (n, k) summands: the mean and its standard error."""
+    n = len(summands)
+    se = summands.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(summands.shape[1])
+    return summands.mean(axis=0), se
 
 
 def pseudo_l2_risk(table: ObservationTable, folds_nuis, level, g_k, grid: EvalGrid):
@@ -63,12 +71,9 @@ def pseudo_l2_risk(table: ObservationTable, folds_nuis, level, g_k, grid: EvalGr
     g_k = np.asarray(g_k, dtype=float)
     if g_k.shape != grid.points.shape:
         raise DataError("candidate density must be tabulated on the grid")
-    summands = np.concatenate(
-        [_pseudo_risk_summands(table, fold, level, g_k, grid) for fold in folds_nuis])
-    n = len(summands)
-    risk = float(summands.mean())
-    se = float(summands.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return risk, se
+    risk, se = _pooled_risk(np.concatenate(
+        [_pseudo_risk_summands(table, fold, level, g_k[:, None], grid) for fold in folds_nuis]))
+    return float(risk[0]), float(se[0])
 
 
 class _CandidateFitter:
@@ -76,7 +81,7 @@ class _CandidateFitter:
 
     Model candidates of any dimension consume the same per-fold tabulations,
     so the inner cross-fit runs once per training split, not per candidate.
-    Fixed densities pass through untouched.
+    Fixed densities pass through; a non-finite density raises a DataError.
     """
 
     def __init__(self, train, grid, level, nuis_config, seed):
@@ -99,12 +104,14 @@ class _CandidateFitter:
             dens = np.asarray(cand, dtype=float)
             if dens.shape != self.grid.points.shape:
                 raise DataError("fixed candidate density must be tabulated on the grid")
-            return dens
-        distance = (DistanceSpec("kl") if isinstance(cand, ExponentialFamily)
-                    else DistanceSpec("l2"))
-        est = solve_onestep(distance, cand, self.train, self._nuisances(),
-                            self.level, self.grid)
-        return est.fitted_density
+        else:
+            distance = (DistanceSpec("kl") if isinstance(cand, ExponentialFamily)
+                        else DistanceSpec("l2"))
+            dens = solve_onestep(distance, cand, self.train, self._nuisances(),
+                                 self.level, self.grid).fitted_density
+        if not np.all(np.isfinite(dens)):
+            raise DataError("candidate density is non-finite on the grid")
+        return dens
 
 
 def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
@@ -114,11 +121,11 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
 
     For every fold role, model candidates are fit on the training folds (with
     their own inner cross-fitting) and clipped to densities, nuisances are
-    fit on the same training folds, and the pseudo risk is scored on the
-    held-out fold; per-row summands pool across roles. Ties break to the
-    earlier (smaller-dimension) candidate. Candidates whose fit raises a
-    CfdensError or LinAlgError are flagged infeasible and excluded with a
-    warning; any other exception propagates.
+    fit on the same training folds, and all still-feasible candidates are
+    scored on the held-out fold in one stacked call; per-row summands pool
+    across roles. Ties break to the earlier (smaller-dimension) candidate.
+    Candidates whose fit raises a CfdensError or LinAlgError are flagged
+    infeasible and excluded with a warning; any other exception propagates.
     """
     if len(candidates) < 1:
         raise DataError("need at least one candidate")
@@ -126,33 +133,31 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
         labels = [c.label if hasattr(c, "label") else f"fixed[{i}]"
                   for i, c in enumerate(candidates)]
     k = len(candidates)
-    summands = [[] for _ in range(k)]
     failed = [False] * k
     warnings = []
+    scored = []     # per role: (n_ev, k) summands, NaN for candidates not fit
     for j, train_idx, eval_idx in folds.splits():
         train = table.rows(train_idx)
         fold = single_split(table, train_idx, eval_idx, (level,), grid, nuis_config)
         fitter = _CandidateFitter(train, grid, level, nuis_config, seed=folds.seed + 7 * j + 1)
+        dens = {}
         for i, cand in enumerate(candidates):
             if failed[i]:
                 continue
             try:
-                dens = fitter.fit(cand)
-                summands[i].append(_pseudo_risk_summands(table, fold, level, dens, grid))
+                dens[i] = fitter.fit(cand)
             except (CfdensError, np.linalg.LinAlgError) as exc:  # data-dependent failure
                 failed[i] = True
                 warnings.append(f"candidate {labels[i]} infeasible: {exc}")
-    feasible = [i for i in range(k) if not failed[i]]
-    if not feasible:
-        raise DataError("every candidate failed to fit")
-    risks = np.full(k, np.inf)
-    ses = np.full(k, np.nan)
-    for i in feasible:
-        pooled = np.concatenate(summands[i])
-        risks[i] = pooled.mean()
-        ses[i] = pooled.std(ddof=1) / np.sqrt(len(pooled))
-    chosen = min(feasible, key=lambda i: (risks[i], i))
-    return RiskTable(labels=list(labels), risks=risks, ses=ses, chosen=int(chosen),
+        if not dens:
+            raise DataError("every candidate failed to fit")
+        role = np.full((len(eval_idx), k), np.nan)
+        role[:, list(dens)] = _pseudo_risk_summands(table, fold, level,
+                                                    np.column_stack(list(dens.values())), grid)
+        scored.append(role)
+    risks, ses = _pooled_risk(np.concatenate(scored))
+    risks[failed] = np.inf
+    return RiskTable(labels=list(labels), risks=risks, ses=ses, chosen=int(np.argmin(risks)),
                      infeasible=[labels[i] for i in range(k) if failed[i]],
                      warnings=warnings)
 
@@ -185,24 +190,23 @@ def _gram_schmidt(curves, grid):
 
 
 def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates,
-                     grid: EvalGrid, nuis_config: NuisanceConfig = NuisanceConfig(),
-                     swap: bool = True) -> AggregateEstimate:
+                     grid: EvalGrid, nuis_config: NuisanceConfig = NuisanceConfig()
+                     ) -> AggregateEstimate:
     """Linear aggregation of candidate densities under squared-L2 distance.
 
     Per fold role: fit model candidates on the training rows, orthonormalize
     the candidate curves on the grid, run the closed-form doubly-robust
     series fit (zero base density) on the held-out rows, and map the
-    coefficients back to candidate weights. Roles average unless ``swap`` is
-    off, and the averaged aggregate is clipped to a density. Ratio-based
+    coefficients back to candidate weights. Every fold role is averaged in,
+    and the averaged aggregate is clipped to a density. Ratio-based
     divergences are undefined for general linear combinations, so
     aggregation is squared-L2 only.
     """
-    roles = list(folds.splits()) if swap else [next(iter(folds.splits()))]
     kcount = len(candidates)
     weight_acc = np.zeros(kcount)
     density_acc = np.zeros(grid.size)
     dropped_all = set()
-    for j, train_idx, eval_idx in roles:
+    for j, train_idx, eval_idx in folds.splits():
         train = table.rows(train_idx)
         fitter = _CandidateFitter(train, grid, level, nuis_config, seed=folds.seed + 11 * j + 3)
         curves = [fitter.fit(c) for c in candidates]
@@ -213,9 +217,9 @@ def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates
         theta = fold.d_hat[level] @ ortho.T
         weight_acc += theta @ coef
         density_acc += theta @ ortho
-    nroles = len(roles)
+    nroles = folds.k_folds
     density = clip_to_density(density_acc / nroles, grid)
     return AggregateEstimate(
         weights=weight_acc / nroles, density=density, dropped=sorted(dropped_all),
         meta={"roles": nroles, "seed": folds.seed, "n": table.n,
-              "level": int(level), "swap": bool(swap)})
+              "level": int(level)})

@@ -15,7 +15,7 @@ from helpers import fd_table_check
 
 from cfdens import DistanceSpec, cross_fit, make_folds, make_grid
 from cfdens.effects import effect_l2_direct, effect_onestep
-from cfdens.eif import dr_scores, effect_curves
+from cfdens.eif import effect_curves
 from cfdens.models import (
     CosineBasis,
     ExponentialFamily,
@@ -34,7 +34,7 @@ from cfdens.oracle import (
     tensor_uniform_quad,
     vonmises_remainder,
 )
-from cfdens.projection import solve_onestep
+from cfdens.projection import onestep_influence, solve_onestep
 from cfdens.selection import select_model
 
 GRID = make_grid(128)
@@ -115,11 +115,13 @@ class TestAcceptance:
             grid_size=128, k_folds=2))
         rmse8000 = np.linalg.norm(rate_run.summary[8000]["rmse"])
         ratio = rmse2000 / rmse8000
+        failures = (cov_run.summary[2000]["failures"], rate_run.summary[8000]["failures"])
         ok = (np.all(coverage >= 0.92) and np.all(coverage <= 0.98)
-              and 1.7 <= ratio <= 2.4)
+              and 1.7 <= ratio <= 2.4 and failures == (0, 0))
         report(4, "root-n consistency and normality", ok,
                f"coverage {np.round(coverage, 3)} in [0.92,0.98], "
-               f"rmse ratio {ratio:.2f} in [1.7,2.4], {time.time()-t0:.0f}s")
+               f"rmse ratio {ratio:.2f} in [1.7,2.4], failed reps {failures} == (0, 0), "
+               f"{time.time()-t0:.0f}s")
 
     def test_05_double_robustness(self):
         t0 = time.time()
@@ -139,10 +141,13 @@ class TestAcceptance:
             grid_size=128, k_folds=2, nuisance_mode="true_pi_fitted_eta",
             nuisance=NuisanceConfig(density="marginal")))
         bb = np.linalg.norm(arm_b.summary[16000]["bias"])
-        ok = ba <= 2.0 * b0 and bb <= 2.0 * b0
+        failures = (base.summary[4000]["failures"], arm_a.summary[16000]["failures"],
+                    arm_b.summary[16000]["failures"])
+        ok = ba <= 2.0 * b0 and bb <= 2.0 * b0 and failures == (0, 0, 0)
         report(5, "double robustness", ok,
                f"both-correct bias {b0:.5f}; wrong-propensity arm {ba:.5f}, "
-               f"marginal-density arm {bb:.5f}, both <= {2*b0:.5f}, {time.time()-t0:.0f}s")
+               f"marginal-density arm {bb:.5f}, both <= {2*b0:.5f}, "
+               f"failed reps {failures} == (0, 0, 0), {time.time()-t0:.0f}s")
 
     def test_06_second_order_remainders(self):
         t0 = time.time()
@@ -192,10 +197,12 @@ class TestAcceptance:
             r["estimate"] - 1.96 * max(r["se"], 1 / np.sqrt(2000)) <= 0.0
             <= r["estimate"] + 1.96 * max(r["se"], 1 / np.sqrt(2000))
             for r in rows])
-        ok = 0.92 <= cov <= 0.98 and cons_cover >= 0.95
+        failures = (eff.summary[4000]["failures"], null.summary[2000]["failures"])
+        ok = 0.92 <= cov <= 0.98 and cons_cover >= 0.95 and failures == (0, 0)
         report(7, "effect inference", ok,
                f"wald coverage {cov:.3f} in [0.92,0.98] at psi=0.25; "
-               f"null conservative coverage {cons_cover:.3f} >= 0.95, {time.time()-t0:.0f}s")
+               f"null conservative coverage {cons_cover:.3f} >= 0.95, "
+               f"failed reps {failures} == (0, 0), {time.time()-t0:.0f}s")
 
     def test_08_mean_zero_and_null_degeneracy(self):
         t0 = time.time()
@@ -209,7 +216,8 @@ class TestAcceptance:
         basis_tab = CosineBasis(3).eval(GRID.points)
         for fold in fn:
             for lev in (0, 1):
-                scores = dr_scores(table, fold, lev, basis_tab, GRID, center="sample")
+                scores = onestep_influence(table, [fold], GRID,
+                                           lambda f, lev=lev: (0.0, [(lev, basis_tab, 0.0)]))
                 worst_mean = max(worst_mean, float(np.max(np.abs(scores.mean(axis=0)))))
         # null design: influence variance of the squared-L2 effect shrinks
         # as the fitted marginals merge (true propensity, fitted density)
@@ -221,19 +229,15 @@ class TestAcceptance:
                 rng = np.random.default_rng([77, n, rep])
                 tab = dgp_null.sample(n, rng)
                 plan = make_folds(n, 2, seed=500 + rep)
-                nuis = cross_fit(tab, plan, (0, 1), GRID)
-                for fold in nuis:
-                    x = tab.x[fold.eval_idx]
-                    for lev in (0, 1):
-                        fold.pi[lev] = dgp_null.pi_fn(x, lev)
-                vals = []
-                for fold in nuis:
+                nuis = cross_fit(tab, plan, (0, 1), GRID, pi_fn=dgp_null.pi_fn)
+
+                def terms(fold):
                     lam1, lam0 = effect_curves(DistanceSpec("l2"),
                                                fold.p_hat[1], fold.p_hat[0])
-                    s1 = dr_scores(tab, fold, 1, lam1, GRID, center="sample")
-                    s0 = dr_scores(tab, fold, 0, lam0, GRID, center="sample")
-                    vals.append(s1 + s0)
-                vs.append(float(np.concatenate(vals).var(ddof=1)))
+                    return 0.0, [(1, lam1, fold.p_hat[1]), (0, lam0, fold.p_hat[0])]
+
+                vals = onestep_influence(tab, nuis, GRID, terms)
+                vs.append(float(vals.var(ddof=1)))
             variances[n] = float(np.median(vs))
         ok = worst_mean <= 1e-10 and variances[8000] < variances[2000]
         report(8, "mean-zero scores and null degeneracy", ok,

@@ -7,6 +7,7 @@ from cfdens.distances import (
     abs_smooth,
     abs_smooth_d1,
     abs_smooth_d2,
+    effect_integrand_factor,
     f1,
     f2,
     f21,
@@ -170,6 +171,13 @@ class TestReducedFactors:
         q = np.geomspace(0.08, 2.5, 17)
         raw = f_eval(spec, p, q) + q * f2(spec, p, q)
         assert np.allclose(moment_integrand_factor(spec, p, q), raw, atol=1e-10)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
+    def test_effect_factor(self, spec):
+        p = np.geomspace(0.05, 3.0, 17)
+        q = np.geomspace(0.08, 2.5, 17)
+        raw = q * f1(spec, p, q)
+        assert np.allclose(effect_integrand_factor(spec, p, q), raw, atol=1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_influence_factor(self, spec):

@@ -13,6 +13,7 @@ from cfdens.errors import DistanceDomainError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_grad_on_grid, g_on_grid
 from cfdens.nuisance import single_split, tabulate_nuisances
 from cfdens.oracle import get_dgp, tensor_uniform_quad
+from cfdens.projection import onestep_influence
 
 
 def true_nuisance_fold(dgp, table, levels, grid):
@@ -20,13 +21,23 @@ def true_nuisance_fold(dgp, table, levels, grid):
                               dgp.pi_fn, dgp.eta_fn)
 
 
+def arm_terms(level, h):
+    """``onestep`` terms of the plain counterfactual mean of h: no plug-in, one arm."""
+    return lambda fold: (0.0, [(level, h, 0.0)])
+
+
 class TestDrScores:
     def test_constant_transform_gives_zero(self, rng, grid128):
+        # every raw summand of a constant is that constant, so its influence
+        # values vanish
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(200, rng)
         fold = true_nuisance_fold(dgp, table, (1,), grid128)
-        out = dr_scores(table, fold, 1, np.full(grid128.size, 3.7), grid128)
-        assert np.all(np.abs(out) < 1e-12)
+        h = np.full(grid128.size, 3.7)
+        out = dr_scores(table, fold, 1, h, grid128)
+        assert np.all(np.abs(out - 3.7) < 1e-12)
+        influence = onestep_influence(table, [fold], grid128, arm_terms(1, h))
+        assert np.all(np.abs(influence) < 1e-12)
 
     def test_full_treatment_reduces_to_centered_transform(self, rng, grid128):
         n = 150
@@ -42,17 +53,19 @@ class TestDrScores:
                                          (len(xq), 1)))
         h = grid128.points**2
         out = dr_scores(table, fold, 1, h, grid128)
-        expected = y**2 - np.mean(y**2)
         # interpolation of the tabulated transform is the only slack
-        assert np.allclose(out, expected, atol=1e-3)
-        assert abs(out.mean()) < 1e-12
+        assert np.allclose(out, y**2, atol=1e-3)
+        centred = onestep_influence(table, [fold], grid128, arm_terms(1, h))
+        assert np.allclose(centred, y**2 - np.mean(y**2), atol=1e-3)
+        assert abs(centred.mean()) < 1e-12
 
     def test_sample_centering_is_exact(self, rng, grid128):
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(500, rng)
         fold = true_nuisance_fold(dgp, table, (0, 1), grid128)
         h = np.column_stack([grid128.points, np.cos(3 * grid128.points)])
-        out = dr_scores(table, fold, 1, h, grid128)
+        out = onestep_influence(table, [fold], grid128, arm_terms(1, h))
+        assert out.shape == (table.n, 2)
         assert np.all(np.abs(out.mean(axis=0)) < 1e-10)
 
     def test_population_mean_zero_monte_carlo(self, grid128):
@@ -67,7 +80,7 @@ class TestDrScores:
         xq, wx = tensor_uniform_quad(24, 2)
         eta_q = dgp.eta_fn(xq, 1, grid128.points)
         center = wx @ (eta_q @ (grid128.weights[:, None] * h))
-        out = dr_scores(table, fold, 1, h, grid128, center=center)
+        out = dr_scores(table, fold, 1, h, grid128) - center
         mean = out.mean(axis=0)
         se = out.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(mean) <= 3 * se)
@@ -116,7 +129,7 @@ class TestDHat:
         h = np.column_stack([np.sin(7 * grid.points), 1.0 + grid.points**3])
         for fold in folds:
             for lev in (0, 1):
-                want = dr_scores(table, fold, lev, h, grid, center=0.0).mean(axis=0)
+                want = dr_scores(table, fold, lev, h, grid).mean(axis=0)
                 assert np.allclose(fold.d_hat[lev] @ h, want, rtol=1e-12, atol=0.0)
 
 

@@ -184,9 +184,9 @@ class TestSandwich:
         fn = cross_fit(table, folds, (1,), grid128)
         model = TruncatedSeries(CosineBasis(3))
         est = solve_onestep(L2, model, table, fn, 1, grid128)
-        per_fold = [dr_scores(table, fold, 1, model.basis.eval(grid128.points),
-                              grid128, center="sample") for fold in fn]
-        pooled = np.concatenate(per_fold, axis=0)
+        raw = [dr_scores(table, fold, 1, model.basis.eval(grid128.points), grid128)
+               for fold in fn]
+        pooled = np.concatenate([r - r.mean(axis=0) for r in raw], axis=0)
         expected = np.cov(pooled, rowvar=False, ddof=1) / table.n
         assert np.allclose(est.covariance, expected, atol=1e-12)
 
