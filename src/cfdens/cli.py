@@ -282,6 +282,8 @@ def _cmd_aggregate(cfg: RunConfig):
         "candidates": list(cfg.candidates),
         "weights": agg.weights.tolist(),
         "dropped": agg.dropped,
+        "infeasible": agg.infeasible,
+        "warnings": agg.warnings,
         "meta": agg.meta,
         "density_grid_unit": [
             [float(yu), float(gu)] for yu, gu in zip(grid.points, agg.density)

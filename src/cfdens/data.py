@@ -290,13 +290,6 @@ def make_grid(size, rule="trapezoid") -> EvalGrid:
     raise GridError(f"unknown grid rule: {rule!r}")
 
 
-DEFAULT_GRID_SIZE = 512
-
-
-def default_grid() -> EvalGrid:
-    return make_grid(DEFAULT_GRID_SIZE, "trapezoid")
-
-
 @dataclass(frozen=True)
 class FoldPlan:
     """Deterministic cross-fitting plan: balanced folds from a seeded shuffle."""

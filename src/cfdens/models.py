@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EvalGrid, default_grid
+from .data import EvalGrid
 from .errors import MagnitudeError, ModelDomainError
 
 SQRT2 = np.sqrt(2.0)
@@ -187,19 +187,18 @@ def _overflow(model, beta):
     )
 
 
-def g_eval(model, beta, y, grid: EvalGrid | None = None):
+def g_eval(model, beta, y, grid: EvalGrid):
     """Density value g(y; beta) at arbitrary y in [0,1].
 
-    Exponential-family normalization needs a quadrature grid; the shared
-    default is used when none is given. TruncatedSeries output may be
-    negative (see ``clip_to_density``).
+    Exponential-family normalization integrates over ``grid``; the other
+    families ignore it. TruncatedSeries output may be negative (see
+    ``clip_to_density``).
     """
     beta = _check_beta(model, beta)
     y = np.asarray(y, dtype=float)
     if isinstance(model, TruncatedSeries):
         return 1.0 + model.basis.eval(y) @ beta
     if isinstance(model, ExponentialFamily):
-        grid = grid or default_grid()
         c, _ = log_partition(model, beta, grid)
         return np.exp(model.basis.eval(y) @ beta - c)
     w, mu, sig = mixture_params(model, beta)
@@ -208,14 +207,13 @@ def g_eval(model, beta, y, grid: EvalGrid | None = None):
     return (w / (np.sqrt(2 * np.pi) * sig) * np.exp(-0.5 * z**2)).sum(axis=-1)
 
 
-def g_grad(model, beta, y, grid: EvalGrid | None = None):
+def g_grad(model, beta, y, grid: EvalGrid):
     """Gradient of g(y; beta) in beta, shape y.shape + (beta_dim,)."""
     beta = _check_beta(model, beta)
     y = np.asarray(y, dtype=float)
     if isinstance(model, TruncatedSeries):
         return model.basis.eval(y)
     if isinstance(model, ExponentialFamily):
-        grid = grid or default_grid()
         c, dc = log_partition(model, beta, grid)
         bt = model.basis.eval(y)
         g = np.exp(bt @ beta - c)

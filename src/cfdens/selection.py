@@ -4,7 +4,8 @@ Selection scores each candidate density with an estimable risk that differs
 from its true squared-L2 distance to the counterfactual density only by a
 candidate-independent constant, so the argmin is unchanged. Aggregation
 orthonormalizes the candidate span and runs the closed-form doubly-robust
-series fit on a held-out split, then averages over every fold role.
+series fit on a held-out split, then averages over every fold role. In both,
+a candidate whose fit raises a package error is infeasible and left out.
 """
 
 from __future__ import annotations
@@ -41,10 +42,17 @@ class RiskTable:
 
 @dataclass
 class AggregateEstimate:
-    weights: np.ndarray          # per-candidate linear weights
+    weights: np.ndarray          # per-candidate linear weights, 0 for infeasible ones
     density: np.ndarray          # clipped aggregate on the grid
     dropped: list                # candidate indices adding no new direction
     meta: dict
+    infeasible: list             # labels of candidates whose fit failed
+    warnings: list
+
+
+def _labels(candidates):
+    return [c.label if hasattr(c, "label") else f"fixed[{i}]"
+            for i, c in enumerate(candidates)]
 
 
 def _pseudo_risk_summands(table, fold, level, dens, grid):
@@ -113,6 +121,22 @@ class _CandidateFitter:
             raise DataError("candidate density is non-finite on the grid")
         return dens
 
+    def fit_feasible(self, candidates, labels, failed, warnings):
+        """{index: density} of the candidates not yet ``failed``. A CfdensError or
+        LinAlgError marks its candidate failed, with a warning; others propagate."""
+        dens = {}
+        for i, cand in enumerate(candidates):
+            if failed[i]:
+                continue
+            try:
+                dens[i] = self.fit(cand)
+            except (CfdensError, np.linalg.LinAlgError) as exc:  # data-dependent failure
+                failed[i] = True
+                warnings.append(f"candidate {labels[i]} infeasible: {exc}")
+        if not dens:
+            raise DataError("every candidate failed to fit")
+        return dens
+
 
 def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
                  grid: EvalGrid, nuis_config: NuisanceConfig = NuisanceConfig(),
@@ -124,14 +148,12 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
     fit on the same training folds, and all still-feasible candidates are
     scored on the held-out fold in one stacked call; per-row summands pool
     across roles. Ties break to the earlier (smaller-dimension) candidate.
-    Candidates whose fit raises a CfdensError or LinAlgError are flagged
-    infeasible and excluded with a warning; any other exception propagates.
+    Infeasible candidates get risk inf.
     """
     if len(candidates) < 1:
         raise DataError("need at least one candidate")
     if labels is None:
-        labels = [c.label if hasattr(c, "label") else f"fixed[{i}]"
-                  for i, c in enumerate(candidates)]
+        labels = _labels(candidates)
     k = len(candidates)
     failed = [False] * k
     warnings = []
@@ -140,17 +162,7 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
         train = table.rows(train_idx)
         fold = single_split(table, train_idx, eval_idx, (level,), grid, nuis_config)
         fitter = _CandidateFitter(train, grid, level, nuis_config, seed=folds.seed + 7 * j + 1)
-        dens = {}
-        for i, cand in enumerate(candidates):
-            if failed[i]:
-                continue
-            try:
-                dens[i] = fitter.fit(cand)
-            except (CfdensError, np.linalg.LinAlgError) as exc:  # data-dependent failure
-                failed[i] = True
-                warnings.append(f"candidate {labels[i]} infeasible: {exc}")
-        if not dens:
-            raise DataError("every candidate failed to fit")
+        dens = fitter.fit_feasible(candidates, labels, failed, warnings)
         role = np.full((len(eval_idx), k), np.nan)
         role[:, list(dens)] = _pseudo_risk_summands(table, fold, level,
                                                     np.column_stack(list(dens.values())), grid)
@@ -195,31 +207,42 @@ def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates
     """Linear aggregation of candidate densities under squared-L2 distance.
 
     Per fold role: fit model candidates on the training rows, orthonormalize
-    the candidate curves on the grid, run the closed-form doubly-robust
-    series fit (zero base density) on the held-out rows, and map the
-    coefficients back to candidate weights. Every fold role is averaged in,
-    and the averaged aggregate is clipped to a density. Ratio-based
-    divergences are undefined for general linear combinations, so
-    aggregation is squared-L2 only.
+    the curves of the candidates feasible in every role on the grid, run the
+    closed-form doubly-robust series fit (zero base density) on the held-out
+    rows, and map the coefficients back to candidate weights (0 for an
+    infeasible one). Every fold role is averaged in, and the averaged
+    aggregate is clipped to a density. Ratio-based divergences are undefined
+    for general linear combinations, so aggregation is squared-L2 only.
     """
     kcount = len(candidates)
-    weight_acc = np.zeros(kcount)
-    density_acc = np.zeros(grid.size)
-    dropped_all = set()
+    if kcount < 1:
+        raise DataError("need at least one candidate")
+    labels = _labels(candidates)
+    failed = [False] * kcount
+    warnings = []
+    roles = []      # per role: (candidate curves by index, held-out d_hat)
     for j, train_idx, eval_idx in folds.splits():
         train = table.rows(train_idx)
         fitter = _CandidateFitter(train, grid, level, nuis_config, seed=folds.seed + 11 * j + 3)
-        curves = [fitter.fit(c) for c in candidates]
-        ortho, coef, dropped = _gram_schmidt(curves, grid)
-        dropped_all.update(dropped)
+        curves = fitter.fit_feasible(candidates, labels, failed, warnings)
         fold = single_split(table, train_idx, eval_idx, (level,), grid, nuis_config)
+        roles.append((curves, fold.d_hat[level]))
+    feasible = [i for i in range(kcount) if not failed[i]]
+    weight_acc = np.zeros(kcount)
+    density_acc = np.zeros(grid.size)
+    dropped_all = set()
+    for curves, d_hat in roles:
+        ortho, coef, dropped = _gram_schmidt([curves[i] for i in feasible], grid)
+        dropped_all.update(feasible[k] for k in dropped)
         # closed-form doubly-robust coefficients on the orthonormalized span
-        theta = fold.d_hat[level] @ ortho.T
-        weight_acc += theta @ coef
+        theta = d_hat @ ortho.T
+        weight_acc[feasible] += theta @ coef
         density_acc += theta @ ortho
     nroles = folds.k_folds
     density = clip_to_density(density_acc / nroles, grid)
     return AggregateEstimate(
         weights=weight_acc / nroles, density=density, dropped=sorted(dropped_all),
         meta={"roles": nroles, "seed": folds.seed, "n": table.n,
-              "level": int(level)})
+              "level": int(level)},
+        infeasible=[labels[i] for i in range(kcount) if failed[i]],
+        warnings=warnings)

@@ -1,8 +1,80 @@
-"""Shared test oracles: finite-difference checks and small builders."""
+"""Shared test oracles: the raw discrepancy table, finite-difference checks
+and small builders."""
 
 import numpy as np
 
-from cfdens.distances import f1, f2, f21, f_eval
+from cfdens.distances import abs_smooth, abs_smooth_d1, abs_smooth_d2
+
+# ---------------------------------------------------------------------------
+# raw discrepancy table: f(p, q) and its partials, composed from first
+# principles. The package keeps only D and the reduced factors; these serve
+# as the independent reference they are checked against. They assume q > 0
+# and, for kl and hellinger, p > 0.
+
+
+def f_eval(spec, p, q):
+    """Discrepancy value f(p, q)."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    k = spec.kind
+    if k == "l2":
+        return (p - q) ** 2 / q
+    if k == "kl":
+        r = p / q
+        return r * np.log(r)
+    if k == "chisq":
+        return (p / q - 1.0) ** 2
+    if k == "hellinger":
+        return (np.sqrt(p / q) - 1.0) ** 2
+    return abs_smooth(p - q, spec.tv_t) / (2.0 * q)
+
+
+def f1(spec, p, q):
+    """Partial derivative of f in its first argument."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    k = spec.kind
+    if k == "l2":
+        return 2.0 * (p / q - 1.0)
+    if k == "kl":
+        return (np.log(p / q) + 1.0) / q
+    if k == "chisq":
+        return 2.0 * (p - q) / q**2
+    if k == "hellinger":
+        return (1.0 / np.sqrt(q)) * (1.0 / np.sqrt(q) - 1.0 / np.sqrt(p))
+    return abs_smooth_d1(p - q, spec.tv_t) / (2.0 * q)
+
+
+def f2(spec, p, q):
+    """Partial derivative of f in its second argument."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    k = spec.kind
+    if k == "l2":
+        return 1.0 - (p / q) ** 2
+    if k == "kl":
+        return -(p / q**2) * (np.log(p / q) + 1.0)
+    if k == "chisq":
+        return -(2.0 * p / q**3) * (p - q)
+    if k == "hellinger":
+        return (np.sqrt(p) / q**2) * (np.sqrt(q) - np.sqrt(p))
+    nu = abs_smooth(p - q, spec.tv_t)
+    nu1 = abs_smooth_d1(p - q, spec.tv_t)
+    return -(nu / q + nu1) / (2.0 * q)
+
+
+def f21(spec, p, q):
+    """Mixed second partial of f (differentiate in q, then p)."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    k = spec.kind
+    if k == "l2":
+        return -2.0 * p / q**2
+    if k == "kl":
+        return -(np.log(p / q) + 2.0) / q**2
+    if k == "chisq":
+        return 2.0 * (q - 2.0 * p) / q**3
+    if k == "hellinger":
+        return (np.sqrt(q / p) - 2.0) / (2.0 * q**2)
+    nu1 = abs_smooth_d1(p - q, spec.tv_t)
+    nu2 = abs_smooth_d2(p - q, spec.tv_t)
+    return -(nu1 / q + nu2) / (2.0 * q)
 
 
 def fd_table_check(spec, p_vals=None, q_vals=None, tol=1e-6):

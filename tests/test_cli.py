@@ -158,6 +158,15 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert [v.split(":")[0] for v in err["error"]["violations"]] == ["dims"]
 
+    @pytest.mark.parametrize("command", ["fit-projection", "density-effect"])
+    @pytest.mark.parametrize("distance", ["tv:t=inf", "tv:kind=erf"])
+    def test_bad_tv_distance_is_config_error(self, capsys, synthetic_csv, command, distance):
+        code = main([command, "--data", synthetic_csv, *BASE, "--distance", distance])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert [v.split(":")[0] for v in err["violations"]] == ["distance"]
+
     @pytest.mark.parametrize("flags", [["fit-projection", "--level", "7"],
                                        ["density-effect", "--level1", "7"]])
     def test_absent_level_is_data_error(self, capsys, synthetic_csv, flags):
@@ -231,8 +240,10 @@ _DATA_INVALID = {
 }
 _INVALID = {
     "fit-projection": {**_DATA_INVALID, "--model": ["mystery:d=2", "series:d=x"],
-                       "--distance": ["l3", "tv:t=x"], "--level": ["7", "x"]},
-    "density-effect": {**_DATA_INVALID, "--distance": ["l3"], "--level1": ["7"]},
+                       "--distance": ["l3", "tv:t=x", "tv:t=inf", "tv:kind=erf"],
+                       "--level": ["7", "x"]},
+    "density-effect": {**_DATA_INVALID, "--distance": ["l3", "tv:t=inf", "tv:kind=erf"],
+                       "--level1": ["7"]},
     "select-model": {**_DATA_INVALID, "--dims": ["a..3", "0..3", ""], "--level": ["7"]},
     "aggregate": {**_DATA_INVALID, "--candidates": ["", "bogus"], "--level": ["7"]},
     "simulate": {"--experiment": ["nope", ""], "--reps": ["1", "0", "-3", "x"],

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import f1, f2, f_eval
+
 from cfdens import DistanceSpec, make_grid
 from cfdens.data import ObservationTable
-from cfdens.distances import f1, f2, f_eval, moment_integrand_factor
+from cfdens.distances import moment_integrand_factor
 from cfdens.eif import (
     dr_scores,
     effect_curves,

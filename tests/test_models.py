@@ -36,13 +36,13 @@ class TestBasis:
 class TestSeries:
     def test_zero_beta_is_uniform(self, grid):
         model = TruncatedSeries(CosineBasis(4))
-        assert np.allclose(g_eval(model, np.zeros(4), grid.points), 1.0)
+        assert np.allclose(g_eval(model, np.zeros(4), grid.points, grid), 1.0)
 
     def test_mass_one_for_any_beta(self, grid, rng):
         model = TruncatedSeries(CosineBasis(5))
         for _ in range(10):
             beta = rng.normal(0, 0.8, 5)
-            vals = g_eval(model, beta, grid.points)
+            vals = g_eval(model, beta, grid.points, grid)
             assert abs(grid.integrate(vals) - 1.0) < 1e-8
 
 
@@ -89,10 +89,10 @@ class TestExponentialFamily:
 
 
 class TestGaussianMixture:
-    def test_single_component_mode_value(self):
+    def test_single_component_mode_value(self, grid):
         model = GaussianMixture(1)
         beta = np.array([0.5, inv_softplus(0.1 - model.sigma_min)])
-        val = g_eval(model, beta, np.array([0.5]))
+        val = g_eval(model, beta, np.array([0.5]), grid)
         assert val[0] == pytest.approx(1.0 / np.sqrt(2 * np.pi * 0.01), rel=1e-10)
 
     def test_param_mapping(self, rng):
@@ -108,7 +108,7 @@ class TestGaussianMixture:
     def test_nonnegative_density(self, grid, rng):
         model = GaussianMixture(2)
         beta = rng.normal(0, 1.0, model.beta_dim)
-        assert np.all(g_eval(model, beta, grid.points) >= 0)
+        assert np.all(g_eval(model, beta, grid.points, grid) >= 0)
 
 
 class TestGradients:
@@ -135,9 +135,9 @@ class TestGradients:
     def test_nonfinite_beta_rejected(self, grid):
         model = TruncatedSeries(CosineBasis(2))
         with pytest.raises(ModelDomainError):
-            g_eval(model, np.array([np.inf, 0.0]), grid.points)
+            g_eval(model, np.array([np.inf, 0.0]), grid.points, grid)
         with pytest.raises(ModelDomainError):
-            g_grad(model, np.array([0.0, np.nan]), grid.points)
+            g_grad(model, np.array([0.0, np.nan]), grid.points, grid)
 
 
 class TestClipToDensity:

@@ -5,7 +5,7 @@ from cfdens import cross_fit, make_folds, make_grid
 from cfdens.distances import DistanceSpec
 from cfdens.effects import effect_fixed_candidate
 from cfdens.errors import DataError, SolverError
-from cfdens.models import CosineBasis, TruncatedSeries
+from cfdens.models import CosineBasis, TruncatedSeries, parse_model
 from cfdens.nuisance import NuisanceConfig, tabulate_nuisances
 from cfdens.oracle import get_dgp
 from cfdens.selection import _gram_schmidt, aggregate_linear, pseudo_l2_risk, select_model
@@ -248,3 +248,59 @@ class TestAggregate:
         err_agg = grid128.integrate((agg.density - truth_curve) ** 2)
         err_unif = grid128.integrate((np.ones(grid128.size) - truth_curve) ** 2)
         assert err_agg < err_unif
+
+    def _inject(self, monkeypatch, exc, calls_before_failure=0):
+        """Make the expfam:d=3 fit raise exc once it has been fit
+        ``calls_before_failure`` times; every other fit runs as usual."""
+        from cfdens.projection import solve_onestep
+
+        calls = []
+
+        def solve(distance, model, *args):
+            if model.label == "expfam:d=3":
+                calls.append(model)
+                if len(calls) > calls_before_failure:
+                    raise exc
+            return solve_onestep(distance, model, *args)
+
+        monkeypatch.setattr("cfdens.selection.solve_onestep", solve)
+
+    @pytest.mark.parametrize("role", [0, 1], ids=["every-role", "second-role"])
+    def test_failing_candidate_is_infeasible(self, monkeypatch, grid128, role):
+        # the expfam fit fails from the given fold role on; the others must
+        # aggregate exactly as without it
+        table = get_dgp("confounded_shift").sample(600, np.random.default_rng(13))
+        folds = make_folds(600, 2, seed=31)
+        cands = [parse_model(t) for t in ("series:d=2", "expfam:d=3", "series:d=4")]
+        ref = aggregate_linear(table, folds, 1, [cands[0], cands[2]], grid128)
+        self._inject(monkeypatch, SolverError("no root"), calls_before_failure=role)
+        agg = aggregate_linear(table, folds, 1, cands, grid128)
+        assert agg.infeasible == ["expfam:d=3"]
+        assert len(agg.warnings) == 1 and "expfam:d=3" in agg.warnings[0]
+        assert agg.weights[1] == 0.0
+        assert np.allclose(agg.weights[[0, 2]], ref.weights, rtol=1e-12, atol=0.0)
+        assert np.allclose(agg.density, ref.density, rtol=1e-12, atol=0.0)
+        assert ref.infeasible == [] and ref.warnings == []
+
+    def test_bug_in_a_candidate_fit_propagates(self, monkeypatch, grid128):
+        table = get_dgp("confounded_shift").sample(400, np.random.default_rng(13))
+        folds = make_folds(400, 2, seed=31)
+        cands = [parse_model(t) for t in ("series:d=2", "expfam:d=3")]
+        self._inject(monkeypatch, ValueError("a bug, not a data-dependent failure"))
+        with pytest.raises(ValueError, match="a bug"):
+            aggregate_linear(table, folds, 1, cands, grid128)
+
+    def test_every_candidate_failing_is_a_data_error(self, monkeypatch, grid128):
+        table = get_dgp("confounded_shift").sample(400, np.random.default_rng(13))
+        folds = make_folds(400, 2, seed=31)
+        self._inject(monkeypatch, SolverError("no root"))
+        with pytest.raises(DataError, match="every candidate failed"):
+            aggregate_linear(table, folds, 1, [parse_model("expfam:d=3")], grid128)
+
+    def test_dropped_uses_original_indices(self, monkeypatch, grid128):
+        table = get_dgp("confounded_shift").sample(400, np.random.default_rng(13))
+        folds = make_folds(400, 2, seed=31)
+        cands = [parse_model(t) for t in ("expfam:d=3", "series:d=2", "series:d=2")]
+        self._inject(monkeypatch, SolverError("no root"))
+        agg = aggregate_linear(table, folds, 1, cands, grid128)
+        assert agg.infeasible == ["expfam:d=3"] and agg.dropped == [2]
