@@ -30,7 +30,6 @@ class EffectEstimate:
     ci_wald: tuple
     ci_conservative: tuple
     near_null: bool
-    distance: DistanceSpec
     levels: tuple
     n: int
     density_floor: float | None = None
@@ -41,7 +40,7 @@ class EffectEstimate:
         assert self.ci_conservative[1] >= self.ci_wald[1] - 1e-12
 
 
-def _finalize(psi, influence_pooled, distance, levels, floor):
+def _finalize(psi, influence_pooled, levels, floor):
     n = len(influence_pooled)
     se = float(np.std(influence_pooled, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     wald = (psi - Z95 * se, psi + Z95 * se)
@@ -49,8 +48,8 @@ def _finalize(psi, influence_pooled, distance, levels, floor):
     cons = (psi - Z95 * s_cons, psi + Z95 * s_cons)
     return EffectEstimate(
         psi_hat=float(psi), se=se, ci_wald=wald, ci_conservative=cons,
-        near_null=bool(abs(psi) < 2.0 / np.sqrt(n)), distance=distance,
-        levels=tuple(levels), n=n, density_floor=floor)
+        near_null=bool(abs(psi) < 2.0 / np.sqrt(n)), levels=tuple(levels), n=n,
+        density_floor=floor)
 
 
 def _needs_floor(distance):
@@ -82,7 +81,7 @@ def effect_onestep(distance: DistanceSpec, table: ObservationTable, folds_nuis,
 
     psi = onestep(folds_nuis, grid, terms)
     influence = onestep_influence(table, folds_nuis, grid, terms)
-    return _finalize(psi, influence, distance, levels, floor)
+    return _finalize(psi, influence, levels, floor)
 
 
 def effect_l2_direct(table: ObservationTable, folds_nuis, grid: EvalGrid,
@@ -126,7 +125,7 @@ def effect_l2_direct(table: ObservationTable, folds_nuis, grid: EvalGrid,
         s0 = dr_scores(table, fold, lev0, lam0, grid)
         pooled.append((s1 - s1.mean()) + (s0 - s0.mean()))
     influence = np.concatenate(pooled)
-    return _finalize(psi, influence, distance, levels, None)
+    return _finalize(psi, influence, levels, None)
 
 
 def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
@@ -152,4 +151,4 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
 
     psi = onestep(folds_nuis, grid, terms)
     influence = onestep_influence(table, folds_nuis, grid, terms)
-    return _finalize(psi, influence, distance, (level,), floor)
+    return _finalize(psi, influence, (level,), floor)

@@ -14,8 +14,10 @@ them per fold (``projection.onestep_influence``) and pseudo-risk summands
 add a constant per candidate. They contract the fold's factored eta_hat
 (per level: K in float32 (m, G), the eval rows' covariates and 1/mass, next
 to p_hat and d_hat), so no (n_ev, G) array is built unless
-``CondDensityModel.predict`` is called. The transforms themselves are
-tabulated from the reduced factors in ``distances``.
+``CondDensityModel.predict`` is called. The density-effect transforms
+(``effect_curves``) are tabulated from the reduced factors in
+``distances``; the projection's correction transform is part of its moment
+condition, which lives in ``projection`` and is tabulated once per beta.
 """
 
 from __future__ import annotations
@@ -23,14 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import EvalGrid, ObservationTable
-from .distances import (
-    DistanceSpec,
-    effect_integrand_factor,
-    influence_integrand_factor,
-    moment_integrand_factor,
-)
+from .distances import DistanceSpec, effect_integrand_factor, moment_integrand_factor
 from .errors import DistanceDomainError
-from .models import g_grad_on_grid, g_on_grid
 from .nuisance import FoldNuisance
 
 
@@ -62,19 +58,6 @@ def dr_scores(table: ObservationTable, fold: FoldNuisance, level, h_grid,
         h_at_y = grid.interp(h_grid, table.y[idx[hit]])  # (n_hit, m)
         out[hit] += (h_at_y - out[hit]) / pi[hit][:, None]
     return out[:, 0] if squeeze else out
-
-
-def moment_correction_curve(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
-    """Outcome transform whose counterfactual mean corrects the plug-in moment.
-
-    Tabulates dg/dbeta * (f_dp + g f_dpdq)(p_a, g) on the grid; shape (G, p).
-    For l2 this is -2 dg/dbeta and for KL it is -dlog g/dbeta, with no p_a
-    dependence in either case.
-    """
-    gv = g_on_grid(model, beta, grid)
-    gg = g_grad_on_grid(model, beta, grid)
-    fac = influence_integrand_factor(distance, np.asarray(p_a, dtype=float), gv)
-    return gg * fac[:, None]
 
 
 def effect_curves(distance: DistanceSpec, p1, p0):

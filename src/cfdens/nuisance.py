@@ -375,8 +375,8 @@ def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
         raise DataError(f"unknown conditional-density regressor {regressor!r}")
     y = train.y[mask]
     h = silverman_bandwidth(y) if bandwidth == "silverman" else float(bandwidth)
-    if h <= 0:
-        raise DataError("bandwidth must be positive")
+    if not (0.0 < h < np.inf):  # nan fails too
+        raise DataError(f"bandwidth must be positive and finite, got {h}")
     kmat = _kernel_outcome_matrix(y, grid.points, h)
     ids = None if train_row_ids is None else np.asarray(train_row_ids)[mask]
     return CondDensityModel(level, train.x[mask], kmat, regressor, h, train_row_ids=ids)

@@ -329,9 +329,9 @@ def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
 
 
 def oracle_effect(dgp: SyntheticDGP, distance: DistanceSpec, grid: EvalGrid,
-                  levels=(1, 0), **marginal_kwargs) -> float:
-    p1 = dgp.marginal(levels[0], grid, **marginal_kwargs)
-    p0 = dgp.marginal(levels[1], grid, **marginal_kwargs)
+                  levels=(1, 0)) -> float:
+    p1 = dgp.marginal(levels[0], grid)
+    p0 = dgp.marginal(levels[1], grid)
     return divergence(distance, p1, p0, grid)
 
 
@@ -520,25 +520,22 @@ def default_perturbation():
     return u_fn, v_fn
 
 
-def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps,
-                       grid: EvalGrid, xquad=None, perturbation=None):
+def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps, grid: EvalGrid):
     """Second-order remainder of a density functional at a perturbed law.
 
     The functional is the integral over y of H(y, p(y)) with H supplied as
     tabulators: ``h_tab(p_curve) -> (G, m)`` and its p-derivative ``hp_tab``.
-    Nuisances are tilted as pi + eps*u and eta + eps*v (v mean-zero in y, so
-    eta_bar stays a density); with the covariate law fixed, the remainder is
+    Nuisances are tilted as pi + eps*u and eta + eps*v along
+    ``default_perturbation`` (v mean-zero in y, so eta_bar stays a density);
+    with the covariate law fixed (``tensor_uniform_quad(24, d)``), the
+    remainder is
 
         Psi(P_bar) - Psi(P) + E_X[ (pi/pi_bar) int Hp(y, p_bar)(eta - eta_bar) dy ]
 
     evaluated entirely by quadrature. Returns a vector of length m.
     """
-    if xquad is None:
-        xquad = tensor_uniform_quad(24, dgp.d)
-    if perturbation is None:
-        perturbation = default_perturbation()
-    u_fn, v_fn = perturbation
-    x, wx = xquad
+    u_fn, v_fn = default_perturbation()
+    x, wx = tensor_uniform_quad(24, dgp.d)
     pi = np.asarray(dgp.pi_fn(x, level), dtype=float)
     eta = np.asarray(dgp.eta_fn(x, level, grid.points), dtype=float)
     pi_bar = pi + eps * u_fn(x)
@@ -559,20 +556,16 @@ def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps,
 
 
 def effect_population_bias(dgp: SyntheticDGP, distance: DistanceSpec, eps,
-                           grid: EvalGrid, levels=(1, 0), xquad=None,
-                           perturbation=None):
+                           grid: EvalGrid, levels=(1, 0)):
     """Population bias of the one-step density effect under tilted nuisances.
 
     Evaluates plug-in distance at the tilted marginals plus the population
     mean of the estimated influence terms, minus the true effect; all terms
-    by quadrature, so the value isolates the second-order remainder.
+    by quadrature, so the value isolates the second-order remainder. The tilt
+    and the covariate quadrature are those of ``vonmises_remainder``.
     """
-    if xquad is None:
-        xquad = tensor_uniform_quad(24, dgp.d)
-    if perturbation is None:
-        perturbation = default_perturbation()
-    u_fn, v_fn = perturbation
-    x, wx = xquad
+    u_fn, v_fn = default_perturbation()
+    x, wx = tensor_uniform_quad(24, dgp.d)
     lev1, lev0 = levels
     p, p_bar, pi, pi_bar, eta, eta_bar = {}, {}, {}, {}, {}, {}
     for sign, lev in ((1.0, lev1), (-1.0, lev0)):

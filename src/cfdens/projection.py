@@ -9,8 +9,10 @@ solves
 which for the squared-L2 cosine series reduces to the closed-form
 doubly-robust mean of the basis, and for KL exponential families to moment
 matching of a beta-free doubly-robust target. Anything else goes through a
-damped Newton iteration with a finite-difference Jacobian, re-tabulating the
-correction transform at every beta.
+damped Newton iteration with a finite-difference Jacobian. The moment
+condition (``_moment_condition``) tabulates g and dg/dbeta once per beta;
+every fold's plug-in moment and correction transform are read off that one
+tabulation, for the equation, its influence values and the sandwich alike.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import EvalGrid, ObservationTable
-from .distances import DistanceSpec, moment_integrand_factor
-from .eif import dr_scores, moment_correction_curve
+from .distances import DistanceSpec, influence_integrand_factor, moment_integrand_factor
+from .eif import dr_scores
 from .errors import DataError, InfeasibleMomentError, RankError, SolverError
 from .models import (
     ExponentialFamily,
@@ -59,9 +61,6 @@ class ProjectionEstimate:
     wald_ci: np.ndarray             # (p, 2)
     fitted_density: np.ndarray      # clipped g(. ; beta_hat) on the grid
     solver_report: SolverReport
-    distance: DistanceSpec
-    model_label: str
-    level: int
     n: int
 
     @property
@@ -69,12 +68,29 @@ class ProjectionEstimate:
         return np.sqrt(np.diag(self.covariance))
 
 
-def moment(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
-    """Population moment m(beta): quadrature of dg/dbeta (f + g f_dq)(p_a, g)."""
+def _moment_condition(distance: DistanceSpec, model, beta, grid: EvalGrid):
+    """The moment condition at beta, from one tabulation of g and dg/dbeta.
+
+    Returns ``(plug_in, correction)``, functions of a marginal p on the grid:
+    the quadrature of dg/dbeta (f + g f_dq)(p, g), and the outcome transform
+    dg/dbeta (f_dp + g f_dpdq)(p, g), shape (G, p), whose counterfactual mean
+    corrects it (-2 dg/dbeta for l2, -dlog g/dbeta for KL; free of p in both).
+    """
     gv = g_on_grid(model, beta, grid)
     gg = g_grad_on_grid(model, beta, grid)
-    fac = moment_integrand_factor(distance, np.asarray(p_a, dtype=float), gv)
-    return grid.integrate(gg * fac[:, None])
+
+    def plug_in(p):
+        fac = moment_integrand_factor(distance, np.asarray(p, dtype=float), gv)
+        return grid.integrate(gg * fac[:, None])
+
+    def correction(p):
+        return gg * influence_integrand_factor(distance, np.asarray(p, dtype=float), gv)[:, None]
+    return plug_in, correction
+
+
+def moment(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
+    """Population moment m(beta): quadrature of dg/dbeta (f + g f_dq)(p_a, g)."""
+    return _moment_condition(distance, model, beta, grid)[0](p_a)
 
 
 def onestep(folds_nuis, grid, terms):
@@ -111,10 +127,11 @@ def onestep_influence(table, folds_nuis, grid, terms):
 
 def _moment_terms(distance, model, beta, level, grid):
     """Per-fold plug-in moment at beta and the arm that corrects it."""
+    plug_in, correction = _moment_condition(distance, model, beta, grid)
+
     def terms(fold):
         p_hat = fold.p_hat[level]
-        curve = moment_correction_curve(distance, model, beta, p_hat, grid)
-        return moment(distance, model, beta, p_hat, grid), [(level, curve, p_hat)]
+        return plug_in(p_hat), [(level, correction(p_hat), p_hat)]
     return terms
 
 
@@ -278,14 +295,12 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
     se = np.sqrt(np.maximum(np.diag(covariance), 0.0))
     wald = np.column_stack([beta_hat - Z95 * se, beta_hat + Z95 * se])
     fitted = clip_to_density(g_on_grid(model, beta_hat, grid), grid)
-    n_total = sum(f.n_eval for f in folds_nuis)
     return ProjectionEstimate(
-        beta_hat=beta_hat, covariance=covariance, wald_ci=wald,
-        fitted_density=fitted, distance=distance,
+        beta_hat=beta_hat, covariance=covariance, wald_ci=wald, fitted_density=fitted,
         solver_report=SolverReport(method=route, iterations=iters, residual_norm=residual,
                                    residual_scale=scale, residual_history=history,
                                    warn=warn),
-        model_label=model.label, level=int(level), n=n_total)
+        n=sum(f.n_eval for f in folds_nuis))
 
 
 def _kl_expfam_jacobian(model, beta, grid):
@@ -312,8 +327,8 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid):
         return _kl_expfam_jacobian(model, beta, grid)
 
     def pooled_m(b):
-        return onestep(folds_nuis, grid,
-                       lambda fold: (moment(distance, model, b, fold.p_hat[level], grid), []))
+        plug_in = _moment_condition(distance, model, b, grid)[0]
+        return onestep(folds_nuis, grid, lambda fold: (plug_in(fold.p_hat[level]), []))
 
     jac = np.empty((p, p))
     for k in range(p):

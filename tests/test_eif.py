@@ -6,16 +6,17 @@ from helpers import f1, f2, f_eval
 from cfdens import DistanceSpec, make_grid
 from cfdens.data import ObservationTable
 from cfdens.distances import moment_integrand_factor
-from cfdens.eif import (
-    dr_scores,
-    effect_curves,
-    moment_correction_curve,
-)
+from cfdens.eif import dr_scores, effect_curves
 from cfdens.errors import DistanceDomainError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_grad_on_grid, g_on_grid
 from cfdens.nuisance import single_split, tabulate_nuisances
 from cfdens.oracle import get_dgp, tensor_uniform_quad
-from cfdens.projection import onestep_influence
+from cfdens.projection import _moment_condition, onestep_influence
+
+
+def correction_transform(distance, model, beta, p_a, grid):
+    """The projection's correction transform at beta against the marginal p_a."""
+    return _moment_condition(distance, model, beta, grid)[1](p_a)
 
 
 def true_nuisance_fold(dgp, table, levels, grid):
@@ -104,8 +105,8 @@ class TestDrScores:
             rng = np.random.default_rng([41, n])
             table = dgp.sample(n, rng)
             fold = true_nuisance_fold(dgp, table, (1,), grid128)
-            curve = moment_correction_curve(DistanceSpec("l2"), model,
-                                            np.zeros(2), fold.p_hat[1], grid128)
+            curve = correction_transform(DistanceSpec("l2"), model,
+                                         np.zeros(2), fold.p_hat[1], grid128)
             out = dr_scores(table, fold, 1, curve, grid128)
             variances.append(out.var(axis=0, ddof=1))
         rel = np.abs(variances[1] - variances[0]) / variances[0]
@@ -140,22 +141,22 @@ class TestMomentCorrectionCurve:
         model = TruncatedSeries(CosineBasis(3))
         beta = rng.normal(0, 0.4, 3)
         p_a = np.ones(grid.size)
-        curve = moment_correction_curve(DistanceSpec("l2"), model, beta, p_a, grid)
+        curve = correction_transform(DistanceSpec("l2"), model, beta, p_a, grid)
         assert np.allclose(curve, -2.0 * g_grad_on_grid(model, beta, grid))
         p_b = 1.0 + 0.5 * np.sin(2 * np.pi * grid.points)
-        curve_b = moment_correction_curve(DistanceSpec("l2"), model, beta, p_b, grid)
+        curve_b = correction_transform(DistanceSpec("l2"), model, beta, p_b, grid)
         assert np.array_equal(curve, curve_b)  # bit-identical
 
     def test_kl_expfam_is_minus_score_and_ignores_marginal(self, grid, rng):
         model = ExponentialFamily(CosineBasis(3))
         beta = rng.normal(0, 0.4, 3)
         p_a = np.ones(grid.size)
-        curve = moment_correction_curve(DistanceSpec("kl"), model, beta, p_a, grid)
+        curve = correction_transform(DistanceSpec("kl"), model, beta, p_a, grid)
         gv = g_on_grid(model, beta, grid)
         gg = g_grad_on_grid(model, beta, grid)
         assert np.allclose(curve, -gg / gv[:, None], atol=1e-12)
         p_b = 1.0 + 0.4 * np.cos(2 * np.pi * grid.points)
-        curve_b = moment_correction_curve(DistanceSpec("kl"), model, beta, p_b, grid)
+        curve_b = correction_transform(DistanceSpec("kl"), model, beta, p_b, grid)
         assert np.array_equal(curve, curve_b)
 
     @pytest.mark.parametrize("kind", ["chisq", "hellinger", "tv"])
@@ -167,7 +168,7 @@ class TestMomentCorrectionCurve:
         p_a = 1.0 + 0.4 * np.sqrt(2) * np.cos(np.pi * grid.points) * 0.5
         gv = g_on_grid(model, beta, grid)
         gg = g_grad_on_grid(model, beta, grid)
-        curve = moment_correction_curve(spec, model, beta, p_a, grid)
+        curve = correction_transform(spec, model, beta, p_a, grid)
         h = 2e-6
         fd = (moment_integrand_factor(spec, p_a + h, gv)
               - moment_integrand_factor(spec, p_a - h, gv)) / (2 * h)

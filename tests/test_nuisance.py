@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfdens import cross_fit, fit_cond_density, make_folds
+from cfdens import NuisanceConfig, cross_fit, fit_cond_density, make_folds
 from cfdens.data import ObservationTable
 from cfdens.errors import CrossFitViolationError, DataError, InsufficientDataError
 from cfdens.nuisance import (
@@ -152,6 +152,17 @@ class TestCondDensity:
         table = uniform_table(200, rng)
         model = fit_cond_density(table, 1, grid128, bandwidth=0.08)
         assert model.h_y == 0.08
+
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, 0.0, -0.1])
+    def test_bad_bandwidth_rejected_at_fit(self, bandwidth, rng, grid128):
+        # a non-finite bandwidth would otherwise pass the fit and only fail
+        # later, as a non-finite transform in an estimate
+        table = uniform_table(200, rng)
+        with pytest.raises(DataError, match="bandwidth"):
+            fit_cond_density(table, 1, grid128, bandwidth=bandwidth)
+        with pytest.raises(DataError, match="bandwidth"):
+            cross_fit(table, make_folds(200, 2, seed=1), (0, 1), grid128,
+                      NuisanceConfig(bandwidth=bandwidth))
 
 
 class TestFactoredEta:

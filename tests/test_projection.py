@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from cfdens import DistanceSpec, cross_fit, make_folds
+from cfdens import DistanceSpec, cross_fit, make_folds, models
 from cfdens.data import ObservationTable
 from cfdens.eif import dr_scores
 from cfdens.errors import InfeasibleMomentError, SolverError
@@ -229,3 +231,44 @@ class TestFittedDensity:
         est = solve_onestep(L2, model, table, fn, 1, grid128)
         assert np.all(est.fitted_density >= 0)
         assert abs(grid128.integrate(est.fitted_density) - 1.0) < 1e-10
+
+
+class TestMomentTabulation:
+    """The moment condition tabulates the model once per beta, not once per fold."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        # count through every module binding of the two tabulators
+        calls = {}
+        for name in ("g_on_grid", "g_grad_on_grid"):
+            orig = getattr(models, name)
+            calls[name] = 0
+
+            def counted(*args, _name=name, _orig=orig, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "cfdens" and getattr(module, name, None) is orig:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.fixture()
+    def folds(self, rng, grid128):
+        table = get_dgp("confounded_shift").sample(400, rng)
+        return table, cross_fit(table, make_folds(400, 5, seed=3), (1,), grid128)
+
+    def test_one_tabulation_per_equation(self, calls, folds, grid128):
+        _, nuis = folds
+        model = TruncatedSeries(CosineBasis(3))
+        one_step_equation(DistanceSpec("hellinger"), model, np.array([0.1, -0.05, 0.02]),
+                          nuis, 1, grid128)
+        assert calls == {"g_on_grid": 1, "g_grad_on_grid": 1}
+
+    def test_generic_sandwich_tabulates_two_p_plus_one_times(self, calls, folds, grid128):
+        table, nuis = folds
+        model = TruncatedSeries(CosineBasis(3))
+        sandwich_cov(DistanceSpec("hellinger"), model, np.array([0.1, -0.05, 0.02]),
+                     table, nuis, 1, grid128)
+        # 2p for the central-difference plug-in Jacobian, 1 for the influence values
+        assert calls == {"g_on_grid": 7, "g_grad_on_grid": 7}

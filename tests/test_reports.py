@@ -34,6 +34,10 @@ RUNS = {
     "fit-projection:hellinger-series": ["fit-projection", "--data", "{data}", *BASE,
                                         "--model", "series:d=2", "--distance", "hellinger",
                                         "--level", "0"],
+    "fit-projection:chisq-expfam": ["fit-projection", "--data", "{data}", *BASE,
+                                    "--model", "expfam:d=2", "--distance", "chisq"],
+    "fit-projection:l2-gmm1": ["fit-projection", "--data", "{data}", *BASE,
+                               "--model", "gmm:k=1", "--distance", "l2"],
     "density-effect:l2": ["density-effect", "--data", "{data}", *BASE, "--distance", "l2"],
     "density-effect:kl": ["density-effect", "--data", "{data}", *BASE, "--distance", "kl"],
     "select-model": ["select-model", "--data", "{data}", *BASE, "--dims", "1..4"],
@@ -86,8 +90,11 @@ def assert_same(got, want, path="report"):
 
 
 def leaves(obj, path="report"):
-    """(path, value) for every leaf of a JSON report."""
-    if isinstance(obj, dict):
+    """(path, value) for every leaf of a JSON report; an empty list or dict is
+    a leaf, so a key that gains or loses an empty container shows up."""
+    if isinstance(obj, (dict, list)) and not obj:
+        yield path, obj
+    elif isinstance(obj, dict):
         for key in sorted(obj):
             yield from leaves(obj[key], f"{path}.{key}")
     elif isinstance(obj, list):
@@ -130,6 +137,14 @@ def data_csv(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_matches_golden(name, golden, data_csv, tmp_path):
     assert_same(run_report(RUNS[name], data_csv, tmp_path / "out.json"), golden[name])
+
+
+def test_drift_lists_a_lost_empty_container(golden):
+    # a report that loses ``infeasible: []`` must not read as unchanged
+    report = json.loads(json.dumps(golden["aggregate"]))
+    del report["results"]["infeasible"]
+    _, _, changed = drift(report, golden["aggregate"])
+    assert changed == ["  report.results.infeasible: [] -> '<absent>'"]
 
 
 if __name__ == "__main__":
