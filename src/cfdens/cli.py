@@ -315,7 +315,8 @@ def _cmd_simulate(cfg: RunConfig):
     oracle_json = (oracle if isinstance(oracle, float)
                    else {"beta_star": oracle.beta_star.tolist(),
                          "method": oracle.method,
-                         "moment_norm": oracle.moment_norm})
+                         "moment_norm": oracle.moment_norm,
+                         "warnings": oracle.warnings})
     return {
         "experiment": exp.name,
         "reps": exp.reps,

@@ -39,6 +39,7 @@ class ObservationTable:
     maps back to original units. Rows recoded as unobserved carry treatment
     label ``MISSING_LEVEL`` and a placeholder outcome of 0 that no
     outcome-dependent term ever reads (the treatment indicator excludes them).
+    Treatment labels may be given as floats, but each must be a finite integer.
     """
 
     x: np.ndarray          # (n, d) covariates
@@ -48,7 +49,7 @@ class ObservationTable:
 
     def __post_init__(self):
         x = np.ascontiguousarray(np.asarray(self.x, dtype=float))
-        a = np.ascontiguousarray(np.asarray(self.a, dtype=int))
+        a = np.asarray(self.a)
         y = np.ascontiguousarray(np.asarray(self.y, dtype=float))
         if x.ndim != 2:
             raise DataError("covariates must be a 2-d matrix")
@@ -57,6 +58,13 @@ class ObservationTable:
             raise EmptyDataError("need n >= 1 rows and d >= 1 covariates")
         if a.shape != (n,) or y.shape != (n,):
             raise DataError("treatment/outcome length must match covariate rows")
+        if a.dtype.kind not in "biu":
+            a_float = a.astype(float)
+            bad = np.flatnonzero(~(np.abs(a_float) < 2.0**53) | (a_float != np.round(a_float)))
+            if bad.size:
+                raise DataError(f"treatment label {float(a_float[bad[0]])!r} at row {bad[0]}: "
+                                "labels must be integers of magnitude below 2**53")
+        a = np.ascontiguousarray(a.astype(int, copy=False))
         if not np.all(np.isfinite(x)):
             raise DataError("non-finite covariate value")
         if not np.all(np.isfinite(y)):
@@ -105,7 +113,6 @@ def from_raw(x, a, y_raw, observed=None) -> ObservationTable:
     recoded to the missing level with placeholder outcome 0.
     """
     x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=int)
     y_raw = np.asarray(y_raw, dtype=float)
     n = len(y_raw)
     if observed is None:
@@ -171,7 +178,7 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
             except (TypeError, ValueError):
                 raise ParseError(f"{path}: non-numeric covariate at row {i}") from None
             try:
-                as_.append(int(float(row[a_col])))
+                as_.append(float(row[a_col]))
             except (TypeError, ValueError):
                 raise ParseError(f"{path}: non-numeric treatment at row {i}") from None
             cell = (row[y_col] or "").strip()

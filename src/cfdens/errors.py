@@ -41,7 +41,7 @@ class GridError(CfdensError):
     """Evaluation grid too coarse or malformed."""
 
 
-class FoldError(CfdensError):
+class FoldError(DataError):
     """Infeasible fold plan (n < k, k < 2, ...)."""
 
 

@@ -5,6 +5,16 @@ so population targets (projection coefficients, density effects) can be
 computed by quadrature and Nelder-Mead / root-finding, independently of the
 estimation path they validate. The Monte-Carlo runner is a pure function of
 its descriptor: per-rep RNG streams derive from (seed, n index, rep).
+
+Two constants fix the oracles' effort: a marginal without a 1-d closed form
+averages ``MARGINAL_DRAWS`` covariate draws from seed 0, and the Nelder-Mead
+projection oracle starts from ``NM_STARTS`` points (zero, then jittered).
+
+The remainder harness tilts both nuisances of one arm along one fixed
+direction: pi + s*eps*u(x) and eta + s*eps*v(x, y), with
+u = 0.5 sin(3 x_1) cos(2 x_2) and v = 0.3 (0.5 + 0.5 x_1) cos(2 pi y). v is
+mean-zero in y, so the tilted eta still integrates to 1. The sign s is +1,
+and -1 for the second arm of a density effect.
 """
 
 from __future__ import annotations
@@ -21,9 +31,12 @@ from .distances import DistanceSpec, divergence, parse_distance
 from .effects import effect_onestep
 from .eif import effect_curves
 from .errors import CfdensError, DataError
-from .models import TruncatedSeries, parse_model
+from .models import TruncatedSeries, g_on_grid, parse_model
 from .nuisance import NuisanceConfig, cross_fit, tabulate_nuisances
 from .projection import _damped_newton, moment, solve_onestep
+
+MARGINAL_DRAWS = 100_000
+NM_STARTS = 5
 
 # ---------------------------------------------------------------------------
 # truncated-normal building blocks (support [0,1], vectorized in the mean)
@@ -89,11 +102,8 @@ class SyntheticDGP:
     eta_fn: object
     sampler: object
     marginal_1d: bool = False
-    seed: int = 0
 
     def sample(self, n, rng) -> ObservationTable:
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(rng)
         x = rng.uniform(size=(n, self.d))
         probs = np.column_stack([self.pi_fn(x, lev) for lev in self.levels])
         u = rng.uniform(size=n)
@@ -103,14 +113,13 @@ class SyntheticDGP:
         y = self.sampler(x, a, rng)
         return ObservationTable(x, a, np.clip(y, 0.0, 1.0), (0.0, 1.0))
 
-    def marginal(self, level, grid: EvalGrid, n_draws=100_000, seed=None,
-                 exact=True):
+    def marginal(self, level, grid: EvalGrid, exact=True):
         """True counterfactual marginal p_level on the grid.
 
         When eta depends only on the first covariate coordinate, a 1-d
         Gauss-Legendre average over that coordinate is exact to machine
-        precision; otherwise (or when ``exact=False``) the prescribed
-        fixed-seed covariate-sample average with ``n_draws`` draws is used.
+        precision; otherwise (or when ``exact=False``) the average over
+        ``MARGINAL_DRAWS`` covariate draws from seed 0 is used.
         """
         if self.marginal_1d and exact:
             nodes, wts = np.polynomial.legendre.leggauss(64)
@@ -119,15 +128,15 @@ class SyntheticDGP:
             x[:, 0] = t
             tab = self.eta_fn(x, level, grid.points)
             return (0.5 * wts) @ tab
-        rng = np.random.default_rng(self.seed if seed is None else seed)
+        rng = np.random.default_rng(0)
         total = np.zeros(grid.size)
-        left = n_draws
+        left = MARGINAL_DRAWS
         while left > 0:
             m = min(left, 20_000)
             x = rng.uniform(size=(m, self.d))
             total += self.eta_fn(x, level, grid.points).sum(axis=0)
             left -= m
-        return total / n_draws
+        return total / MARGINAL_DRAWS
 
 
 def _tn_dgp(name, mean_fn, sigma, pi1_fn):
@@ -266,43 +275,38 @@ def get_dgp(name) -> SyntheticDGP:
 class OracleResult:
     beta_star: np.ndarray
     method: str
-    achieved: float              # divergence at beta_star
     moment_norm: float
     nm_beta: np.ndarray | None = None
-    minima: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
 
 def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
-                      grid: EvalGrid, seed=0, n_draws=100_000, starts=5,
-                      p_a=None) -> OracleResult:
+                      grid: EvalGrid, seed=0, p_a=None) -> OracleResult:
     """Population projection coefficients by two independent routes.
 
     Squared-L2 on the cosine series has the closed form beta_j = int b_j p.
-    Otherwise: Nelder-Mead minimization of the divergence from jittered
-    starts, cross-checked and polished by a Newton root of the population
-    moment (reported when its residual is below 1e-6). Disagreement between
-    starts beyond 1e-3 in achieved divergence flags multimodality.
+    Otherwise: Nelder-Mead minimization of the divergence from ``NM_STARTS``
+    starts (zero, then jittered from ``seed``), cross-checked and polished by
+    a Newton root of the population moment (reported when its residual is
+    below 1e-6). Disagreement between starts beyond 1e-3 in their minimized
+    divergence flags multimodality.
     """
     if p_a is None:
-        p_a = dgp.marginal(level, grid, n_draws=n_draws, seed=seed)
+        p_a = dgp.marginal(level, grid)
     p_a = np.asarray(p_a, dtype=float)
     if distance.kind == "l2" and isinstance(model, TruncatedSeries):
         basis_tab = model.basis.eval(grid.points)
         beta = grid.integrate(basis_tab * p_a[:, None])
         return OracleResult(
             beta_star=beta, method="closed_form",
-            achieved=divergence(distance, p_a, 1.0 + basis_tab @ beta, grid),
             moment_norm=float(np.linalg.norm(moment(distance, model, beta, p_a, grid))))
-
-    from .models import g_on_grid
 
     def objective(beta):
         return divergence(distance, p_a, g_on_grid(model, beta, grid), grid)
 
     rng = np.random.default_rng(seed)
     minima = []
-    for s in range(starts):
+    for s in range(NM_STARTS):
         start = np.zeros(model.beta_dim) if s == 0 else rng.normal(0.0, 0.25, model.beta_dim)
         res = minimize(objective, start, method="Nelder-Mead",
                        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 5000,
@@ -322,10 +326,7 @@ def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
     if moment_norm >= 1e-6:
         warnings.append(f"moment residual {moment_norm:.2e} above 1e-6 after polish")
     return OracleResult(beta_star=np.asarray(beta_star), method=method,
-                        achieved=objective(beta_star), moment_norm=moment_norm,
-                        nm_beta=nm_beta,
-                        minima=[(v, b.tolist()) for v, b in minima],
-                        warnings=warnings)
+                        moment_norm=moment_norm, nm_beta=nm_beta, warnings=warnings)
 
 
 def oracle_effect(dgp: SyntheticDGP, distance: DistanceSpec, grid: EvalGrid,
@@ -357,7 +358,6 @@ class Experiment:
     grid_size: int = 128
     nuisance: NuisanceConfig = NuisanceConfig()
     nuisance_mode: str = "fitted"        # fitted | true | wrong_pi_true_eta | true_pi_fitted_eta
-    wrong_pi: float = 0.5
 
 
 @dataclass
@@ -377,7 +377,7 @@ def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, leve
                                    dgp.pi_fn, dgp.eta_fn)]
     if mode == "wrong_pi_true_eta":
         def pi_const(x, level):
-            p1 = np.full(len(x), exp.wrong_pi)
+            p1 = np.full(len(x), 0.5)
             return p1 if level == 1 else 1.0 - p1
 
         return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
@@ -397,7 +397,7 @@ def mc_run(exp: Experiment) -> McResult:
     """
     if exp.reps < 2:
         raise DataError("need reps >= 2")
-    dgp = get_dgp(exp.dgp) if isinstance(exp.dgp, str) else exp.dgp
+    dgp = get_dgp(exp.dgp)
     grid = make_grid(exp.grid_size, "trapezoid")
     distance = parse_distance(exp.distance)
     if exp.estimator == "projection":
@@ -508,16 +508,19 @@ def tensor_uniform_quad(m=24, d=2):
     return x, weight
 
 
-def default_perturbation():
-    """Bounded direction (u, v): propensity tilt and mean-zero density tilt."""
-
-    def u_fn(x):
-        return 0.5 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
-
-    def v_fn(x, points):
-        return 0.3 * (0.5 + 0.5 * x[:, 0])[:, None] * np.cos(2.0 * np.pi * points)[None, :]
-
-    return u_fn, v_fn
+def _tilted(dgp: SyntheticDGP, level, sign, eps, x, grid: EvalGrid):
+    """(pi, pi_bar, eta, eta_bar) of one arm at x: the true nuisances and
+    their tilt by sign*eps along the fixed direction (u, v)."""
+    pi = np.asarray(dgp.pi_fn(x, level), dtype=float)
+    pi_bar = pi + sign * eps * (0.5 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]))
+    if np.any(pi_bar <= 0) or np.any(pi_bar >= 1):
+        raise DataError("perturbed propensity left (0,1); shrink eps")
+    eta = np.asarray(dgp.eta_fn(x, level, grid.points), dtype=float)
+    v = 0.3 * (0.5 + 0.5 * x[:, 0])[:, None] * np.cos(2.0 * np.pi * grid.points)[None, :]
+    eta_bar = eta + sign * eps * v
+    if np.any(eta_bar < 0):
+        raise DataError("perturbed conditional density went negative; shrink eps")
+    return pi, pi_bar, eta, eta_bar
 
 
 def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps, grid: EvalGrid):
@@ -525,26 +528,16 @@ def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps, grid: EvalG
 
     The functional is the integral over y of H(y, p(y)) with H supplied as
     tabulators: ``h_tab(p_curve) -> (G, m)`` and its p-derivative ``hp_tab``.
-    Nuisances are tilted as pi + eps*u and eta + eps*v along
-    ``default_perturbation`` (v mean-zero in y, so eta_bar stays a density);
-    with the covariate law fixed (``tensor_uniform_quad(24, d)``), the
-    remainder is
+    Nuisances are tilted as pi + eps*u and eta + eps*v along the fixed
+    direction of the module docstring; with the covariate law fixed
+    (``tensor_uniform_quad(24, d)``), the remainder is
 
         Psi(P_bar) - Psi(P) + E_X[ (pi/pi_bar) int Hp(y, p_bar)(eta - eta_bar) dy ]
 
     evaluated entirely by quadrature. Returns a vector of length m.
     """
-    u_fn, v_fn = default_perturbation()
     x, wx = tensor_uniform_quad(24, dgp.d)
-    pi = np.asarray(dgp.pi_fn(x, level), dtype=float)
-    eta = np.asarray(dgp.eta_fn(x, level, grid.points), dtype=float)
-    pi_bar = pi + eps * u_fn(x)
-    if np.any(pi_bar <= 0) or np.any(pi_bar >= 1):
-        raise DataError("perturbed propensity left (0,1); shrink eps")
-    v = v_fn(x, grid.points)
-    eta_bar = eta + eps * v
-    if np.any(eta_bar < 0):
-        raise DataError("perturbed conditional density went negative; shrink eps")
+    pi, pi_bar, eta, eta_bar = _tilted(dgp, level, 1.0, eps, x, grid)
     p = wx @ eta
     p_bar = wx @ eta_bar
     psi = grid.integrate(h_tab(p))
@@ -561,31 +554,20 @@ def effect_population_bias(dgp: SyntheticDGP, distance: DistanceSpec, eps,
 
     Evaluates plug-in distance at the tilted marginals plus the population
     mean of the estimated influence terms, minus the true effect; all terms
-    by quadrature, so the value isolates the second-order remainder. The tilt
-    and the covariate quadrature are those of ``vonmises_remainder``.
+    by quadrature, so the value isolates the second-order remainder. The
+    first arm is tilted by +eps, the second by -eps, along the direction and
+    over the covariate quadrature of ``vonmises_remainder``.
     """
-    u_fn, v_fn = default_perturbation()
     x, wx = tensor_uniform_quad(24, dgp.d)
-    lev1, lev0 = levels
-    p, p_bar, pi, pi_bar, eta, eta_bar = {}, {}, {}, {}, {}, {}
-    for sign, lev in ((1.0, lev1), (-1.0, lev0)):
-        pi[lev] = np.asarray(dgp.pi_fn(x, lev), dtype=float)
-        pi_bar[lev] = pi[lev] + sign * eps * u_fn(x)
-        if np.any(pi_bar[lev] <= 0) or np.any(pi_bar[lev] >= 1):
-            raise DataError("perturbed propensity left (0,1); shrink eps")
-        eta[lev] = np.asarray(dgp.eta_fn(x, lev, grid.points), dtype=float)
-        eta_bar[lev] = eta[lev] + sign * eps * v_fn(x, grid.points)
-        if np.any(eta_bar[lev] < 0):
-            raise DataError("perturbed conditional density went negative; shrink eps")
-        p[lev] = wx @ eta[lev]
-        p_bar[lev] = wx @ eta_bar[lev]
-    truth = divergence(distance, p[lev1], p[lev0], grid)
-    plug = divergence(distance, p_bar[lev1], p_bar[lev0], grid)
-    lam1, lam0 = effect_curves(distance, p_bar[lev1], p_bar[lev0])
+    arms = [_tilted(dgp, lev, sign, eps, x, grid) for sign, lev in zip((1.0, -1.0), levels)]
+    p1, p0 = (wx @ eta for _, _, eta, _ in arms)
+    p1_bar, p0_bar = (wx @ eta_bar for _, _, _, eta_bar in arms)
+    truth = divergence(distance, p1, p0, grid)
+    plug = divergence(distance, p1_bar, p0_bar, grid)
     mean_terms = 0.0
-    for lam, lev in ((lam1, lev1), (lam0, lev0)):
-        inner = (eta[lev] - eta_bar[lev]) @ (grid.weights * lam)
-        mean_terms += float((wx * (pi[lev] / pi_bar[lev])) @ inner)
+    for lam, (pi, pi_bar, eta, eta_bar) in zip(effect_curves(distance, p1_bar, p0_bar), arms):
+        inner = (eta - eta_bar) @ (grid.weights * lam)
+        mean_terms += float((wx * (pi / pi_bar)) @ inner)
     return plug + mean_terms - truth
 
 

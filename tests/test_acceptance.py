@@ -133,7 +133,7 @@ class TestAcceptance:
         arm_a = mc_run(Experiment(
             name="a5a", dgp="confounded_shift", estimator="projection",
             n_values=(16000,), reps=400, seed=22, model="series:d=3",
-            grid_size=128, nuisance_mode="wrong_pi_true_eta", wrong_pi=0.5))
+            grid_size=128, nuisance_mode="wrong_pi_true_eta"))
         ba = np.linalg.norm(arm_a.summary[16000]["bias"])
         arm_b = mc_run(Experiment(
             name="a5b", dgp="confounded_shift", estimator="projection",

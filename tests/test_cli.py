@@ -129,6 +129,14 @@ class TestSimulate:
         assert len(rows) == 3
 
 
+    def test_projection_oracle_reports_its_warnings(self, tmp_path):
+        code, report = run_json(tmp_path, [
+            "simulate", "--experiment", "projection-coverage", "--reps", "2"])
+        assert code == 0
+        oracle = report["results"]["oracle"]
+        assert oracle["method"] == "closed_form" and oracle["warnings"] == []
+
+
 class TestErrors:
     def test_config_violations_enumerated(self, capsys, tmp_path):
         code = main(["fit-projection", "--data", str(tmp_path / "missing.csv"),
@@ -150,6 +158,27 @@ class TestErrors:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["exit_code"] == 3
+
+    def test_too_many_folds_is_data_error(self, capsys, synthetic_csv):
+        code = main(["fit-projection", "--data", synthetic_csv, *BASE, "--folds", "500"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["exit_code"] == 3 and err["type"] == "FoldError"
+        assert "200 rows into 500 folds" in err["message"]
+
+    @pytest.mark.parametrize("cell", ["1.5", "inf"])
+    def test_treatment_label_not_an_integer_is_data_error(self, capsys, tmp_path, cell):
+        rows = ["x1,a,y"] + [f"{i / 10},{i % 2},{i}" for i in range(10)]
+        rows[4] = f"0.3,{cell},3"
+        bad = tmp_path / "labels.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code = main(["density-effect", "--data", str(bad), "--x-cols", "x1", "--quick"])
+        assert code == 3
+        stderr = capsys.readouterr().err
+        err = json.loads(stderr)["error"]
+        assert err["exit_code"] == 3 and err["type"] == "DataError"
+        assert f"treatment label {float(cell)!r} at row 3" in err["message"]
+        assert "traceback" not in err and "Traceback" not in stderr
 
     @pytest.mark.parametrize("dims", ["a..3", "0..3"])
     def test_bad_dims_is_config_error(self, capsys, synthetic_csv, dims):
@@ -231,7 +260,7 @@ _DATA_INVALID = {
     "--data": ["{missing}"],
     "--x-cols": [","],
     "--grid": ["4", "0", "-3", "x"],
-    "--folds": ["1", "0", "two"],
+    "--folds": ["1", "0", "two", "500"],
     "--clip-eps": ["0", "0.5", "-0.1", "nan", "inf"],
     "--grid-rule": ["simpson", ""],
     "--nuisance-propensity": ["forest"],
@@ -260,7 +289,8 @@ def invalid_argv(draw):
     if command == "simulate":
         argv = ["simulate", "--experiment", "effect-null"]
     else:
-        argv = [command, "--data", "{data}", *BASE, "--quick"]
+        # --quick sets two folds, which would hide an invalid --folds value
+        argv = [command, "--data", "{data}", *BASE] + ([] if "--folds" in flags else ["--quick"])
         argv += {"select-model": ["--dims", "1..2"],
                  "aggregate": ["--candidates", "series:d=1"]}.get(command, [])
     for flag in flags:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +63,13 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"],
                          [[1.0, 0, 2], ["oops", 1, 3]])
         with pytest.raises(ParseError, match="row 1"):
+            load_csv(path, ["x1"], "a", "y")
+
+    @pytest.mark.parametrize("cell", ["1.5", "inf", "nan"])
+    def test_treatment_label_must_be_an_integer(self, tmp_path, cell):
+        path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"],
+                         [[0.1, 0, 2], [0.2, cell, 3], [0.3, 1, 4]])
+        with pytest.raises(DataError, match="treatment label .* at row 1"):
             load_csv(path, ["x1"], "a", "y")
 
     def test_empty_file(self, tmp_path):
@@ -168,6 +177,17 @@ class TestTableInvariants:
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
             ObservationTable(np.array([[np.nan]]), np.array([0]), np.array([0.5]), (0, 1))
+
+    @pytest.mark.parametrize("label", [1.5, np.inf, np.nan, -0.25, 1e300])
+    def test_rejects_label_that_is_not_an_integer(self, label):
+        with pytest.raises(DataError, match=re.escape(f"treatment label {float(label)!r} at row 1")):
+            from_raw(np.ones((3, 1)), [0, label, 1], [1.0, 2.0, 3.0])
+        with pytest.raises(DataError, match="at row 0"):
+            ObservationTable(np.ones((1, 1)), np.array([label]), np.array([0.5]), (0, 1))
+
+    def test_integral_float_labels_accepted(self):
+        t = from_raw(np.ones((3, 1)), [0.0, 1.0, -1.0], [1.0, 2.0, 3.0])
+        assert t.a.dtype.kind == "i" and list(t.a) == [0, 1, -1]
 
     def test_rows_subset(self):
         t = from_raw(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0])

@@ -6,9 +6,11 @@ timestamp and the output path are dropped. Regenerate the reference with
 
     PYTHONPATH=src python tests/test_reports.py
 
-only when a change to the reported numbers is intended. Before it
-overwrites the file, the regenerator prints per report the largest absolute
-and relative drift of the numeric leaves and every other leaf that changed.
+only when a change to the reported numbers is intended. It prints per
+report the largest absolute and relative drift of the numeric leaves and
+every other leaf that changed. A stored report that the fresh one matches
+within the test's tolerance is kept as it was, so only the runs that changed
+are re-recorded; the regenerator names the reports it kept.
 """
 
 import csv
@@ -122,6 +124,22 @@ def drift(got, want):
     return worst_abs, worst_rel, changed
 
 
+def merge_goldens(fresh, stored):
+    """The reports to store, and the names of the stored ones kept: a stored
+    report that the fresh one matches under ``assert_same`` is kept as it
+    was, every other fresh report replaces it or is added."""
+    merged, kept = {}, []
+    for name, report in fresh.items():
+        try:
+            assert_same(report, stored[name])
+        except (KeyError, AssertionError):
+            merged[name] = report
+        else:
+            merged[name] = stored[name]
+            kept.append(name)
+    return merged, kept
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -147,6 +165,18 @@ def test_drift_lists_a_lost_empty_container(golden):
     assert changed == ["  report.results.infeasible: [] -> '<absent>'"]
 
 
+def test_merge_keeps_a_report_within_tolerance(golden):
+    fresh = json.loads(json.dumps({"density-effect:l2": golden["density-effect:l2"],
+                                   "aggregate": golden["aggregate"]}))
+    fresh["density-effect:l2"]["results"]["psi"] += 1e-16
+    fresh["aggregate"]["results"]["weights"][0] += 1e-6
+    merged, kept = merge_goldens(fresh, golden)
+    assert kept == ["density-effect:l2"]
+    assert merged["density-effect:l2"] == golden["density-effect:l2"]
+    assert merged["density-effect:l2"] != fresh["density-effect:l2"]
+    assert merged["aggregate"] == fresh["aggregate"] != golden["aggregate"]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -166,4 +196,6 @@ if __name__ == "__main__":
               f"changed non-numeric leaves: {len(changed)}")
         for line in changed:
             print(line)
+    reports, kept = merge_goldens(reports, previous)
+    print(f"kept as stored (within tolerance): {', '.join(sorted(kept)) or 'none'}")
     GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=1) + "\n")
