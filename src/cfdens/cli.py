@@ -436,6 +436,8 @@ def _emit_error(exc):
     }
     if isinstance(exc, ConfigError):
         payload["error"]["violations"] = exc.violations
+    elif isinstance(exc, SolverError):
+        payload["error"]["residual_history"] = exc.residual_history
     elif not isinstance(exc, CfdensError):
         payload["error"]["traceback"] = traceback.format_exception(exc)
     print(json.dumps(payload, sort_keys=True, indent=2), file=sys.stderr)

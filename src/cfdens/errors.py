@@ -73,7 +73,7 @@ class InfeasibleMomentError(SolverError):
     """Moment-matching target lies outside the attainable mean set."""
 
 
-class RankError(CfdensError):
+class RankError(SolverError):
     """Singular derivative matrix; advises reducing the model dimension."""
 
 

@@ -177,7 +177,8 @@ def default_start(model, folds_nuis, level, grid):
 
 def _damped_newton(func, beta0, tol, max_iter=100, jac=None, guard=None):
     """Step-halving Newton from beta0 until ||func|| <= tol (absolute), or until no
-    halving lowers ||func||. Returns (beta, func(beta), iterations, norm history)."""
+    halving lowers ||func||. Returns (beta, func(beta), iterations, norm history).
+    ``guard(beta, iteration, history)`` sees every accepted step and may raise."""
     beta = np.array(beta0, dtype=float)
     fval = func(beta)
     history = [float(np.linalg.norm(fval))]
@@ -212,7 +213,7 @@ def _damped_newton(func, beta0, tol, max_iter=100, jac=None, guard=None):
         if not accepted:
             break
         if guard is not None:
-            guard(beta)
+            guard(beta, iterations, history)
     return beta, fval, iterations, history
 
 
@@ -261,21 +262,22 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
         def match(beta):
             return log_partition(model, beta, grid)[1] - target
 
-        def guard(beta):
+        def guard(beta, iteration, history):
             if np.linalg.norm(beta) > BETA_RUNAWAY:
                 raise InfeasibleMomentError(
-                    "moment matching diverged; target appears unattainable")
+                    f"moment matching diverged: ||beta|| > {BETA_RUNAWAY:g} at iteration "
+                    f"{iteration}; target appears unattainable", residual_history=history)
 
         start = np.zeros(model.beta_dim)
         beta_hat, _, iters, history = _damped_newton(
             match, start, tol=1e-12 * (1.0 + float(np.linalg.norm(match(start)))),
             jac=lambda beta: _kl_expfam_jacobian(model, beta, grid), guard=guard)
     else:
-        def guard(beta):
+        def guard(beta, iteration, history):
             if np.max(np.abs(beta)) > BETA_RUNAWAY:
                 raise SolverError(
-                    "solver ran away toward a degenerate root; "
-                    "supply a start closer to the support", residual_history=[])
+                    f"solver ran away toward a degenerate root: |beta_k| > {BETA_RUNAWAY:g} "
+                    f"at iteration {iteration}", residual_history=history)
 
         beta_hat, resid, iters, history = _damped_newton(
             equation, default_start(model, folds_nuis, level, grid), tol=1e-11 * scale,

@@ -4,8 +4,14 @@ Selection scores each candidate density with an estimable risk that differs
 from its true squared-L2 distance to the counterfactual density only by a
 candidate-independent constant, so the argmin is unchanged. Aggregation
 orthonormalizes the candidate span and runs the closed-form doubly-robust
-series fit on a held-out split, then averages over every fold role. In both,
-a candidate whose fit raises a package error is infeasible and left out.
+series fit on a held-out split, then averages over every fold role.
+
+Both run one candidate loop per fold role: the held-out fold's nuisances are
+fit on the training rows first, so a level absent from them fails the run
+with a DataError naming it; then every still-feasible candidate is fit on the
+same training rows by `_fit_candidates`. A candidate whose fit raises a
+package error is infeasible and left out. Fixed densities are labelled
+``fixed[i]`` by their position among the candidates.
 """
 
 from __future__ import annotations
@@ -84,92 +90,73 @@ def pseudo_l2_risk(table: ObservationTable, folds_nuis, level, g_k, grid: EvalGr
     return float(risk[0]), float(se[0])
 
 
-class _CandidateFitter:
-    """Fits candidates on one training split, sharing the inner nuisance fit.
+def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, failed,
+                    warnings):
+    """{index: density} of the candidates not yet ``failed``, fit on ``train``.
 
-    Model candidates of any dimension consume the same per-fold tabulations,
-    so the inner cross-fit runs once per training split, not per candidate.
-    Fixed densities pass through; a non-finite density raises a DataError.
+    Model candidates of any dimension share one inner cross-fit of the
+    nuisances, run when the first of them needs it. Fixed densities pass
+    through. A CfdensError or LinAlgError, a non-finite density included,
+    marks its candidate failed with a warning; other exceptions propagate.
     """
-
-    def __init__(self, train, grid, level, nuis_config, seed):
-        self.train = train
-        self.grid = grid
-        self.level = level
-        self.nuis_config = nuis_config
-        self.seed = seed
-        self._folds_nuis = None
-
-    def _nuisances(self):
-        if self._folds_nuis is None:
-            plan = make_folds(self.train.n, INNER_FOLDS, self.seed)
-            self._folds_nuis = cross_fit(self.train, plan, (self.level,),
-                                         self.grid, self.nuis_config)
-        return self._folds_nuis
-
-    def fit(self, cand):
-        if isinstance(cand, np.ndarray):
-            dens = np.asarray(cand, dtype=float)
-            if dens.shape != self.grid.points.shape:
-                raise DataError("fixed candidate density must be tabulated on the grid")
-        else:
-            distance = (DistanceSpec("kl") if isinstance(cand, ExponentialFamily)
-                        else DistanceSpec("l2"))
-            dens = solve_onestep(distance, cand, self.train, self._nuisances(),
-                                 self.level, self.grid).fitted_density
-        if not np.all(np.isfinite(dens)):
-            raise DataError("candidate density is non-finite on the grid")
-        return dens
-
-    def fit_feasible(self, candidates, labels, failed, warnings):
-        """{index: density} of the candidates not yet ``failed``. A CfdensError or
-        LinAlgError marks its candidate failed, with a warning; others propagate."""
-        dens = {}
-        for i, cand in enumerate(candidates):
-            if failed[i]:
-                continue
-            try:
-                dens[i] = self.fit(cand)
-            except (CfdensError, np.linalg.LinAlgError) as exc:  # data-dependent failure
-                failed[i] = True
-                warnings.append(f"candidate {labels[i]} infeasible: {exc}")
-        if not dens:
-            raise DataError("every candidate failed to fit")
-        return dens
+    folds_nuis = None
+    dens = {}
+    for i, cand in enumerate(candidates):
+        if failed[i]:
+            continue
+        try:
+            if isinstance(cand, np.ndarray):
+                g = np.asarray(cand, dtype=float)
+                if g.shape != grid.points.shape:
+                    raise DataError("fixed candidate density must be tabulated on the grid")
+            else:
+                if folds_nuis is None:
+                    folds_nuis = cross_fit(train, make_folds(train.n, INNER_FOLDS, seed),
+                                           (level,), grid, nuis_config)
+                distance = DistanceSpec("kl" if isinstance(cand, ExponentialFamily) else "l2")
+                g = solve_onestep(distance, cand, train, folds_nuis, level,
+                                  grid).fitted_density
+            if not np.all(np.isfinite(g)):
+                raise DataError("candidate density is non-finite on the grid")
+            dens[i] = g
+        except (CfdensError, np.linalg.LinAlgError) as exc:  # data-dependent failure
+            failed[i] = True
+            warnings.append(f"candidate {labels[i]} infeasible: {exc}")
+    if not dens:
+        raise DataError("every candidate failed to fit")
+    return dens
 
 
 def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
-                 grid: EvalGrid, nuis_config: NuisanceConfig = NuisanceConfig(),
-                 labels=None) -> RiskTable:
+                 grid: EvalGrid, nuis_config: NuisanceConfig = NuisanceConfig()
+                 ) -> RiskTable:
     """Pick the pseudo-risk argmin over candidate models or fixed densities.
 
-    For every fold role, model candidates are fit on the training folds (with
-    their own inner cross-fitting) and clipped to densities, nuisances are
-    fit on the same training folds, and all still-feasible candidates are
-    scored on the held-out fold in one stacked call; per-row summands pool
+    For every fold role, nuisances are fit on the training folds, model
+    candidates are fit on the same training folds (with their own inner
+    cross-fitting) and clipped to densities, and all still-feasible candidates
+    are scored on the held-out fold in one stacked call; per-row summands pool
     across roles. Ties break to the earlier (smaller-dimension) candidate.
     Infeasible candidates get risk inf.
     """
     if len(candidates) < 1:
         raise DataError("need at least one candidate")
-    if labels is None:
-        labels = _labels(candidates)
+    labels = _labels(candidates)
     k = len(candidates)
     failed = [False] * k
     warnings = []
     scored = []     # per role: (n_ev, k) summands, NaN for candidates not fit
     for j, train_idx, eval_idx in folds.splits():
-        train = table.rows(train_idx)
         fold = single_split(table, train_idx, eval_idx, (level,), grid, nuis_config)
-        fitter = _CandidateFitter(train, grid, level, nuis_config, seed=folds.seed + 7 * j + 1)
-        dens = fitter.fit_feasible(candidates, labels, failed, warnings)
+        dens = _fit_candidates(table.rows(train_idx), grid, level, nuis_config,
+                               folds.seed + 7 * j + 1, candidates, labels, failed, warnings)
         role = np.full((len(eval_idx), k), np.nan)
         role[:, list(dens)] = _pseudo_risk_summands(table, fold, level,
                                                     np.column_stack(list(dens.values())), grid)
         scored.append(role)
     risks, ses = _pooled_risk(np.concatenate(scored))
     risks[failed] = np.inf
-    return RiskTable(labels=list(labels), risks=risks, ses=ses, chosen=int(np.argmin(risks)),
+    return RiskTable(labels=labels, risks=risks, ses=ses, chosen=int(np.argmin(risks)),
                      infeasible=[labels[i] for i in range(k) if failed[i]],
                      warnings=warnings)
 
@@ -206,13 +193,14 @@ def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates
                      ) -> AggregateEstimate:
     """Linear aggregation of candidate densities under squared-L2 distance.
 
-    Per fold role: fit model candidates on the training rows, orthonormalize
-    the curves of the candidates feasible in every role on the grid, run the
-    closed-form doubly-robust series fit (zero base density) on the held-out
-    rows, and map the coefficients back to candidate weights (0 for an
-    infeasible one). Every fold role is averaged in, and the averaged
-    aggregate is clipped to a density. Ratio-based divergences are undefined
-    for general linear combinations, so aggregation is squared-L2 only.
+    Per fold role: fit the held-out nuisances and then the model candidates on
+    the training rows, orthonormalize the curves of the candidates feasible in
+    every role on the grid, run the closed-form doubly-robust series fit (zero
+    base density) on the held-out rows, and map the coefficients back to
+    candidate weights (0 for an infeasible one). Every fold role is averaged
+    in, and the averaged aggregate is clipped to a density. Ratio-based
+    divergences are undefined for general linear combinations, so aggregation
+    is squared-L2 only.
     """
     kcount = len(candidates)
     if kcount < 1:
@@ -222,11 +210,11 @@ def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates
     warnings = []
     roles = []      # per role: (candidate curves by index, held-out d_hat)
     for j, train_idx, eval_idx in folds.splits():
-        train = table.rows(train_idx)
-        fitter = _CandidateFitter(train, grid, level, nuis_config, seed=folds.seed + 11 * j + 3)
-        curves = fitter.fit_feasible(candidates, labels, failed, warnings)
-        fold = single_split(table, train_idx, eval_idx, (level,), grid, nuis_config)
-        roles.append((curves, fold.d_hat[level]))
+        d_hat = single_split(table, train_idx, eval_idx, (level,), grid,
+                             nuis_config).d_hat[level]
+        curves = _fit_candidates(table.rows(train_idx), grid, level, nuis_config,
+                                 folds.seed + 11 * j + 3, candidates, labels, failed, warnings)
+        roles.append((curves, d_hat))
     feasible = [i for i in range(kcount) if not failed[i]]
     weight_acc = np.zeros(kcount)
     density_acc = np.zeros(grid.size)

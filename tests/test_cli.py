@@ -8,22 +8,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cfdens import make_grid
 from cfdens.cli import main
 from cfdens.oracle import get_dgp
 
 
-@pytest.fixture()
-def synthetic_csv(tmp_path):
-    dgp = get_dgp("confounded_shift")
-    rng = np.random.default_rng(42)
-    table = dgp.sample(200, rng)
-    path = tmp_path / "synthetic.csv"
+def write_sample_csv(path, n, seed):
+    """Write n confounded_shift rows, drawn with the given seed, as x1,x2,a,y."""
+    table = get_dgp("confounded_shift").sample(n, np.random.default_rng(seed))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x1", "x2", "a", "y"])
         for i in range(table.n):
             writer.writerow([table.x[i, 0], table.x[i, 1], table.a[i], table.y[i]])
-    return str(path)
+    return path
+
+
+@pytest.fixture()
+def synthetic_csv(tmp_path):
+    return str(write_sample_csv(tmp_path / "synthetic.csv", 200, 42))
+
+
+@pytest.fixture(scope="module")
+def csv600(tmp_path_factory):
+    return str(write_sample_csv(tmp_path_factory.mktemp("cli") / "cs600.csv", 600, 0))
 
 
 def run_json(tmp_path, args, name="out.json"):
@@ -116,6 +124,24 @@ class TestSelectAndAggregate:
         assert len(report["results"]["weights"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["fit-projection", "--model", "expfam:d=3", "--distance", "hellinger"],
+    ["density-effect", "--distance", "kl"],
+    ["select-model", "--dims", "1..3"],
+    ["aggregate", "--candidates", "series:d=2,expfam:d=3"]],
+    ids=lambda command: command[0])
+def test_gauss_legendre_grid(tmp_path, csv600, command):
+    code, report = run_json(tmp_path, [
+        *command, "--data", csv600, *BASE, "--grid-rule", "gauss_legendre",
+        "--grid", "64", "--folds", "2", "--seed", "3"])
+    assert code == 0
+    grid = make_grid(64, "gauss_legendre")
+    if "density_grid_unit" in report["results"]:
+        points, density = np.array(report["results"]["density_grid_unit"]).T
+        assert np.array_equal(points, grid.points)
+        assert grid.weights @ density == pytest.approx(1.0, abs=1e-12)
+
+
 class TestSimulate:
     def test_named_experiment_summary(self, tmp_path):
         rec_csv = tmp_path / "records.csv"
@@ -196,8 +222,30 @@ class TestErrors:
         assert err["type"] == "ConfigError"
         assert [v.split(":")[0] for v in err["violations"]] == ["distance"]
 
+    def test_singular_moment_derivative_is_solver_error(self, capsys, csv600):
+        code = main(["fit-projection", "--data", csv600, *BASE, "--model", "gmm:k=4",
+                     "--distance", "kl", "--quick", "--seed", "4"])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["exit_code"] == 4 and err["type"] == "RankError"
+        assert "numerically singular" in err["message"]
+
+    def test_runaway_solve_reports_its_residual_history(self, capsys, csv600):
+        code = main(["fit-projection", "--data", csv600, *BASE, "--model", "series:d=4",
+                     "--distance", "tv:t=50", "--quick", "--seed", "4"])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["exit_code"] == 4 and err["type"] == "SolverError"
+        assert "|beta_k| > 60 at iteration" in err["message"]
+        history = err["residual_history"]
+        assert isinstance(history, list) and len(history) > 0
+        assert all(np.isfinite(history))
+
     @pytest.mark.parametrize("flags", [["fit-projection", "--level", "7"],
-                                       ["density-effect", "--level1", "7"]])
+                                       ["density-effect", "--level1", "7"],
+                                       ["select-model", "--dims", "1..2", "--level", "7"],
+                                       ["aggregate", "--candidates", "series:d=2",
+                                        "--level", "7"]])
     def test_absent_level_is_data_error(self, capsys, synthetic_csv, flags):
         code = main([flags[0], "--data", synthetic_csv, *BASE, "--quick", *flags[1:]])
         assert code == 3
@@ -300,15 +348,7 @@ def invalid_argv(draw):
 
 @pytest.fixture(scope="module")
 def module_csv(tmp_path_factory):
-    dgp = get_dgp("confounded_shift")
-    table = dgp.sample(200, np.random.default_rng(42))
-    path = tmp_path_factory.mktemp("cli") / "synthetic.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "a", "y"])
-        for i in range(table.n):
-            writer.writerow([table.x[i, 0], table.x[i, 1], table.a[i], table.y[i]])
-    return path
+    return write_sample_csv(tmp_path_factory.mktemp("cli") / "synthetic.csv", 200, 42)
 
 
 @settings(max_examples=60, deadline=None,

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -144,6 +145,19 @@ class TestSolveOnestep:
         model = ExponentialFamily(CosineBasis(1))
         with pytest.raises((InfeasibleMomentError, SolverError)):
             solve_onestep(KL, model, table, [fold], 1, grid128)
+
+    def test_runaway_keeps_its_residual_history(self, grid128):
+        # chi-square onto a 20-term exponential family runs away on this
+        # sample; the error carries the residual norm of every step it took
+        table = get_dgp("confounded_shift").sample(600, np.random.default_rng(0))
+        fn = cross_fit(table, make_folds(600, 2, seed=4), (1,), grid128)
+        with pytest.raises(SolverError) as info:
+            solve_onestep(DistanceSpec("chisq"), models.parse_model("expfam:d=20"),
+                          table, fn, 1, grid128)
+        found = re.search(r"\|beta_k\| > 60 at iteration (\d+)", str(info.value))
+        history = info.value.residual_history
+        assert found and len(history) == int(found.group(1)) + 1
+        assert np.all(np.isfinite(history))
 
 
 class TestGaussianMixtureFit:

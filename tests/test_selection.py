@@ -83,9 +83,8 @@ class TestSelectModel:
         folds = make_folds(2500, 2, seed=4)
         truth = bump_density(grid128)
         far = bump_density(grid128, -0.5)
-        rt = select_model(table, folds, 1, [far, truth], grid128,
-                          labels=["far", "truth"])
-        assert rt.chosen_label == "truth"
+        rt = select_model(table, folds, 1, [far, truth], grid128)
+        assert rt.chosen_label == "fixed[1]"
 
     def test_no_candidates_rejected(self, rng, grid128):
         dgp = get_dgp("cosine_bump")
@@ -132,11 +131,10 @@ class TestSelectModel:
         g, g2 = bump_density(grid128), bump_density(grid128, -0.3)
         g_nan = g.copy()
         g_nan[5] = np.nan
-        rt = select_model(table, folds, 1, [g, g_nan, g2], grid128,
-                          labels=["g", "nan", "g2"])
+        rt = select_model(table, folds, 1, [g, g_nan, g2], grid128)
         ref = select_model(table, folds, 1, [g, g2], grid128)
-        assert rt.infeasible == ["nan"]
-        assert len(rt.warnings) == 1 and "nan" in rt.warnings[0]
+        assert rt.infeasible == ["fixed[1]"]
+        assert len(rt.warnings) == 1 and "candidate fixed[1] infeasible" in rt.warnings[0]
         assert np.isinf(rt.risks[1]) and np.isnan(rt.ses[1])
         assert np.allclose(rt.risks[[0, 2]], ref.risks, rtol=1e-12, atol=0.0)
         assert np.allclose(rt.ses[[0, 2]], ref.ses, rtol=1e-12, atol=0.0)
@@ -304,3 +302,12 @@ class TestAggregate:
         self._inject(monkeypatch, SolverError("no root"))
         agg = aggregate_linear(table, folds, 1, cands, grid128)
         assert agg.infeasible == ["expfam:d=3"] and agg.dropped == [2]
+
+    @pytest.mark.parametrize("fit", [aggregate_linear, select_model])
+    def test_absent_level_is_named(self, grid128, fit):
+        # the held-out nuisances are fit before any candidate, so a level
+        # absent from the training rows fails the run by name
+        table = get_dgp("confounded_shift").sample(400, np.random.default_rng(13))
+        folds = make_folds(400, 2, seed=31)
+        with pytest.raises(DataError, match=r"level 7 absent .*\[0, 1\]"):
+            fit(table, folds, 7, [parse_model("series:d=2")], grid128)
