@@ -226,6 +226,8 @@ class EvalGrid:
             raise GridError("points and weights must be 1-d and matched")
         if np.any(np.diff(pts) <= 0):
             raise GridError("grid points must be strictly increasing")
+        if not np.all((pts >= 0.0) & (pts <= 1.0)):  # nan fails too
+            raise GridError("grid points must lie in [0, 1]")
         if np.any(wts <= 0):
             raise GridError("grid weights must be strictly positive")
         if abs(wts.sum() - 1.0) > 1e-10:

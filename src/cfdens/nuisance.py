@@ -8,12 +8,15 @@ marginal p_hat and the doubly-robust grid measure d_hat, with d_hat @ h the
 mean of the raw doubly-robust summands of h (``fold_nuisance``). A fitted
 density keeps its outcome-kernel matrix K in float32 (m, G), the eval rows'
 covariates and their 1/mass (``FactoredEta``); no (n_ev, G) array is built
-unless ``CondDensityModel.predict`` is called. Shipped learners are
-multinomial logistic regression and k-NN for the propensity, and
-Nadaraya-Watson / k-NN / marginal-only kernel regressions of a
-Gaussian-kernel-transformed outcome for the conditional density. Analytic or
-deliberately misspecified nuisances enter through ``tabulate_nuisances``,
-the dense special case.
+unless ``CondDensityModel.predict`` is called. K is built ``_CHUNK`` rows at
+a time straight into float32, each reflection evaluated only within
+``_REACH`` bandwidths of its end of [0,1]; it equals the full three-term
+float64 sum rounded to float32, bit for bit. An eval row left with no kernel
+mass raises ``DataError``. Shipped learners are multinomial logistic
+regression and k-NN for the propensity, and Nadaraya-Watson / k-NN /
+marginal-only kernel regressions of a Gaussian-kernel-transformed outcome
+for the conditional density. Analytic or deliberately misspecified
+nuisances enter through ``tabulate_nuisances``, the dense special case.
 """
 
 from __future__ import annotations
@@ -29,7 +32,16 @@ from .errors import (
     InsufficientDataError,
 )
 
-_CHUNK = 256           # eval rows per covariate-weight block, bounds peak memory
+_CHUNK = 256           # rows per covariate-weight block and per outcome-kernel block
+                       # (``_kernel_outcome_matrix``); bounds peak memory
+# Reach of a reflected outcome-kernel term, in bandwidths from its end of [0,1].
+# A term skipped beyond it is below exp(-18^2 / 2) = e^-162 ~ 6e-71 (before the
+# division by h sqrt(2 pi)). The smallest float64 sum that survives the cast of
+# K to float32 is 2^-150 h sqrt(2 pi), and half an ulp of any sum at least that
+# large is at least 2^-204 h sqrt(2 pi) ~ 1e-67 for h >= 1e-6: adding a skipped
+# term leaves such a sum unchanged, and a smaller sum casts to 0 either way. So
+# K is bit-identical to the one with both reflections evaluated everywhere.
+_REACH = 18.0
 LOGIT_TOL = 1e-8        # gradient norm at which the logistic Newton fit stops
 LOGIT_MAX_ITER = 100
 
@@ -199,23 +211,55 @@ def silverman_bandwidth(y):
     return max(0.9 * spread * m ** (-0.2), 1e-3)
 
 
-def _kernel_outcome_matrix(y_train, points, h):
-    """Gaussian kernel in the outcome, reflected at both ends of [0,1].
+def _gauss(yy, points, h, buf):
+    """exp(-z^2 / 2) for z = (yy_i - t_j) / h clipped at +-38, (len(yy), len(points)),
+    written into the front of the flat float64 buffer ``buf``."""
+    z = buf[:len(yy) * len(points)].reshape(len(yy), len(points))
+    np.subtract.outer(yy, points, out=z)
+    z /= h
+    np.clip(z, -38.0, 38.0, out=z)
+    np.square(z, out=z)
+    z *= -0.5
+    return np.exp(z, out=z)
 
-    Reflection removes the first-order boundary deficit of the plain kernel;
-    without it the fitted marginals lose mass near the endpoints and the
-    quadratic term in the effect estimators picks up a visible bias.
+
+def _kernel_outcome_matrix(y_train, points, h):
+    """Gaussian kernel in the outcome, reflected at both ends of [0,1]: K, (m, G) float32.
+
+    K[i, j] = phi_h(y_i - t_j) + phi_h(-y_i - t_j) + phi_h(2 - y_i - t_j), with
+    phi_h the N(0, h^2) density, summed in that order in float64 and rounded
+    once to float32. Reflection removes the first-order boundary deficit of
+    the plain kernel; without it the fitted marginals lose mass near the
+    endpoints and the quadratic term in the effect estimators picks up a
+    visible bias.
+
+    Rows are built ``_CHUNK`` at a time in the order of sorted y, so each
+    float64 block stays in cache and is cast into its rows of K. The main
+    term covers the whole block. Since y and t lie in [0, 1], the -y
+    reflection is evaluated only where y < R and t < R, and the 2 - y
+    reflection only where y > 1 - R and t > 1 - R, with R = ``_REACH`` h:
+    a contiguous run of the block's rows and of the grid's columns. See
+    ``_REACH`` for why the skipped terms leave K unchanged.
     """
-    out = np.zeros((len(y_train), len(points)))
-    z = np.empty_like(out)
-    for yy in (y_train, -y_train, 2.0 - y_train):
-        np.subtract.outer(yy, points, out=z)
-        z /= h
-        np.clip(z, -38.0, 38.0, out=z)
-        np.square(z, out=z)
-        z *= -0.5
-        out += np.exp(z, out=z)
-    out /= h * np.sqrt(2.0 * np.pi)
+    m, G = len(y_train), len(points)
+    out = np.empty((m, G), dtype=np.float32)
+    reach = _REACH * h
+    cols0 = np.searchsorted(points, reach)                      # t[:cols0] < R
+    cols1 = np.searchsorted(points, 1.0 - reach, side="right")  # t[cols1:] > 1 - R
+    order = np.argsort(y_train)
+    block = np.empty(min(m, _CHUNK) * G)
+    scratch = np.empty_like(block)
+    norm = h * np.sqrt(2.0 * np.pi)
+    for lo in range(0, m, _CHUNK):
+        rows = order[lo:lo + _CHUNK]
+        y = y_train[rows]                                       # sorted
+        k = _gauss(y, points, h, block)
+        near0 = np.searchsorted(y, reach)                       # y[:near0] < R
+        near1 = np.searchsorted(y, 1.0 - reach, side="right")   # y[near1:] > 1 - R
+        k[:near0, :cols0] += _gauss(-y[:near0], points[:cols0], h, scratch)
+        k[near1:, cols1:] += _gauss(2.0 - y[near1:], points[cols1:], h, scratch)
+        k /= norm
+        out[rows] = k
     return out
 
 
@@ -271,7 +315,7 @@ class CondDensityModel:
         # = 1 - |x - x_j|^2 / b^2
         self._train_aug = np.column_stack(
             [xt, np.ones(m), -self._inv_bw2 * (xt**2).sum(axis=1)])
-        self.kmat = k_matrix.astype(np.float32)
+        self.kmat = k_matrix.astype(np.float32, copy=False)
         if regressor == "marginal":
             # uniform covariate weights: K collapses to the sum of its rows
             self.kmat = self.kmat.sum(axis=0, keepdims=True, dtype=float)
@@ -321,7 +365,8 @@ class FactoredEta:
     eval rows' augmented covariates and their 1/mass. ``contract`` rebuilds W
     one ``_CHUNK``-row block at a time. ``row_sums`` is v.T @ eta_hat for the
     row weights v (n_ev, k) given at construction, accumulated in the same
-    pass that finds 1/mass.
+    pass that finds 1/mass. An eval row with no mass (every training kernel
+    it weights is 0 on the grid, as at a tiny h_y) raises ``DataError``.
     """
 
     def __init__(self, model: CondDensityModel, x, grid: EvalGrid, row_weights):
@@ -332,7 +377,13 @@ class FactoredEta:
         self.inv_mass = np.empty(len(self._xa))
         acc = np.zeros((row_weights.shape[1], len(kw)))
         for rows, w in model.weight_blocks(self._xa):
-            self.inv_mass[rows] = 1.0 / (w @ kw)
+            mass = w @ kw
+            if not np.all(mass > 0.0):
+                raise DataError(
+                    f"level {model.level}: an evaluation row has no kernel mass on the "
+                    f"{grid.size}-point grid at outcome bandwidth h_y={model.h_y:g}; "
+                    f"use a larger bandwidth or a finer grid")
+            self.inv_mass[rows] = 1.0 / mass
             acc += (row_weights[rows] * self.inv_mass[rows, None]).T @ w
         self.row_sums = acc @ kmat
 

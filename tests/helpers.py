@@ -1,5 +1,5 @@
-"""Shared test oracles: the raw discrepancy table, finite-difference checks
-and small builders."""
+"""Shared test oracles: the raw discrepancy table, the full outcome-kernel
+matrix, finite-difference checks and small builders."""
 
 import numpy as np
 
@@ -75,6 +75,24 @@ def f21(spec, p, q):
     nu1 = abs_smooth_d1(p - q, spec.tv_t)
     nu2 = abs_smooth_d2(p - q, spec.tv_t)
     return -(nu1 / q + nu2) / (2.0 * q)
+
+
+def kernel_outcome_reference(y_train, points, h):
+    """Reflected Gaussian outcome kernel with all three terms (y, -y, 2 - y)
+    evaluated on the full (m, G) grid in float64: the reference the banded,
+    row-blocked ``nuisance._kernel_outcome_matrix`` must match once rounded
+    to float32."""
+    out = np.zeros((len(y_train), len(points)))
+    z = np.empty_like(out)
+    for yy in (y_train, -y_train, 2.0 - y_train):
+        np.subtract.outer(yy, points, out=z)
+        z /= h
+        np.clip(z, -38.0, 38.0, out=z)
+        np.square(z, out=z)
+        z *= -0.5
+        out += np.exp(z, out=z)
+    out /= h * np.sqrt(2.0 * np.pi)
+    return out
 
 
 def fd_table_check(spec, p_vals=None, q_vals=None, tol=1e-6):

@@ -252,6 +252,24 @@ class TestErrors:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "level 7" in message and "[0, 1]" in message
 
+    @pytest.mark.parametrize("flags", [["fit-projection", "--model", "series:d=2",
+                                        "--distance", "l2"],
+                                       ["density-effect", "--distance", "l2"],
+                                       ["select-model", "--dims", "1..2"]],
+                             ids=lambda flags: flags[0])
+    def test_bandwidth_leaving_a_row_no_mass_is_data_error(self, capsys, recwarn, csv600,
+                                                          flags):
+        # at h_y = 1e-4 on an 8-point grid some training kernels vanish on every
+        # node, and an eval row that weights only those has no mass
+        code = main([flags[0], "--data", csv600, *BASE, "--folds", "2", "--grid", "8",
+                     "--bandwidth", "0.0001", *flags[1:]])
+        assert code == 3
+        stderr = capsys.readouterr().err
+        err = json.loads(stderr)["error"]
+        assert err["exit_code"] == 3 and err["type"] == "DataError"
+        assert "h_y=0.0001" in err["message"] and "8-point grid" in err["message"]
+        assert not [str(w.message) for w in recwarn]    # no division by a zero mass
+
     @pytest.mark.parametrize("argv", [["simulate", "--grid", "64"],
                                       ["fit-projection", "--dims", "1..3"]])
     def test_flag_of_another_command_rejected(self, capsys, argv):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfdens import from_raw, load_csv, make_folds, make_grid, recode_missingness
-from cfdens.data import MISSING_LEVEL, ObservationTable
+from cfdens.data import MISSING_LEVEL, EvalGrid, ObservationTable
 from cfdens.errors import (
     DataError,
     DegenerateOutcomeError,
@@ -114,6 +114,11 @@ class TestGrid:
         for k in range(degree + 1):
             exact = 1.0 / (k + 1)
             assert abs(grid.integrate(grid.points**k) - exact) < 1e-10
+
+    @pytest.mark.parametrize("points", [[-0.1, 0.5, 1.0], [0.0, 0.5, 1.2], [0.0, np.nan, 1.0]])
+    def test_points_outside_unit_interval_rejected(self, points):
+        with pytest.raises(GridError, match=r"\[0, 1\]"):
+            EvalGrid(np.array(points), np.full(3, 1.0 / 3.0))
 
     def test_interp_matrix_columns(self):
         grid = make_grid(64)

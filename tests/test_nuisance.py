@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from cfdens import NuisanceConfig, cross_fit, fit_cond_density, make_folds
+from helpers import kernel_outcome_reference
+
+from cfdens import NuisanceConfig, cross_fit, fit_cond_density, make_folds, make_grid
 from cfdens.data import ObservationTable
 from cfdens.errors import CrossFitViolationError, DataError, InsufficientDataError
 from cfdens.nuisance import (
+    _CHUNK,
+    CondDensityModel,
     FactoredEta,
+    _kernel_outcome_matrix,
     fit_propensity_all,
     floor_probs,
     plugin_marginal,
@@ -103,6 +108,30 @@ class TestSilverman:
 
     def test_degenerate_sample_gets_floor(self):
         assert silverman_bandwidth(np.full(30, 0.4)) >= 1e-3
+
+
+class TestOutcomeKernel:
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+    @pytest.mark.parametrize("size", [64, 509])
+    @pytest.mark.parametrize("h", [1e-3, 0.005, 0.02, 0.041, 0.07, 0.3])
+    def test_bit_identical_to_full_reference(self, rule, size, h):
+        # m is not a multiple of the row block, and y hits both ends and the
+        # middle; at h = 0.07 and 0.3 both reflections reach every row
+        m = 1000
+        assert m % _CHUNK
+        y = np.random.default_rng(size).uniform(size=m)
+        y[[0, 411, m - 1]] = [0.0, 0.5, 1.0]
+        points = make_grid(size, rule).points
+        got = _kernel_outcome_matrix(y, points, h).astype(np.float32, copy=False)
+        ref = kernel_outcome_reference(y, points, h).astype(np.float32)
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    def test_model_keeps_the_float32_kernel(self, rng, grid128):
+        table = uniform_table(200, rng)
+        y = table.y[table.a == 1]
+        kmat = _kernel_outcome_matrix(y, grid128.points, 0.05)
+        model = CondDensityModel(1, table.x[table.a == 1], kmat, "nadaraya_watson", 0.05)
+        assert np.shares_memory(model.kmat, kmat)
 
 
 class TestCondDensity:
