@@ -9,10 +9,15 @@ mean of the raw doubly-robust summands of h (``fold_nuisance``). A fitted
 density keeps its outcome-kernel matrix K in float32 (m, G), the eval rows'
 covariates and their 1/mass (``FactoredEta``); no (n_ev, G) array is built
 unless ``CondDensityModel.predict`` is called. K is built ``_CHUNK`` rows at
-a time straight into float32, each reflection evaluated only within
-``_REACH`` bandwidths of its end of [0,1]; it equals the full three-term
-float64 sum rounded to float32, bit for bit. An eval row left with no kernel
-mass raises ``DataError``. Shipped learners are multinomial logistic
+a time straight into float32, skipping every entry whose value is already
+known: the main term beyond a band of about 15 bandwidths (float32 0) and
+each reflection beyond a staircase near its end of [0,1] (too small to move
+a bit); it equals the full three-term float64 sum rounded to float32, bit for
+bit. The covariate weights are clipped Epanechnikov windows; only a block with
+a zero-mass row is searched for empty windows, whose rows fall back to their
+nearest training row. An eval row left with no kernel mass raises
+``DataError``, in ``FactoredEta``, ``predict`` and ``tabulate_nuisances``
+alike. Shipped learners are multinomial logistic
 regression and k-NN for the propensity, and Nadaraya-Watson / k-NN /
 marginal-only kernel regressions of a Gaussian-kernel-transformed outcome
 for the conditional density. Analytic or deliberately misspecified
@@ -41,7 +46,26 @@ _CHUNK = 256           # rows per covariate-weight block and per outcome-kernel 
 # large is at least 2^-204 h sqrt(2 pi) ~ 1e-67 for h >= 1e-6: adding a skipped
 # term leaves such a sum unchanged, and a smaller sum casts to 0 either way. So
 # K is bit-identical to the one with both reflections evaluated everywhere.
+#
+# Inside that reach the reflections form a staircase. For y, t in [0, 1] the
+# -y term over the main term is exp(-((y+t)^2 - (y-t)^2) / 2h^2) = exp(-2yt/h^2).
+# Where yt >= _STAIR h^2 (= 20 h^2) that ratio is below e^-40 < 2^-54, under
+# half an ulp of the float64 main term (e^-37.4 leaves room for the rounding of
+# both exponents), so adding the term leaves the sum as it is; the 2 - y term
+# is the same with (1-y)(1-t). The builder stops each step of _STEP sorted rows
+# at the column where t reaches min(R, _STAIR h^2 / y_min) (``_staircase``).
+#
+# The main term is banded. Both reflections are at most the main term on
+# [0, 1]^2, so where the main term is below e^-2 2^-150 min(1, h sqrt(2 pi))
+# the three-term sum divided by h sqrt(2 pi) is below 0.41 * 2^-150 and casts
+# to float32 0, as the zeros K starts from. That holds at |y - t| >= B with
+#   B = h sqrt(2 (150 ln 2 + ln+(1 / (h sqrt(2 pi))) + 2))   (~14.6 h),
+# so each row block is evaluated only on the columns within B of its y range.
+# At small h that skips most of the entries with |y - t| > 37.6 h, whose exp is
+# subnormal and on numpy's slow path.
 _REACH = 18.0
+_STAIR = 20.0           # the staircase's yt / h^2 bound
+_STEP = 32              # sorted rows per staircase step
 LOGIT_TOL = 1e-8        # gradient norm at which the logistic Newton fit stops
 LOGIT_MAX_ITER = 100
 
@@ -213,14 +237,40 @@ def silverman_bandwidth(y):
 
 def _gauss(yy, points, h, buf):
     """exp(-z^2 / 2) for z = (yy_i - t_j) / h clipped at +-38, (len(yy), len(points)),
-    written into the front of the flat float64 buffer ``buf``."""
+    written into the front of the flat float64 buffer ``buf``. Both yy and
+    points are monotone, so the largest |yy_i - t_j| is at a corner; where it
+    is at most 37 h the clip cannot change a bit and is skipped."""
     z = buf[:len(yy) * len(points)].reshape(len(yy), len(points))
     np.subtract.outer(yy, points, out=z)
     z /= h
-    np.clip(z, -38.0, 38.0, out=z)
+    if z.size and max(abs(yy[0] - points[0]), abs(yy[0] - points[-1]),
+                      abs(yy[-1] - points[0]), abs(yy[-1] - points[-1])) > 37.0 * h:
+        np.clip(z, -38.0, 38.0, out=z)
     np.square(z, out=z)
     z *= -0.5
     return np.exp(z, out=z)
+
+
+def _staircase(d, dt, reach, stair):
+    """Yield (start, stop, cols) over the rows at sorted distances d < R from
+    one end of [0, 1], in steps of ``_STEP`` rows: the reflection at that end
+    is needed only on the grid points at sorted distances dt[:cols] < min(R,
+    ``_STAIR`` h^2 / d_start) from it. A step whose stop is within ``_STEP``
+    columns of the stop of the group before it joins that group, as a numpy
+    call costs about as much as the few extra entries."""
+    starts = np.arange(0, len(d), _STEP)
+    near = d[starts]
+    cut = np.full(len(starts), reach)
+    far = near * reach > stair
+    cut[far] = stair / near[far]
+    cols = np.searchsorted(dt, cut)
+    i = 0
+    while i < len(starts):
+        j = i + 1
+        while j < len(starts) and cols[i] - cols[j] <= _STEP:
+            j += 1
+        yield starts[i], starts[j] if j < len(starts) else len(d), cols[i]
+        i = j
 
 
 def _kernel_outcome_matrix(y_train, points, h):
@@ -234,42 +284,55 @@ def _kernel_outcome_matrix(y_train, points, h):
     visible bias.
 
     Rows are built ``_CHUNK`` at a time in the order of sorted y, so each
-    float64 block stays in cache and is cast into its rows of K. The main
-    term covers the whole block. Since y and t lie in [0, 1], the -y
-    reflection is evaluated only where y < R and t < R, and the 2 - y
-    reflection only where y > 1 - R and t > 1 - R, with R = ``_REACH`` h:
-    a contiguous run of the block's rows and of the grid's columns. See
-    ``_REACH`` for why the skipped terms leave K unchanged.
+    float64 block stays in cache and is cast into its rows of K, which
+    starts as zeros. Since y and t lie in [0, 1], three kinds of entry are
+    known before they are computed (derivations at ``_REACH``):
+    - the main term is evaluated only on the band of columns within B
+      (~14.6 h) of the block's y range; beyond it every entry is float32 0;
+    - the -y reflection only where y < R and t < min(R, 20 h^2 / y_min),
+      with R = ``_REACH`` h and y_min the smallest y of each ``_STEP``-row
+      step: a staircase, beyond which adding the term changes no bit;
+    - the 2 - y reflection the same way with 1 - y and 1 - t.
+    Every entry that is computed keeps the float64 operations and their
+    order above, so K is bit-identical to the full three-term sum.
     """
     m, G = len(y_train), len(points)
-    out = np.empty((m, G), dtype=np.float32)
+    out = np.zeros((m, G), dtype=np.float32)
+    norm = h * np.sqrt(2.0 * np.pi)
     reach = _REACH * h
-    cols0 = np.searchsorted(points, reach)                      # t[:cols0] < R
-    cols1 = np.searchsorted(points, 1.0 - reach, side="right")  # t[cols1:] > 1 - R
+    stair = _STAIR * h * h
+    band = h * np.sqrt(2.0 * (150.0 * np.log(2.0) + max(0.0, -np.log(norm)) + 2.0))
     order = np.argsort(y_train)
     block = np.empty(min(m, _CHUNK) * G)
     scratch = np.empty_like(block)
-    norm = h * np.sqrt(2.0 * np.pi)
     for lo in range(0, m, _CHUNK):
         rows = order[lo:lo + _CHUNK]
         y = y_train[rows]                                       # sorted
-        k = _gauss(y, points, h, block)
+        c0 = np.searchsorted(points, y[0] - band)               # t[:c0] < y_0 - B
+        c1 = np.searchsorted(points, y[-1] + band, side="right")  # t[c1:] > y_max + B
+        t = points[c0:c1]
+        k = _gauss(y, t, h, block)
         near0 = np.searchsorted(y, reach)                       # y[:near0] < R
-        near1 = np.searchsorted(y, 1.0 - reach, side="right")   # y[near1:] > 1 - R
-        k[:near0, :cols0] += _gauss(-y[:near0], points[:cols0], h, scratch)
-        k[near1:, cols1:] += _gauss(2.0 - y[near1:], points[cols1:], h, scratch)
+        for s, e, c in _staircase(y[:near0], t, reach, stair):
+            k[s:e, :c] += _gauss(-y[s:e], t[:c], h, scratch)
+        top = np.searchsorted(y, 1.0 - reach, side="right")     # y[top:] > 1 - R
+        for s, e, c in _staircase(1.0 - y[top:][::-1], 1.0 - t[::-1], reach, stair):
+            r = slice(len(y) - e, len(y) - s)
+            k[r, len(t) - c:] += _gauss(2.0 - y[r], t[len(t) - c:], h, scratch)
         k /= norm
-        out[rows] = k
+        out[rows, c0:c1] = k
     return out
 
 
 def _normalize_rows_to_density(eta, grid):
+    """Rows of eta clipped at 0 and scaled to unit mass under the grid
+    quadrature; a row with no mass raises ``DataError``, as in ``FactoredEta``."""
     eta = np.maximum(eta, 0.0)
     mass = eta @ grid.weights
-    bad = mass <= 1e-300
-    if np.any(bad):
-        eta[bad] = 1.0  # no kernel mass anywhere: fall back to uniform
-        mass = eta @ grid.weights
+    bad = np.flatnonzero(mass <= 1e-300)
+    if bad.size:
+        raise DataError(f"conditional density row {bad[0]} has no mass on the "
+                        f"{grid.size}-point grid ({bad.size} such rows)")
     return eta / mass[:, None]
 
 
@@ -283,9 +346,9 @@ class CondDensityModel:
     the unit-mass normaliser under the grid quadrature w (so the scale of W
     never matters). Nadaraya-Watson weights are Epanechnikov on standardized
     coordinates (compact support keeps them cheap) and a row with no
-    in-window neighbor falls back to its nearest one; k-NN weights mark the
-    k nearest rows; marginal weights are uniform, so there K collapses to the
-    (1, G) sum of its rows.
+    in-window neighbor falls back to its nearest one (``empty_rows``, the one
+    fallback rule); k-NN weights mark the k nearest rows; marginal weights
+    are uniform, so there K collapses to the (1, G) sum of its rows.
 
     K is kept in float32 (``kmat``; the marginal's summed row in float64) and
     every product with it runs in float64.
@@ -329,7 +392,12 @@ class CondDensityModel:
 
     def weight_blocks(self, xa):
         """Yield (rows, W): unnormalised covariate weights of ``_CHUNK`` rows of
-        ``covariates(x)`` against the training rows, each block from one GEMM."""
+        ``covariates(x)`` against the training rows, each block from one GEMM.
+
+        Nadaraya-Watson weights are only clipped at 0 here, in place, so a row
+        with an empty window is all zero: it has zero mass, and the caller
+        gives it its nearest-neighbour fallback from ``empty_rows``.
+        """
         m = len(self.kmat)
         for lo in range(0, len(xa), _CHUNK):
             rows = slice(lo, min(lo + _CHUNK, len(xa)))
@@ -342,18 +410,35 @@ class CondDensityModel:
                 w.fill(0.0)
                 np.put_along_axis(w, nbr, 1.0, axis=1)
             else:
-                empty = np.flatnonzero(w.max(axis=1) <= 0.0)
-                nearest = w[empty].argmax(axis=1)
                 np.maximum(w, 0.0, out=w)
-                w[empty, nearest] = 1.0
             yield rows, w
 
+    def empty_rows(self, xa, rows, mass):
+        """(empty, nearest) for the ``weight_blocks`` block ``rows`` with row
+        masses ``mass``: the rows of zero mass whose Epanechnikov window holds
+        no training row, relative to the block, and the nearest training row
+        of each. Setting W[empty, nearest] = 1 gives them their fallback.
+
+        Only a zero mass makes a row a candidate, so the block's GEMM is re-run
+        here, and nowhere else, only for a block that has one; the nearest row
+        is then the argmax of the very values ``weight_blocks`` clipped.
+        """
+        cand = np.flatnonzero(mass == 0.0)
+        if self.regressor != "nadaraya_watson" or not cand.size:
+            return cand[:0], cand[:0]
+        raw = xa[rows] @ self._train_aug.T
+        empty = cand[raw[cand].max(axis=1) <= 0.0]
+        return empty, raw[empty].argmax(axis=1)
+
     def predict(self, x, grid: EvalGrid):
-        """Materialise eta_hat on the rows of x: (n, G), each row unit mass."""
+        """Materialise eta_hat on the rows of x: (n, G), each row unit mass; a
+        row with no kernel mass raises ``DataError``."""
         kmat = self.kmat.astype(float)
+        kw = kmat @ grid.weights
         xa = self.covariates(x)
         out = np.empty((len(xa), kmat.shape[1]))
         for rows, w in self.weight_blocks(xa):
+            w[self.empty_rows(xa, rows, w @ kw)] = 1.0
             out[rows] = w @ kmat
         return _normalize_rows_to_density(out, grid)
 
@@ -365,8 +450,15 @@ class FactoredEta:
     eval rows' augmented covariates and their 1/mass. ``contract`` rebuilds W
     one ``_CHUNK``-row block at a time. ``row_sums`` is v.T @ eta_hat for the
     row weights v (n_ev, k) given at construction, accumulated in the same
-    pass that finds 1/mass. An eval row with no mass (every training kernel
-    it weights is 0 on the grid, as at a tiny h_y) raises ``DataError``.
+    pass that finds 1/mass.
+
+    That pass also finds the nearest-neighbour fallback: in a block with a
+    zero mass, ``CondDensityModel.empty_rows`` names the rows with an empty
+    window, and the mass of such a row is that of its nearest training
+    kernel (exact, since the row is one-hot). The fallback is stored per
+    block, and ``contract`` patches it into the blocks it rebuilds. An eval
+    row still without mass (every training kernel it weights is 0 on the
+    grid, as at a tiny h_y) raises ``DataError``.
     """
 
     def __init__(self, model: CondDensityModel, x, grid: EvalGrid, row_weights):
@@ -375,14 +467,21 @@ class FactoredEta:
         kmat = model.kmat.astype(float)
         kw = kmat @ grid.weights                        # (m,) mass of each training kernel
         self.inv_mass = np.empty(len(self._xa))
+        self._fallback = {}                             # block start -> (empty, nearest)
         acc = np.zeros((row_weights.shape[1], len(kw)))
         for rows, w in model.weight_blocks(self._xa):
             mass = w @ kw
             if not np.all(mass > 0.0):
-                raise DataError(
-                    f"level {model.level}: an evaluation row has no kernel mass on the "
-                    f"{grid.size}-point grid at outcome bandwidth h_y={model.h_y:g}; "
-                    f"use a larger bandwidth or a finer grid")
+                empty, nearest = model.empty_rows(self._xa, rows, mass)
+                if empty.size:
+                    self._fallback[rows.start] = empty, nearest
+                    w[empty, nearest] = 1.0
+                    mass[empty] = kw[nearest]
+                if not np.all(mass > 0.0):
+                    raise DataError(
+                        f"level {model.level}: an evaluation row has no kernel mass on the "
+                        f"{grid.size}-point grid at outcome bandwidth h_y={model.h_y:g}; "
+                        f"use a larger bandwidth or a finer grid")
             self.inv_mass[rows] = 1.0 / mass
             acc += (row_weights[rows] * self.inv_mass[rows, None]).T @ w
         self.row_sums = acc @ kmat
@@ -393,6 +492,9 @@ class FactoredEta:
         kwh = self.model.kmat @ np.asarray(wh, dtype=float)     # float64 product
         out = np.empty((len(self._xa),) + kwh.shape[1:])
         for rows, w in self.model.weight_blocks(self._xa):
+            fallback = self._fallback.get(rows.start)
+            if fallback is not None:
+                w[fallback] = 1.0
             out[rows] = ((w @ kwh).T * self.inv_mass[rows]).T
         return out
 

@@ -1,9 +1,11 @@
 """Shared test oracles: the raw discrepancy table, the full outcome-kernel
-matrix, finite-difference checks and small builders."""
+matrix, the row-max covariate weights, finite-difference checks and small
+builders."""
 
 import numpy as np
 
 from cfdens.distances import abs_smooth, abs_smooth_d1, abs_smooth_d2
+from cfdens.nuisance import _CHUNK
 
 # ---------------------------------------------------------------------------
 # raw discrepancy table: f(p, q) and its partials, composed from first
@@ -93,6 +95,22 @@ def kernel_outcome_reference(y_train, points, h):
         out += np.exp(z, out=z)
     out /= h * np.sqrt(2.0 * np.pi)
     return out
+
+
+def weight_blocks_reference(model, xa):
+    """Nadaraya-Watson covariate weights of the augmented covariates xa, block
+    by block: each block's empty Epanechnikov windows are found by a pass over
+    its row maxima, and such a row gets weight 1 on its nearest training row.
+    The reference the W blocks that ``FactoredEta`` feeds to ``contract``
+    must match."""
+    for lo in range(0, len(xa), _CHUNK):
+        rows = slice(lo, min(lo + _CHUNK, len(xa)))
+        w = xa[rows] @ model._train_aug.T
+        empty = np.flatnonzero(w.max(axis=1) <= 0.0)
+        nearest = w[empty].argmax(axis=1)
+        np.maximum(w, 0.0, out=w)
+        w[empty, nearest] = 1.0
+        yield rows, w
 
 
 def fd_table_check(spec, p_vals=None, q_vals=None, tol=1e-6):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import kernel_outcome_reference
+from helpers import kernel_outcome_reference, weight_blocks_reference
 
 from cfdens import NuisanceConfig, cross_fit, fit_cond_density, make_folds, make_grid
+from cfdens import nuisance
 from cfdens.data import ObservationTable
 from cfdens.errors import CrossFitViolationError, DataError, InsufficientDataError
 from cfdens.nuisance import (
@@ -112,19 +113,41 @@ class TestSilverman:
 
 class TestOutcomeKernel:
     @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
-    @pytest.mark.parametrize("size", [64, 509])
-    @pytest.mark.parametrize("h", [1e-3, 0.005, 0.02, 0.041, 0.07, 0.3])
+    @pytest.mark.parametrize("size", [64, 128, 509, 512])
+    @pytest.mark.parametrize("h", [1e-6, 1e-3, 0.005, 0.02, 0.041, 0.07, 0.3, 2.0])
     def test_bit_identical_to_full_reference(self, rule, size, h):
         # m is not a multiple of the row block, and y hits both ends and the
-        # middle; at h = 0.07 and 0.3 both reflections reach every row
+        # middle; at h = 0.07 and above both reflections reach every row. The
+        # U-shaped y puts whole row blocks next to each end of [0, 1], where
+        # the reflections' staircase matters most, and h = 1e-6 leaves the
+        # main term's band only a few columns per block
         m = 1000
         assert m % _CHUNK
-        y = np.random.default_rng(size).uniform(size=m)
-        y[[0, 411, m - 1]] = [0.0, 0.5, 1.0]
+        rng = np.random.default_rng(size)
         points = make_grid(size, rule).points
-        got = _kernel_outcome_matrix(y, points, h).astype(np.float32, copy=False)
-        ref = kernel_outcome_reference(y, points, h).astype(np.float32)
-        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+        for y in (rng.uniform(size=m), rng.beta(0.3, 0.3, size=m)):
+            y[[0, 411, m - 1]] = [0.0, 0.5, 1.0]
+            got = _kernel_outcome_matrix(y, points, h).astype(np.float32, copy=False)
+            ref = kernel_outcome_reference(y, points, h).astype(np.float32)
+            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+
+    @pytest.mark.parametrize("h, bound", [(0.003, 0.25), (0.041, 1.25)])
+    def test_kernel_entries_evaluated(self, h, bound, grid, monkeypatch):
+        # the entries _gauss evaluates, per m G: the full main term plus the
+        # reflections' squares would be 1.00 at h = 0.003 and 2.21 at
+        # h = 0.041; the band and the staircase bring them to 0.16 and 1.11
+        m = 2845
+        y = np.random.default_rng(5).beta(2.0, 3.0, size=m)
+        count = [0]
+        gauss = nuisance._gauss
+
+        def counting(yy, points, hh, buf):
+            count[0] += len(yy) * len(points)
+            return gauss(yy, points, hh, buf)
+
+        monkeypatch.setattr(nuisance, "_gauss", counting)
+        _kernel_outcome_matrix(y, grid.points, h)
+        assert count[0] < bound * m * grid.size
 
     def test_model_keeps_the_float32_kernel(self, rng, grid128):
         table = uniform_table(200, rng)
@@ -213,6 +236,86 @@ class TestFactoredEta:
         assert np.allclose(factored.contract(wh), eta @ wh, rtol=0.0, atol=1e-12)
         assert np.allclose(factored.contract(wh[:, 0]), eta @ wh[:, 0], rtol=0.0, atol=1e-12)
         assert np.allclose(factored.row_sums, v.T @ eta, rtol=1e-12, atol=0.0)
+
+
+class TestCovariateWeights:
+    @staticmethod
+    def far_rows(rng, grid128):
+        # rows 200..699 lie far outside the training cloud: the tail of the
+        # first 256-row block, all of the second and most of the third fall
+        # back to their nearest training row
+        table = get_dgp("confounded_shift").sample(1200, rng)
+        model = fit_cond_density(table, 1, grid128)
+        far = 30.0 + 10.0 * rng.uniform(size=(500, 2))
+        x = np.vstack([rng.uniform(size=(200, 2)), far, rng.uniform(size=(100, 2))])
+        return model, x
+
+    def test_blocks_match_the_row_max_builder(self, rng, grid128, monkeypatch):
+        model, x = self.far_rows(rng, grid128)
+        xa = model.covariates(x)
+        empty = np.flatnonzero((xa @ model._train_aug.T).max(axis=1) <= 0.0)
+        assert np.array_equal(empty, np.arange(200, 700))
+        v = rng.uniform(size=(len(x), 2))
+        eta = FactoredEta(model, x, grid128, v)
+        # the blocks contract multiplies, as they stand once it has used them
+        got = []
+        blocks = model.weight_blocks
+
+        def spy(xa_):
+            for rows, w in blocks(xa_):
+                got.append((rows, w))
+                yield rows, w
+
+        monkeypatch.setattr(model, "weight_blocks", spy)
+        eta.contract(grid128.weights)
+        ref = list(weight_blocks_reference(model, xa))
+        assert [rows for rows, _ in got] == [rows for rows, _ in ref]
+        for (_, w), (_, w_ref) in zip(got, ref):
+            assert np.array_equal(w, w_ref)
+        # 1/mass and row sums as the row-max builder's FactoredEta formed them
+        kmat = model.kmat.astype(float)
+        kw = kmat @ grid128.weights
+        inv_mass = np.empty(len(x))
+        acc = np.zeros((2, len(kw)))
+        for rows, w in ref:
+            inv_mass[rows] = 1.0 / (w @ kw)
+            acc += (v[rows] * inv_mass[rows, None]).T @ w
+        assert np.array_equal(eta.inv_mass, inv_mass)
+        assert np.array_equal(eta.row_sums, acc @ kmat)
+
+    def test_fallback_to_a_massless_kernel_raises(self, rng, grid128):
+        model, x = self.far_rows(rng, grid128)
+        far = x[250:251]
+        nearest = (model.covariates(far) @ model._train_aug.T).argmax()
+        model.kmat[nearest] = 0.0
+        with pytest.raises(DataError, match="no kernel mass"):
+            FactoredEta(model, far, grid128, np.ones((1, 1)))
+
+
+class TestZeroMassRows:
+    def test_predict_raises_like_the_factored_form(self):
+        # at h_y = 1e-4 on 8 grid points most training kernels miss every
+        # node; 32 of these 300 eval rows weight only such kernels
+        grid8 = make_grid(8, "trapezoid")
+        table = get_dgp("confounded_shift").sample(600, np.random.default_rng(0))
+        model = fit_cond_density(table.rows(np.arange(300)), 1, grid8, bandwidth=1e-4)
+        x = table.x[300:]
+        with pytest.raises(DataError, match="no kernel mass"):
+            FactoredEta(model, x, grid8, np.ones((300, 1)))
+        with pytest.raises(DataError, match="no mass"):
+            model.predict(x, grid8)
+
+    def test_tabulate_raises_on_a_zero_row(self, rng, grid128):
+        table = uniform_table(50, rng)
+
+        def eta_fn(xq, level, points):
+            eta = np.ones((len(xq), len(points)))
+            eta[7] = 0.0
+            return eta
+
+        with pytest.raises(DataError, match="row 7 "):
+            tabulate_nuisances(table, np.arange(50), (1,), grid128,
+                               lambda xq, lev: np.full(len(xq), 0.5), eta_fn)
 
 
 class TestPluginMarginal:
