@@ -19,7 +19,7 @@ from .data import (
     recode_missingness,
 )
 from .distances import DistanceSpec, divergence, parse_distance
-from .effects import EffectEstimate, effect_fixed_candidate, effect_l2_direct, effect_onestep
+from .effects import EffectEstimate, effect_fixed_candidate, effect_onestep
 from .models import (
     CosineBasis,
     ExponentialFamily,
@@ -62,7 +62,6 @@ __all__ = [
     "dgp_library",
     "divergence",
     "effect_fixed_candidate",
-    "effect_l2_direct",
     "effect_onestep",
     "fit_cond_density",
     "from_raw",

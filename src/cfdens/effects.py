@@ -15,11 +15,12 @@ import numpy as np
 
 from .data import EvalGrid, ObservationTable
 from .distances import DistanceSpec, divergence
-from .eif import dr_scores, effect_curves
+# dr_scores is not called here; perfbench/tracing.py wraps this module's binding of it
+from .eif import dr_scores, effect_curves  # noqa: F401
 from .errors import DataError
-from .projection import onestep, onestep_influence
+from .nuisance import require_levels
+from .projection import Z95, onestep, onestep_influence
 
-Z95 = 1.96
 EFFECT_FLOOR = 1e-8  # density floor for the ratio-based divergences
 
 
@@ -65,10 +66,8 @@ def effect_onestep(distance: DistanceSpec, table: ObservationTable, folds_nuis,
     plug-in counterparts. Influence values are pooled across folds for the
     standard error.
     """
+    require_levels(folds_nuis, levels)
     lev1, lev0 = levels
-    for lev in levels:
-        if lev not in folds_nuis[0].pi:
-            raise DataError(f"level {lev} missing from nuisance tabulations")
     floor = EFFECT_FLOOR if _needs_floor(distance) else None
 
     def terms(fold):
@@ -84,50 +83,6 @@ def effect_onestep(distance: DistanceSpec, table: ObservationTable, folds_nuis,
     return _finalize(psi, influence, levels, floor)
 
 
-def effect_l2_direct(table: ObservationTable, folds_nuis, grid: EvalGrid,
-                     levels=(1, 0)) -> EffectEstimate:
-    """Squared-L2 effect in its direct closed form.
-
-    Per fold, writing delta = p_hat_1 - p_hat_0:
-        2 P_n[ (2A-1)/pi_A {delta(Y) - int delta eta_A}
-               + int delta (eta_1 - eta_0) ]  -  int delta^2.
-    Algebraically identical to ``effect_onestep`` with the l2 distance
-    because the fold marginal is the row average of eta over the same rows;
-    the two paths agree to machine precision on identical inputs.
-    """
-    lev1, lev0 = levels
-    distance = DistanceSpec("l2")
-    sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
-    weights = sizes / sizes.sum()
-    psi = 0.0
-    pooled = []
-    for w, fold in zip(weights, folds_nuis):
-        idx = fold.eval_idx
-        a = table.a[idx]
-        delta = fold.p_hat[lev1] - fold.p_hat[lev0]          # (G,)
-        wdelta = grid.weights * delta
-        int_d_eta1 = fold.eta[lev1].contract(wdelta)         # (n_ev,)
-        int_d_eta0 = fold.eta[lev0].contract(wdelta)
-        terms = int_d_eta1 - int_d_eta0                      # int delta (eta1 - eta0)
-        hit1 = a == lev1
-        hit0 = a == lev0
-        if hit1.any():
-            d_at_y = grid.interp(delta, table.y[idx[hit1]])
-            terms[hit1] += (d_at_y - int_d_eta1[hit1]) / fold.pi[lev1][hit1]
-        if hit0.any():
-            d_at_y = grid.interp(delta, table.y[idx[hit0]])
-            terms[hit0] -= (d_at_y - int_d_eta0[hit0]) / fold.pi[lev0][hit0]
-        int_d2 = float(grid.integrate(delta**2))
-        psi += w * (2.0 * float(terms.mean()) - int_d2)
-        # influence values match the one-step path exactly
-        lam1, lam0 = effect_curves(distance, fold.p_hat[lev1], fold.p_hat[lev0])
-        s1 = dr_scores(table, fold, lev1, lam1, grid)
-        s0 = dr_scores(table, fold, lev0, lam0, grid)
-        pooled.append((s1 - s1.mean()) + (s0 - s0.mean()))
-    influence = np.concatenate(pooled)
-    return _finalize(psi, influence, levels, None)
-
-
 def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
                            folds_nuis, level, g, grid: EvalGrid) -> EffectEstimate:
     """One-step distance between p_level and a fixed, known density g.
@@ -136,6 +91,7 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
     fixed-candidate transform net of its plug-in counterpart; for l2 this is
     the displayed closed form with transform 2 (p_hat - g).
     """
+    require_levels(folds_nuis, (level,))
     g = np.asarray(g, dtype=float)
     if g.shape != grid.points.shape:
         raise DataError("candidate density must be tabulated on the grid")

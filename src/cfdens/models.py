@@ -10,6 +10,7 @@ work on all of R^p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -83,7 +84,7 @@ class GaussianMixture:
     """
 
     k: int
-    sigma_min: float = 1e-3
+    sigma_min: ClassVar[float] = 1e-3
 
     def __post_init__(self):
         if self.k < 1:
@@ -134,11 +135,10 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def mixture_params(model: GaussianMixture, beta, sort=False):
-    """Map unconstrained beta to (weights, means, scales).
+def mixture_params(model: GaussianMixture, beta):
+    """Map unconstrained beta to (weights, means, scales), in component order.
 
-    ``sort=True`` orders components by mean for reporting; solutions are only
-    unique up to component relabeling, so sorted output is the canonical form.
+    Solutions are only unique up to component relabeling.
     """
     beta = _check_beta(model, beta)
     k = model.k
@@ -153,9 +153,6 @@ def mixture_params(model: GaussianMixture, beta, sort=False):
         w = w / w.sum()
         mu = beta[k - 1 : 2 * k - 1]
         sig = model.sigma_min + _softplus(beta[2 * k - 1 :])
-    if sort:
-        order = np.argsort(mu)
-        return w[order], mu[order], sig[order]
     return w, mu, sig
 
 

@@ -99,7 +99,7 @@ def floor_probs(probs, eps):
 
 
 class PropensityModel:
-    """Joint propensity over all modeled levels, queried per level."""
+    """Joint propensity over all modeled levels, one column per level in ``levels``."""
 
     def __init__(self, levels, predict_raw, clip_eps, warn=False):
         self.levels = tuple(int(v) for v in levels)
@@ -111,11 +111,6 @@ class PropensityModel:
         """Clipped probabilities, shape (n, L), rows summing to one."""
         raw = self._predict_raw(np.asarray(x, dtype=float))
         return floor_probs(raw, self.clip_eps)
-
-    def predict_level(self, x, level):
-        if level not in self.levels:
-            raise DataError(f"level {level} not among modeled levels {self.levels}")
-        return self.predict(x)[:, self.levels.index(level)]
 
 
 def _fit_multinomial_logistic(x, a, levels):
@@ -326,13 +321,14 @@ def _kernel_outcome_matrix(y_train, points, h):
 
 def _normalize_rows_to_density(eta, grid):
     """Rows of eta clipped at 0 and scaled to unit mass under the grid
-    quadrature; a row with no mass raises ``DataError``, as in ``FactoredEta``."""
+    quadrature; a row whose mass is not finite and positive (a NaN or inf
+    entry, or no mass) raises ``DataError``, as in ``FactoredEta``."""
     eta = np.maximum(eta, 0.0)
     mass = eta @ grid.weights
-    bad = np.flatnonzero(mass <= 1e-300)
+    bad = np.flatnonzero(~np.isfinite(mass) | (mass <= 1e-300))
     if bad.size:
-        raise DataError(f"conditional density row {bad[0]} has no mass on the "
-                        f"{grid.size}-point grid ({bad.size} such rows)")
+        raise DataError(f"conditional density row {bad[0]} has non-finite or no mass on "
+                        f"the {grid.size}-point grid ({bad.size} such rows)")
     return eta / mass[:, None]
 
 
@@ -583,6 +579,13 @@ class FoldNuisance:
     @property
     def n_eval(self):
         return len(self.eval_idx)
+
+
+def require_levels(folds_nuis, levels):
+    """Raise ``DataError`` unless the fold nuisances are tabulated at every level."""
+    for lev in levels:
+        if lev not in folds_nuis[0].pi:
+            raise DataError(f"level {lev} missing from nuisance tabulations")
 
 
 def fold_nuisance(table: ObservationTable, eval_idx, grid: EvalGrid, pi, tabulate,

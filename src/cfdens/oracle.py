@@ -8,7 +8,8 @@ its descriptor: per-rep RNG streams derive from (seed, n index, rep).
 
 Two constants fix the oracles' effort: a marginal without a 1-d closed form
 averages ``MARGINAL_DRAWS`` covariate draws from seed 0, and the Nelder-Mead
-projection oracle starts from ``NM_STARTS`` points (zero, then jittered).
+projection oracle starts from ``NM_STARTS`` points (zero, then jittered from
+seed 0).
 
 The remainder harness tilts both nuisances of one arm along one fixed
 direction: pi + s*eps*u(x) and eta + s*eps*v(x, y), with
@@ -113,15 +114,15 @@ class SyntheticDGP:
         y = self.sampler(x, a, rng)
         return ObservationTable(x, a, np.clip(y, 0.0, 1.0), (0.0, 1.0))
 
-    def marginal(self, level, grid: EvalGrid, exact=True):
+    def marginal(self, level, grid: EvalGrid):
         """True counterfactual marginal p_level on the grid.
 
-        When eta depends only on the first covariate coordinate, a 1-d
-        Gauss-Legendre average over that coordinate is exact to machine
-        precision; otherwise (or when ``exact=False``) the average over
+        When eta depends only on the first covariate coordinate
+        (``marginal_1d``), a 1-d Gauss-Legendre average over that coordinate
+        is exact to machine precision; otherwise the average over
         ``MARGINAL_DRAWS`` covariate draws from seed 0 is used.
         """
-        if self.marginal_1d and exact:
+        if self.marginal_1d:
             nodes, wts = np.polynomial.legendre.leggauss(64)
             t = 0.5 * (nodes + 1.0)
             x = np.zeros((64, self.d))
@@ -281,12 +282,12 @@ class OracleResult:
 
 
 def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
-                      grid: EvalGrid, seed=0, p_a=None) -> OracleResult:
+                      grid: EvalGrid, p_a=None) -> OracleResult:
     """Population projection coefficients by two independent routes.
 
     Squared-L2 on the cosine series has the closed form beta_j = int b_j p.
     Otherwise: Nelder-Mead minimization of the divergence from ``NM_STARTS``
-    starts (zero, then jittered from ``seed``), cross-checked and polished by
+    starts (zero, then jittered from seed 0), cross-checked and polished by
     a Newton root of the population moment (reported when its residual is
     below 1e-6). Disagreement between starts beyond 1e-3 in their minimized
     divergence flags multimodality.
@@ -304,7 +305,7 @@ def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
     def objective(beta):
         return divergence(distance, p_a, g_on_grid(model, beta, grid), grid)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     minima = []
     for s in range(NM_STARTS):
         start = np.zeros(model.beta_dim) if s == 0 else rng.normal(0.0, 0.25, model.beta_dim)

@@ -24,7 +24,7 @@ import numpy as np
 from .data import EvalGrid, ObservationTable
 from .distances import DistanceSpec, influence_integrand_factor, moment_integrand_factor
 from .eif import dr_scores
-from .errors import DataError, InfeasibleMomentError, RankError, SolverError
+from .errors import InfeasibleMomentError, RankError, SolverError
 from .models import (
     ExponentialFamily,
     GaussianMixture,
@@ -34,6 +34,7 @@ from .models import (
     g_on_grid,
     log_partition,
 )
+from .nuisance import require_levels
 
 Z95 = 1.96
 BETA_RUNAWAY = 60.0
@@ -227,25 +228,23 @@ def _special_route(distance, model):
 
 
 def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
-                  folds_nuis, level, grid: EvalGrid, generic=False) -> ProjectionEstimate:
+                  folds_nuis, level, grid: EvalGrid) -> ProjectionEstimate:
     """One-step bias-corrected projection fit with sandwich inference.
 
     Routes: closed form for l2 + truncated series; doubly-robust moment
     matching (Newton on the log-partition gradient) for KL + exponential
-    family; damped Newton on the pooled estimating equation otherwise, and
-    always when ``generic`` is set (the reference for the closed routes).
+    family; damped Newton on the pooled estimating equation otherwise.
     Whatever the route, the returned root is certified: its pooled equation
     residual must be within ACCEPT of 1 + ||equation at beta = 0||.
     """
-    if level not in folds_nuis[0].pi:
-        raise DataError(f"level {level} missing from nuisance tabulations")
+    require_levels(folds_nuis, (level,))
 
     def equation(beta):
         return one_step_equation(distance, model, beta, folds_nuis, level, grid)
 
     scale = 1.0 + float(np.linalg.norm(equation(np.zeros(model.beta_dim))))
 
-    route = (None if generic else _special_route(distance, model)) or "generic_damped_newton"
+    route = _special_route(distance, model) or "generic_damped_newton"
     resid, iters, history = None, 0, None
     if route != "generic_damped_newton":
         # both closed routes reduce to the one-step mean of the basis

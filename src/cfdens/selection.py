@@ -25,7 +25,7 @@ from .distances import DistanceSpec
 from .eif import dr_scores
 from .errors import CfdensError, DataError
 from .models import ExponentialFamily, clip_to_density
-from .nuisance import NuisanceConfig, cross_fit, single_split
+from .nuisance import NuisanceConfig, cross_fit, require_levels, single_split
 from .projection import solve_onestep
 
 INNER_FOLDS = 2         # inner cross-fit of candidate fits on each training split
@@ -82,6 +82,7 @@ def pseudo_l2_risk(table: ObservationTable, folds_nuis, level, g_k, grid: EvalGr
     plus int g_k^2. Equals the one-step squared-L2 distance up to a term that
     does not involve g_k, so candidate rankings agree between the two.
     """
+    require_levels(folds_nuis, (level,))
     g_k = np.asarray(g_k, dtype=float)
     if g_k.shape != grid.points.shape:
         raise DataError("candidate density must be tabulated on the grid")

@@ -18,13 +18,3 @@ def grid128():
 def rng():
     return np.random.default_rng(20240811)
 
-
-def pytest_collection_modifyitems(items):
-    # A numpy RuntimeWarning (overflow, divide by zero, invalid value) fails a
-    # unit test: a slipped bound in the outcome-kernel band shows up there
-    # first. The acceptance module is not held to it. Prepended, so a test's
-    # own filterwarnings marks still take precedence.
-    for item in items:
-        if item.path.name != "test_acceptance.py":
-            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"),
-                            append=False)

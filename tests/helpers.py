@@ -1,11 +1,16 @@
 """Shared test oracles: the raw discrepancy table, the full outcome-kernel
-matrix, the row-max covariate weights, finite-difference checks and small
-builders."""
+matrix, the row-max covariate weights, the generic-route projection root, the
+direct closed form of the squared-L2 effect, finite-difference checks and
+small builders."""
 
 import numpy as np
 
-from cfdens.distances import abs_smooth, abs_smooth_d1, abs_smooth_d2
+from cfdens.data import EvalGrid, ObservationTable
+from cfdens.distances import DistanceSpec, abs_smooth, abs_smooth_d1, abs_smooth_d2
+from cfdens.effects import EffectEstimate, _finalize
+from cfdens.eif import dr_scores, effect_curves
 from cfdens.nuisance import _CHUNK
+from cfdens.projection import ACCEPT, _damped_newton, default_start, one_step_equation
 
 # ---------------------------------------------------------------------------
 # raw discrepancy table: f(p, q) and its partials, composed from first
@@ -111,6 +116,65 @@ def weight_blocks_reference(model, xa):
         np.maximum(w, 0.0, out=w)
         w[empty, nearest] = 1.0
         yield rows, w
+
+
+def generic_root(distance, model, folds_nuis, level, grid):
+    """Root of the pooled one-step estimating equation by the generic route:
+    ``_damped_newton`` with a finite-difference Jacobian from ``default_start``,
+    to ``solve_onestep``'s tolerance 1e-11 (1 + ||F(0)||). The reference the
+    closed routes are checked against; the root must pass the certificate."""
+    def equation(beta):
+        return one_step_equation(distance, model, beta, folds_nuis, level, grid)
+
+    scale = 1.0 + float(np.linalg.norm(equation(np.zeros(model.beta_dim))))
+    beta, resid, _, _ = _damped_newton(
+        equation, default_start(model, folds_nuis, level, grid), tol=1e-11 * scale)
+    assert np.linalg.norm(resid) <= ACCEPT * scale
+    return beta
+
+
+def effect_l2_direct(table: ObservationTable, folds_nuis, grid: EvalGrid,
+                     levels=(1, 0)) -> EffectEstimate:
+    """Squared-L2 effect in its direct closed form.
+
+    Per fold, writing delta = p_hat_1 - p_hat_0:
+        2 P_n[ (2A-1)/pi_A {delta(Y) - int delta eta_A}
+               + int delta (eta_1 - eta_0) ]  -  int delta^2.
+    Algebraically identical to ``effect_onestep`` with the l2 distance
+    because the fold marginal is the row average of eta over the same rows;
+    the two paths agree to machine precision on identical inputs.
+    """
+    lev1, lev0 = levels
+    distance = DistanceSpec("l2")
+    sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
+    weights = sizes / sizes.sum()
+    psi = 0.0
+    pooled = []
+    for w, fold in zip(weights, folds_nuis):
+        idx = fold.eval_idx
+        a = table.a[idx]
+        delta = fold.p_hat[lev1] - fold.p_hat[lev0]          # (G,)
+        wdelta = grid.weights * delta
+        int_d_eta1 = fold.eta[lev1].contract(wdelta)         # (n_ev,)
+        int_d_eta0 = fold.eta[lev0].contract(wdelta)
+        terms = int_d_eta1 - int_d_eta0                      # int delta (eta1 - eta0)
+        hit1 = a == lev1
+        hit0 = a == lev0
+        if hit1.any():
+            d_at_y = grid.interp(delta, table.y[idx[hit1]])
+            terms[hit1] += (d_at_y - int_d_eta1[hit1]) / fold.pi[lev1][hit1]
+        if hit0.any():
+            d_at_y = grid.interp(delta, table.y[idx[hit0]])
+            terms[hit0] -= (d_at_y - int_d_eta0[hit0]) / fold.pi[lev0][hit0]
+        int_d2 = float(grid.integrate(delta**2))
+        psi += w * (2.0 * float(terms.mean()) - int_d2)
+        # influence values match the one-step path exactly
+        lam1, lam0 = effect_curves(distance, fold.p_hat[lev1], fold.p_hat[lev0])
+        s1 = dr_scores(table, fold, lev1, lam1, grid)
+        s0 = dr_scores(table, fold, lev0, lam0, grid)
+        pooled.append((s1 - s1.mean()) + (s0 - s0.mean()))
+    influence = np.concatenate(pooled)
+    return _finalize(psi, influence, levels, None)
 
 
 def fd_table_check(spec, p_vals=None, q_vals=None, tol=1e-6):

@@ -11,10 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from helpers import fd_table_check
+from helpers import effect_l2_direct, fd_table_check, generic_root
 
 from cfdens import DistanceSpec, cross_fit, make_folds, make_grid
-from cfdens.effects import effect_l2_direct, effect_onestep
+from cfdens.effects import effect_onestep
 from cfdens.eif import effect_curves
 from cfdens.models import (
     CosineBasis,
@@ -88,10 +88,8 @@ class TestAcceptance:
             fn = cross_fit(table, folds, (0, 1), GRID)
             model = TruncatedSeries(CosineBasis(3))
             closed = solve_onestep(DistanceSpec("l2"), model, table, fn, 1, GRID)
-            generic = solve_onestep(DistanceSpec("l2"), model, table, fn, 1, GRID,
-                                    generic=True)
-            worst_beta = max(worst_beta,
-                             float(np.max(np.abs(closed.beta_hat - generic.beta_hat))))
+            generic = generic_root(DistanceSpec("l2"), model, fn, 1, GRID)
+            worst_beta = max(worst_beta, float(np.max(np.abs(closed.beta_hat - generic))))
             onestep = effect_onestep(DistanceSpec("l2"), table, fn, GRID)
             direct = effect_l2_direct(table, fn, GRID)
             worst_psi = max(worst_psi, abs(onestep.psi_hat - direct.psi_hat))

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
+from helpers import effect_l2_direct
+
 from cfdens import DistanceSpec, cross_fit, divergence, make_folds
 from cfdens.data import ObservationTable
-from cfdens.effects import effect_fixed_candidate, effect_l2_direct, effect_onestep
+from cfdens.effects import effect_fixed_candidate, effect_onestep
+from cfdens.errors import DataError
+from cfdens.models import CosineBasis, TruncatedSeries
 from cfdens.nuisance import tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_effect
+from cfdens.projection import solve_onestep
+from cfdens.selection import pseudo_l2_risk
 
 L2 = DistanceSpec("l2")
 
@@ -166,3 +172,23 @@ class TestFixedCandidate:
         est = effect_fixed_candidate(spec, table, fn, 1, g, grid128)
         assert abs(est.psi_hat - oracle_plug) <= 4 * est.se + 1e-12
         assert est.density_floor == 1e-8
+
+
+class TestAbsentLevel:
+    @pytest.mark.parametrize("entry", ["effect_onestep", "solve_onestep",
+                                       "effect_fixed_candidate", "pseudo_l2_risk"])
+    def test_every_entry_point_raises_data_error(self, entry, grid128):
+        dgp = get_dgp("confounded_shift")
+        table = dgp.sample(200, np.random.default_rng(0))
+        fn = true_fold(dgp, table, (1,), grid128)
+        flat = np.ones(grid128.size)
+        calls = {
+            "effect_onestep": lambda: effect_onestep(L2, table, fn, grid128, (1, 0)),
+            "solve_onestep": lambda: solve_onestep(
+                L2, TruncatedSeries(CosineBasis(2)), table, fn, 0, grid128),
+            "effect_fixed_candidate": lambda: effect_fixed_candidate(
+                L2, table, fn, 0, flat, grid128),
+            "pseudo_l2_risk": lambda: pseudo_l2_risk(table, fn, 0, flat, grid128),
+        }
+        with pytest.raises(DataError, match="level 0 missing from nuisance tabulations"):
+            calls[entry]()

@@ -56,13 +56,13 @@ class TestPropensity:
         table = uniform_table(2000, rng)
         model = fit_propensity_all(table, method="logistic")
         test_x = rng.uniform(size=(200, 2))
-        preds = model.predict_level(test_x, 1)
+        preds = model.predict(test_x)[:, model.levels.index(1)]
         assert preds.min() > 0.45 and preds.max() < 0.55
 
     def test_knn_randomized(self, rng):
         table = uniform_table(4000, rng)
         model = fit_propensity_all(table, method="knn")
-        preds = model.predict_level(rng.uniform(0.2, 0.8, size=(100, 2)), 1)
+        preds = model.predict(rng.uniform(0.2, 0.8, size=(100, 2)))[:, model.levels.index(1)]
         assert preds.min() > 0.35 and preds.max() < 0.65
 
     def test_separation_degrades_with_warning(self, rng):
@@ -315,6 +315,20 @@ class TestZeroMassRows:
 
         with pytest.raises(DataError, match="row 7 "):
             tabulate_nuisances(table, np.arange(50), (1,), grid128,
+                               lambda xq, lev: np.full(len(xq), 0.5), eta_fn)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_tabulate_raises_on_a_non_finite_row(self, bad):
+        table = get_dgp("confounded_shift").sample(50, np.random.default_rng(0))
+        grid64 = make_grid(64, "trapezoid")
+
+        def eta_fn(xq, level, points):
+            eta = np.ones((len(xq), len(points)))
+            eta[3, 10] = bad
+            return eta
+
+        with pytest.raises(DataError, match="row 3 has non-finite or no mass"):
+            tabulate_nuisances(table, np.arange(50), (1,), grid64,
                                lambda xq, lev: np.full(len(xq), 0.5), eta_fn)
 
 
