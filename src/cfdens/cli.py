@@ -176,17 +176,17 @@ def _write_density_csv(path, table, grid, density_unit):
             writer.writerow([f"{v:.12g}" for v in row])
 
 
-def _load_table(cfg: RunConfig):
-    return load_csv(cfg.data, cfg.x_cols, cfg.a_col, cfg.y_col,
-                    missing_code=cfg.missing_code)
+def _load_data(cfg: RunConfig):
+    """The table, grid and fold plan every data command starts from."""
+    table = load_csv(cfg.data, cfg.x_cols, cfg.a_col, cfg.y_col,
+                     missing_code=cfg.missing_code)
+    return table, make_grid(cfg.grid, cfg.grid_rule), make_folds(table.n, cfg.folds, cfg.seed)
 
 
 def _cmd_fit_projection(cfg: RunConfig):
-    table = _load_table(cfg)
-    grid = make_grid(cfg.grid, cfg.grid_rule)
+    table, grid, folds = _load_data(cfg)
     model = parse_model(cfg.model)
     distance = parse_distance(cfg.distance)
-    folds = make_folds(table.n, cfg.folds, cfg.seed)
     folds_nuis = cross_fit(table, folds, (cfg.level,), grid, _nuisance_config(cfg))
     est = solve_onestep(distance, model, table, folds_nuis, cfg.level, grid)
     if cfg.csv_out:
@@ -220,10 +220,8 @@ def _cmd_fit_projection(cfg: RunConfig):
 
 
 def _cmd_density_effect(cfg: RunConfig):
-    table = _load_table(cfg)
-    grid = make_grid(cfg.grid, cfg.grid_rule)
+    table, grid, folds = _load_data(cfg)
     distance = parse_distance(cfg.distance)
-    folds = make_folds(table.n, cfg.folds, cfg.seed)
     folds_nuis = cross_fit(table, folds, (cfg.level1, cfg.level0), grid,
                            _nuisance_config(cfg))
     est = effect_onestep(distance, table, folds_nuis, grid,
@@ -246,9 +244,7 @@ def _cmd_density_effect(cfg: RunConfig):
 
 
 def _cmd_select_model(cfg: RunConfig):
-    table = _load_table(cfg)
-    grid = make_grid(cfg.grid, cfg.grid_rule)
-    folds = make_folds(table.n, cfg.folds, cfg.seed)
+    table, grid, folds = _load_data(cfg)
     candidates = [TruncatedSeries(CosineBasis(d)) for d in cfg.dims]
     rt = select_model(table, folds, cfg.level, candidates, grid,
                       nuis_config=_nuisance_config(cfg))
@@ -270,9 +266,7 @@ def _cmd_select_model(cfg: RunConfig):
 
 
 def _cmd_aggregate(cfg: RunConfig):
-    table = _load_table(cfg)
-    grid = make_grid(cfg.grid, cfg.grid_rule)
-    folds = make_folds(table.n, cfg.folds, cfg.seed)
+    table, grid, folds = _load_data(cfg)
     candidates = [parse_model(text) for text in cfg.candidates]
     agg = aggregate_linear(table, folds, cfg.level, candidates, grid,
                            nuis_config=_nuisance_config(cfg))

@@ -158,7 +158,9 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
     """Load a headered CSV into an ObservationTable.
 
     ``missing_code`` (string or number) marks unobserved outcomes; when set,
-    blank/NA outcome cells are also treated as unobserved. Covariates and
+    blank/NA outcome cells are also treated as unobserved. A cell matches the
+    code as text, or, for a numeric code, when it parses to exactly the same
+    float ("-999.0" matches "-999"; -999.005 stays observed). Covariates and
     treatment must parse everywhere.
     """
     with open(path, newline="") as fh:
@@ -193,7 +195,7 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
                 val = float(cell)
             except (TypeError, ValueError):
                 raise ParseError(f"{path}: non-numeric outcome at row {i}") from None
-            if code is not None and _is_number(code) and np.isclose(val, float(code)):
+            if code is not None and _is_number(code) and val == float(code):
                 ys.append(0.0)
                 obs.append(False)
             else:
@@ -248,32 +250,38 @@ class EvalGrid:
         values = np.asarray(values)
         return np.tensordot(self.weights, values, axes=(0, 0))
 
+    def _bracket(self, at):
+        """Left node j and fraction t of linear interpolation at ``at``.
+
+        The interpolant of grid values v is v[j] (1 - t) + v[j + 1] t, with
+        ``at`` clipped to the end points, so it is constant beyond them.
+        """
+        pts = self.points
+        at = np.clip(np.asarray(at, dtype=float), pts[0], pts[-1])
+        j = np.clip(np.searchsorted(pts, at, side="right") - 1, 0, self.size - 2)
+        return j, (at - pts[j]) / (pts[j + 1] - pts[j])
+
     def interp(self, values, at):
         """Linear interpolation of grid-tabulated values at arbitrary y.
 
         ``values`` may be (G,) or (G, m); outputs match ``at`` with a trailing
         m axis in the matrix case. Constant extrapolation beyond the end
-        points (only relevant for Gauss-Legendre grids).
+        points (only relevant for Gauss-Legendre grids). Uses the bracket of
+        ``interp_weights``, so the two agree term by term.
         """
-        at = np.asarray(at, dtype=float)
         values = np.asarray(values, dtype=float)
-        if values.ndim == 1:
-            return np.interp(at, self.points, values)
-        out = np.empty(at.shape + (values.shape[1],))
-        for j in range(values.shape[1]):
-            out[..., j] = np.interp(at, self.points, values[:, j])
-        return out
+        j, t = self._bracket(at)
+        t = t.reshape(t.shape + (1,) * (values.ndim - 1))
+        return values[j] * (1.0 - t) + values[j + 1] * t
 
     def interp_weights(self, at, coef):
         """The (G,) measure r with r @ values == coef @ interp(values, at).
 
         Sums coef_i times the linear-interpolation weights of at_i on the grid
-        nodes, constant beyond the end points as in ``interp``.
+        nodes, from the same bracket as ``interp``; the identity holds up to
+        the rounding of the two sums' different orders.
         """
-        pts = self.points
-        at = np.clip(np.asarray(at, dtype=float), pts[0], pts[-1])
-        j = np.clip(np.searchsorted(pts, at, side="right") - 1, 0, self.size - 2)
-        t = (at - pts[j]) / (pts[j + 1] - pts[j])
+        j, t = self._bracket(at)
         return (np.bincount(j, coef * (1.0 - t), minlength=self.size)
                 + np.bincount(j + 1, coef * t, minlength=self.size))
 

@@ -113,6 +113,15 @@ class PropensityModel:
         return floor_probs(raw, self.clip_eps)
 
 
+def _softmax_first_pinned(z, coef):
+    """Level probabilities (n, L) of the scores z @ coef.T, with the first
+    level's score pinned at 0."""
+    full = np.column_stack([np.zeros(len(z)), z @ coef.T])
+    full -= full.max(axis=1, keepdims=True)
+    e = np.exp(full)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _fit_multinomial_logistic(x, a, levels):
     """Newton-IRLS multinomial fit; returns (predict_raw, converged)."""
     n, d = x.shape
@@ -121,23 +130,16 @@ def _fit_multinomial_logistic(x, a, levels):
     onehot = np.stack([(a == lev).astype(float) for lev in levels[1:]], axis=1)  # (n, L-1)
     nb = (L - 1) * (d + 1)
     coef = np.zeros((L - 1, d + 1))
-
-    def probs(c):
-        scores = z @ c.T                                # (n, L-1)
-        full = np.column_stack([np.zeros(n), scores])
-        full -= full.max(axis=1, keepdims=True)
-        e = np.exp(full)
-        return e / e.sum(axis=1, keepdims=True)         # (n, L)
+    lab = np.searchsorted(np.asarray(levels), a)        # each row's column
 
     def loglik(c):
-        p = probs(c)
-        lab = np.searchsorted(np.asarray(levels), a)
+        p = _softmax_first_pinned(z, c)
         return float(np.log(np.clip(p[np.arange(n), lab], 1e-300, None)).sum())
 
     converged = False
     ll = loglik(coef)
     for _ in range(LOGIT_MAX_ITER):
-        p = probs(coef)[:, 1:]                          # (n, L-1)
+        p = _softmax_first_pinned(z, coef)[:, 1:]       # (n, L-1)
         grad = (z.T @ (onehot - p)).T.ravel()           # (L-1)(d+1)
         if np.linalg.norm(grad) < LOGIT_TOL:
             converged = True
@@ -168,12 +170,7 @@ def _fit_multinomial_logistic(x, a, levels):
             break  # runaway coefficients: separation
 
     def predict_raw(x_new):
-        z_new = np.column_stack([np.ones(len(x_new)), x_new])
-        scores = z_new @ coef.T
-        full = np.column_stack([np.zeros(len(x_new)), scores])
-        full -= full.max(axis=1, keepdims=True)
-        e = np.exp(full)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax_first_pinned(np.column_stack([np.ones(len(x_new)), x_new]), coef)
 
     return predict_raw, converged
 

@@ -32,7 +32,7 @@ from .distances import DistanceSpec, divergence, parse_distance
 from .effects import effect_onestep
 from .eif import effect_curves
 from .errors import CfdensError, DataError
-from .models import TruncatedSeries, g_on_grid, parse_model
+from .models import CosineBasis, TruncatedSeries, g_on_grid, parse_model
 from .nuisance import NuisanceConfig, cross_fit, tabulate_nuisances
 from .projection import _damped_newton, moment, solve_onestep
 
@@ -61,10 +61,8 @@ def truncnorm_sample(mu, sigma, rng):
 
 
 def cosine_series_pdf(points, coefs):
-    points = np.asarray(points, dtype=float)
     coefs = np.atleast_1d(np.asarray(coefs, dtype=float))
-    j = np.arange(1, len(coefs) + 1)
-    return 1.0 + np.sqrt(2.0) * np.cos(np.pi * np.multiply.outer(points, j)) @ coefs
+    return 1.0 + CosineBasis(len(coefs)).eval(points) @ coefs
 
 
 def cosine_series_sample(n, rng, coefs):
@@ -123,12 +121,10 @@ class SyntheticDGP:
         ``MARGINAL_DRAWS`` covariate draws from seed 0 is used.
         """
         if self.marginal_1d:
-            nodes, wts = np.polynomial.legendre.leggauss(64)
-            t = 0.5 * (nodes + 1.0)
+            rule = make_grid(64, "gauss_legendre")
             x = np.zeros((64, self.d))
-            x[:, 0] = t
-            tab = self.eta_fn(x, level, grid.points)
-            return (0.5 * wts) @ tab
+            x[:, 0] = rule.points
+            return rule.weights @ self.eta_fn(x, level, grid.points)
         rng = np.random.default_rng(0)
         total = np.zeros(grid.size)
         left = MARGINAL_DRAWS
@@ -140,12 +136,16 @@ class SyntheticDGP:
         return total / MARGINAL_DRAWS
 
 
+def _two_arm(p1, level):
+    """Propensity of ``level`` in a two-arm design with P(A = 1 | x) = p1."""
+    return p1 if level == 1 else 1.0 - p1
+
+
 def _tn_dgp(name, mean_fn, sigma, pi1_fn):
     """Two-level design with truncated-normal conditional outcome densities."""
 
     def pi_fn(x, level):
-        p1 = pi1_fn(x)
-        return p1 if level == 1 else 1.0 - p1
+        return _two_arm(pi1_fn(x), level)
 
     def eta_fn(x, level, points):
         return truncnorm_pdf(points, mean_fn(x, level), sigma)
@@ -171,8 +171,7 @@ def _mixture_dgp():
         return w, lo, hi
 
     def pi_fn(x, level):
-        p1 = expit(0.4 * (x[:, 0] - 0.5))
-        return p1 if level == 1 else 1.0 - p1
+        return _two_arm(expit(0.4 * (x[:, 0] - 0.5)), level)
 
     def eta_fn(x, level, points):
         w, lo, hi = comp_means(x, level)
@@ -378,8 +377,7 @@ def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, leve
                                    dgp.pi_fn, dgp.eta_fn)]
     if mode == "wrong_pi_true_eta":
         def pi_const(x, level):
-            p1 = np.full(len(x), 0.5)
-            return p1 if level == 1 else 1.0 - p1
+            return _two_arm(np.full(len(x), 0.5), level)
 
         return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
                                    pi_const, dgp.eta_fn)]
@@ -460,14 +458,10 @@ def _summarize(exp, records):
         failures = sum(1 for r in records if r["n"] == n and r["failed"])
         entry = {"reps": len(rows), "failures": failures}
         if rows:
-            err = np.array([r["error"] for r in rows], dtype=float)
-            if err.ndim == 1:
-                err = err[:, None]
+            err = np.array([r["error"] for r in rows], dtype=float).reshape(len(rows), -1)
             entry["bias"] = err.mean(axis=0).tolist()
             entry["rmse"] = np.sqrt((err**2).mean(axis=0)).tolist()
-            cov = np.array([r["cover"] for r in rows], dtype=float)
-            if cov.ndim == 1:
-                cov = cov[:, None]
+            cov = np.array([r["cover"] for r in rows], dtype=float).reshape(len(rows), -1)
             entry["coverage"] = cov.mean(axis=0).tolist()
             if "cover_conservative" in rows[0]:
                 entry["coverage_conservative"] = float(
@@ -498,14 +492,11 @@ EXPERIMENTS = {
 
 def tensor_uniform_quad(m=24, d=2):
     """Tensor Gauss-Legendre rule for expectations over X ~ U([0,1]^d)."""
-    nodes, wts = np.polynomial.legendre.leggauss(m)
-    t = 0.5 * (nodes + 1.0)
-    w = 0.5 * wts
-    grids = np.meshgrid(*([t] * d), indexing="ij")
-    x = np.column_stack([g.ravel() for g in grids])
+    rule = make_grid(m, "gauss_legendre")
+    x = np.column_stack([g.ravel() for g in np.meshgrid(*([rule.points] * d), indexing="ij")])
     weight = np.ones(len(x))
-    for axis in range(d):
-        weight *= np.meshgrid(*([w] * d), indexing="ij")[axis].ravel()
+    for w in np.meshgrid(*([rule.weights] * d), indexing="ij"):
+        weight *= w.ravel()
     return x, weight
 
 

@@ -227,15 +227,15 @@ def _special_route(distance, model):
     return None
 
 
-def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
-                  folds_nuis, level, grid: EvalGrid) -> ProjectionEstimate:
-    """One-step bias-corrected projection fit with sandwich inference.
+def certified_root(distance: DistanceSpec, model, folds_nuis, level, grid: EvalGrid):
+    """The certified root of the pooled one-step equation: (beta_hat, SolverReport).
 
     Routes: closed form for l2 + truncated series; doubly-robust moment
     matching (Newton on the log-partition gradient) for KL + exponential
     family; damped Newton on the pooled estimating equation otherwise.
-    Whatever the route, the returned root is certified: its pooled equation
-    residual must be within ACCEPT of 1 + ||equation at beta = 0||.
+    Whatever the route, the root is certified: its pooled equation residual
+    must be within ACCEPT of 1 + ||equation at beta = 0||, or SolverError is
+    raised. Nothing here builds the sandwich.
     """
     require_levels(folds_nuis, (level,))
 
@@ -290,25 +290,35 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
         raise SolverError(
             f"estimating equation not solved: residual {residual:.3e} "
             f"exceeds {ACCEPT:.1e} x {scale:.3e}", residual_history=history)
+    return beta_hat, SolverReport(method=route, iterations=iters, residual_norm=residual,
+                                  residual_scale=scale, residual_history=history)
 
-    covariance, warn = sandwich_cov(distance, model, beta_hat, table, folds_nuis,
-                                    level, grid)
+
+def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
+                  folds_nuis, level, grid: EvalGrid) -> ProjectionEstimate:
+    """One-step bias-corrected projection fit with sandwich inference.
+
+    ``certified_root`` finds and certifies beta_hat; the sandwich covariance
+    at that root (``sandwich_cov``, which raises RankError for a singular
+    moment derivative) gives the Wald intervals, and g(.; beta_hat) clipped
+    to a density is the fitted density.
+    """
+    beta_hat, report = certified_root(distance, model, folds_nuis, level, grid)
+    covariance, report.warn = sandwich_cov(distance, model, beta_hat, table, folds_nuis,
+                                           level, grid)
     se = np.sqrt(np.maximum(np.diag(covariance), 0.0))
     wald = np.column_stack([beta_hat - Z95 * se, beta_hat + Z95 * se])
     fitted = clip_to_density(g_on_grid(model, beta_hat, grid), grid)
     return ProjectionEstimate(
         beta_hat=beta_hat, covariance=covariance, wald_ci=wald, fitted_density=fitted,
-        solver_report=SolverReport(method=route, iterations=iters, residual_norm=residual,
-                                   residual_scale=scale, residual_history=history,
-                                   warn=warn),
-        n=sum(f.n_eval for f in folds_nuis))
+        solver_report=report, n=sum(f.n_eval for f in folds_nuis))
 
 
 def _kl_expfam_jacobian(model, beta, grid):
     """Basis covariance under g(.; beta): the Jacobian of the log-partition gradient."""
-    _, dc = log_partition(model, beta, grid)
+    c, dc = log_partition(model, beta, grid)
     bt = model.basis.eval(grid.points)
-    gv = g_on_grid(model, beta, grid)
+    gv = np.exp(bt @ beta - c)                  # g(.; beta) on the grid
     second = grid.integrate(bt[:, :, None] * bt[:, None, :] * gv[:, None, None])
     return second - np.outer(dc, dc)
 

@@ -9,9 +9,11 @@ series fit on a held-out split, then averages over every fold role.
 Both run one candidate loop per fold role: the held-out fold's nuisances are
 fit on the training rows first, so a level absent from them fails the run
 with a DataError naming it; then every still-feasible candidate is fit on the
-same training rows by `_fit_candidates`. A candidate whose fit raises a
-package error is infeasible and left out. Fixed densities are labelled
-``fixed[i]`` by their position among the candidates.
+same training rows by `_fit_candidates`, which stops at the candidate's
+certified root: only its density is read, so no sandwich is built. A
+candidate whose fit raises a package error is infeasible and left out.
+Fixed densities are labelled ``fixed[i]`` by their position among the
+candidates.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .data import EvalGrid, FoldPlan, ObservationTable, make_folds
 from .distances import DistanceSpec
 from .eif import dr_scores
 from .errors import CfdensError, DataError
-from .models import ExponentialFamily, clip_to_density
+from .models import ExponentialFamily, clip_to_density, g_on_grid
 from .nuisance import NuisanceConfig, cross_fit, require_levels, single_split
-from .projection import solve_onestep
+# solve_onestep is not called here; perfbench/tracing.py wraps this module's binding of it
+from .projection import certified_root, solve_onestep  # noqa: F401
 
 INNER_FOLDS = 2         # inner cross-fit of candidate fits on each training split
 DROP_TOL = 1e-8         # Gram-Schmidt: residual L2 norm below which a curve adds nothing
@@ -96,9 +99,11 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
     """{index: density} of the candidates not yet ``failed``, fit on ``train``.
 
     Model candidates of any dimension share one inner cross-fit of the
-    nuisances, run when the first of them needs it. Fixed densities pass
-    through. A CfdensError or LinAlgError, a non-finite density included,
-    marks its candidate failed with a warning; other exceptions propagate.
+    nuisances, run when the first of them needs it. A model candidate's
+    density is g at its ``certified_root``, clipped to a density, so it is
+    feasible whenever its root is. Fixed densities pass through. A
+    CfdensError or LinAlgError, a non-finite density included, marks its
+    candidate failed with a warning; other exceptions propagate.
     """
     folds_nuis = None
     dens = {}
@@ -115,8 +120,8 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
                     folds_nuis = cross_fit(train, make_folds(train.n, INNER_FOLDS, seed),
                                            (level,), grid, nuis_config)
                 distance = DistanceSpec("kl" if isinstance(cand, ExponentialFamily) else "l2")
-                g = solve_onestep(distance, cand, train, folds_nuis, level,
-                                  grid).fitted_density
+                beta_hat, _ = certified_root(distance, cand, folds_nuis, level, grid)
+                g = clip_to_density(g_on_grid(cand, beta_hat, grid), grid)
             if not np.all(np.isfinite(g)):
                 raise DataError("candidate density is non-finite on the grid")
             dens[i] = g

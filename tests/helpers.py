@@ -9,7 +9,7 @@ from cfdens.data import EvalGrid, ObservationTable
 from cfdens.distances import DistanceSpec, abs_smooth, abs_smooth_d1, abs_smooth_d2
 from cfdens.effects import EffectEstimate, _finalize
 from cfdens.eif import dr_scores, effect_curves
-from cfdens.nuisance import _CHUNK
+from cfdens.nuisance import _CHUNK, tabulate_nuisances
 from cfdens.projection import ACCEPT, _damped_newton, default_start, one_step_equation
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ def weight_blocks_reference(model, xa):
 def generic_root(distance, model, folds_nuis, level, grid):
     """Root of the pooled one-step estimating equation by the generic route:
     ``_damped_newton`` with a finite-difference Jacobian from ``default_start``,
-    to ``solve_onestep``'s tolerance 1e-11 (1 + ||F(0)||). The reference the
+    to ``certified_root``'s tolerance 1e-11 (1 + ||F(0)||). The reference the
     closed routes are checked against; the root must pass the certificate."""
     def equation(beta):
         return one_step_equation(distance, model, beta, folds_nuis, level, grid)
@@ -211,6 +211,13 @@ def fd_table_check(spec, p_vals=None, q_vals=None, tol=1e-6):
                 worst = max(worst, err)
                 assert err <= tol, (spec.label, p, q, got, ref)
     return worst
+
+
+def true_fold(dgp, table, levels, grid):
+    """Nuisances of every row of ``table`` from the design's closed forms, as a
+    one-fold list."""
+    return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
+                               dgp.pi_fn, dgp.eta_fn)]
 
 
 def random_density(grid, rng, wiggle=0.6, floor=0.05):

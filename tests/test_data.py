@@ -54,6 +54,17 @@ class TestLoadCsv:
         assert table.rescale_params == (4.0, 8.0)
         assert np.allclose(table.y, [0.0, 0.0, 1.0, 0.0, 0.5])
 
+    @pytest.mark.parametrize("code,near", [(-999, -999.005), (0, 1e-9)])
+    def test_missing_code_matches_one_value_exactly(self, tmp_path, code, near):
+        # "-999.0" is the code -999 written another way; a value next to the
+        # code is a real outcome
+        path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"],
+                         [[0.1, 1, 4.0], [0.2, 0, near], [0.3, 1, 8.0],
+                          [0.4, 0, f"{float(code)}"]])
+        table = load_csv(path, ["x1"], "a", "y", missing_code=code)
+        assert list(table.a) == [1, 0, 1, MISSING_LEVEL]
+        assert table.rescale_params == (near, 8.0)
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"], [[1, 0, 2], [2, 1, 3]])
         with pytest.raises(SchemaError, match="x9"):
@@ -127,6 +138,34 @@ class TestGrid:
         out = grid.interp(vals, at)
         assert out.shape == (3, 2)
         assert np.allclose(out[:, 0], at, atol=1e-12)
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_interp_weights_integrate_the_interpolant(self, rule, width):
+        # r @ v == c @ interp(v, at), at on nodes, between them, at 0 and 1
+        # (beyond the end nodes of a Gauss-Legendre grid) and outside [0, 1]
+        grid = make_grid(33, rule)
+        rng = np.random.default_rng(5)
+        at = np.concatenate([grid.points[[0, 1, 16, 31, 32]], [0.0, 1.0, -0.05, 1.05],
+                             rng.uniform(size=40)])
+        coef = rng.normal(size=at.size)
+        v = rng.normal(size=(grid.size,) if width is None else (grid.size, width))
+        lhs = grid.interp_weights(at, coef) @ v
+        rhs = coef @ grid.interp(v, at)
+        assert lhs.shape == rhs.shape == (() if width is None else (width,))
+        assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+    def test_interp_is_piecewise_linear_and_flat_beyond_the_ends(self, rule):
+        grid = make_grid(33, rule)
+        rng = np.random.default_rng(6)
+        at = np.concatenate([grid.points, [-0.05, 0.0, 1.0, 1.05], rng.uniform(size=40)])
+        v = rng.normal(size=(grid.size, 2))
+        out = grid.interp(v, at)
+        for j in range(2):
+            assert np.allclose(out[:, j], np.interp(at, grid.points, v[:, j]),
+                               rtol=0.0, atol=1e-15)
+        assert np.array_equal(out[:grid.size], v)
 
 
 class TestFolds:

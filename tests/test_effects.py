@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import effect_l2_direct
+from helpers import effect_l2_direct, true_fold
 
 from cfdens import DistanceSpec, cross_fit, divergence, make_folds
 from cfdens.data import ObservationTable
@@ -14,11 +14,6 @@ from cfdens.projection import solve_onestep
 from cfdens.selection import pseudo_l2_risk
 
 L2 = DistanceSpec("l2")
-
-
-def true_fold(dgp, table, levels, grid):
-    return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
-                               dgp.pi_fn, dgp.eta_fn)]
 
 
 def shared_fit_fold(table, grid, rng):

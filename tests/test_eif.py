@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import f1, f2, f_eval
+from helpers import f1, f2, f_eval, true_fold
 
 from cfdens import DistanceSpec, make_grid
 from cfdens.data import ObservationTable
@@ -19,11 +19,6 @@ def correction_transform(distance, model, beta, p_a, grid):
     return _moment_condition(distance, model, beta, grid)[1](p_a)
 
 
-def true_nuisance_fold(dgp, table, levels, grid):
-    return tabulate_nuisances(table, np.arange(table.n), levels, grid,
-                              dgp.pi_fn, dgp.eta_fn)
-
-
 def arm_terms(level, h):
     """``onestep`` terms of the plain counterfactual mean of h: no plug-in, one arm."""
     return lambda fold: (0.0, [(level, h, 0.0)])
@@ -35,7 +30,7 @@ class TestDrScores:
         # values vanish
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(200, rng)
-        fold = true_nuisance_fold(dgp, table, (1,), grid128)
+        fold = true_fold(dgp, table, (1,), grid128)[0]
         h = np.full(grid128.size, 3.7)
         out = dr_scores(table, fold, 1, h, grid128)
         assert np.all(np.abs(out - 3.7) < 1e-12)
@@ -65,7 +60,7 @@ class TestDrScores:
     def test_sample_centering_is_exact(self, rng, grid128):
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(500, rng)
-        fold = true_nuisance_fold(dgp, table, (0, 1), grid128)
+        fold = true_fold(dgp, table, (0, 1), grid128)[0]
         h = np.column_stack([grid128.points, np.cos(3 * grid128.points)])
         out = onestep_influence(table, [fold], grid128, arm_terms(1, h))
         assert out.shape == (table.n, 2)
@@ -78,7 +73,7 @@ class TestDrScores:
         n = 100_000
         rng = np.random.default_rng(31)
         table = dgp.sample(n, rng)
-        fold = true_nuisance_fold(dgp, table, (1,), grid128)
+        fold = true_fold(dgp, table, (1,), grid128)[0]
         h = CosineBasis(2).eval(grid128.points)
         xq, wx = tensor_uniform_quad(24, 2)
         eta_q = dgp.eta_fn(xq, 1, grid128.points)
@@ -91,7 +86,7 @@ class TestDrScores:
     def test_nonfinite_transform_rejected(self, rng, grid128):
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(50, rng)
-        fold = true_nuisance_fold(dgp, table, (1,), grid128)
+        fold = true_fold(dgp, table, (1,), grid128)[0]
         h = np.ones(grid128.size)
         h[3] = np.inf
         with pytest.raises(DistanceDomainError):
@@ -104,7 +99,7 @@ class TestDrScores:
         for n in (10_000, 40_000):
             rng = np.random.default_rng([41, n])
             table = dgp.sample(n, rng)
-            fold = true_nuisance_fold(dgp, table, (1,), grid128)
+            fold = true_fold(dgp, table, (1,), grid128)[0]
             curve = correction_transform(DistanceSpec("l2"), model,
                                          np.zeros(2), fold.p_hat[1], grid128)
             out = dr_scores(table, fold, 1, curve, grid128)
@@ -128,7 +123,7 @@ class TestDHat:
         table = ObservationTable(sample.x, a, y, (0.0, 1.0))
         eval_idx = np.concatenate([np.arange(6), np.arange(400, 800)])
         folds = [single_split(table, np.arange(6, 400), eval_idx, (0, 1), grid),
-                 true_nuisance_fold(dgp, table, (0, 1), grid)]
+                 true_fold(dgp, table, (0, 1), grid)[0]]
         h = np.column_stack([np.sin(7 * grid.points), 1.0 + grid.points**3])
         for fold in folds:
             for lev in (0, 1):

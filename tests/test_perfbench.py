@@ -2,12 +2,16 @@
 
 ``perfbench/tracing.py`` wraps cfdens bindings by name (``WRAPS``); a change
 that drops or renames one breaks the traced benchmark, so it is checked here.
+A module may keep a binding it never calls only because ``WRAPS`` wraps it.
 """
 
+import ast
 import importlib
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "cfdens"
 
 
 def binding(mod_name, attr):
@@ -30,3 +34,23 @@ def test_tracer_installs_every_binding_and_restores_it(monkeypatch):
         tracer.uninstall()
     assert all(binding(mod, attr) is orig
                for (mod, attr, _), orig in zip(tracing.WRAPS, originals))
+
+
+def test_every_package_import_is_used_or_traced(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wrapped = {(mod, attr) for mod, attr, _ in importlib.import_module("tracing").WRAPS}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in used and (path.stem, name) not in wrapped:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []

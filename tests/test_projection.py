@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import generic_root
+from helpers import generic_root, true_fold
 
 from cfdens import DistanceSpec, cross_fit, make_folds, models
 from cfdens.data import ObservationTable
@@ -14,6 +14,7 @@ from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_
 from cfdens.nuisance import tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_projection
 from cfdens.projection import (
+    certified_root,
     moment,
     one_step_equation,
     sandwich_cov,
@@ -26,11 +27,6 @@ KL = DistanceSpec("kl")
 
 def bump(grid, coef=0.5):
     return 1.0 + coef * np.sqrt(2) * np.cos(np.pi * grid.points)
-
-
-def true_fold(dgp, table, levels, grid):
-    return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
-                               dgp.pi_fn, dgp.eta_fn)]
 
 
 class TestMoment:
@@ -86,6 +82,23 @@ class TestSolveOnestep:
             resid = one_step_equation(spec, model, est.beta_hat, fn, 1, grid128)
             scale = est.solver_report.residual_scale
             assert np.linalg.norm(resid) < 1e-8 * scale
+
+    def test_fit_is_the_certified_root_plus_inference(self, rng, grid128):
+        # one route per family: the fit reports the root and solver trace of
+        # certified_root unchanged and adds the sandwich's warning
+        dgp = get_dgp("randomized_shift")
+        table = dgp.sample(800, rng)
+        fn = true_fold(dgp, table, (1,), grid128)
+        for spec, model in ((L2, TruncatedSeries(CosineBasis(3))),
+                            (KL, ExponentialFamily(CosineBasis(3))),
+                            (DistanceSpec("hellinger"), ExponentialFamily(CosineBasis(2)))):
+            beta, report = certified_root(spec, model, fn, 1, grid128)
+            est = solve_onestep(spec, model, table, fn, 1, grid128)
+            assert np.array_equal(est.beta_hat, beta)
+            assert report.warn == ""
+            assert {**vars(est.solver_report), "warn": ""} == vars(report)
+            _, warn = sandwich_cov(spec, model, beta, table, fn, 1, grid128)
+            assert est.solver_report.warn == warn
 
     def test_oracle_nuisances_recover_target(self, grid128):
         # with true nuisances supplied, the fit concentrates near the

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
+from helpers import true_fold
+
 from cfdens import cross_fit, make_folds, make_grid
 from cfdens.distances import DistanceSpec
 from cfdens.effects import effect_fixed_candidate
-from cfdens.errors import DataError, SolverError
+from cfdens.errors import DataError, RankError, SolverError
 from cfdens.models import CosineBasis, TruncatedSeries, parse_model
-from cfdens.nuisance import NuisanceConfig, tabulate_nuisances
+from cfdens.nuisance import NuisanceConfig
 from cfdens.oracle import get_dgp
 from cfdens.selection import _gram_schmidt, aggregate_linear, pseudo_l2_risk, select_model
-
-
-def true_fold(dgp, table, levels, grid):
-    return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
-                               dgp.pi_fn, dgp.eta_fn)]
 
 
 def bump_density(grid, coef=0.5):
@@ -114,7 +111,7 @@ class TestSelectModel:
         def failing_solve(distance, model, *args):
             raise raised["exc"]
 
-        monkeypatch.setattr("cfdens.selection.solve_onestep", failing_solve)
+        monkeypatch.setattr("cfdens.selection.certified_root", failing_solve)
         raised["exc"] = SolverError("no root")
         with pytest.raises(DataError, match="every candidate failed"):
             select_model(table, folds, 1, cands, grid128)
@@ -250,7 +247,7 @@ class TestAggregate:
     def _inject(self, monkeypatch, exc, calls_before_failure=0):
         """Make the expfam:d=3 fit raise exc once it has been fit
         ``calls_before_failure`` times; every other fit runs as usual."""
-        from cfdens.projection import solve_onestep
+        from cfdens.projection import certified_root
 
         calls = []
 
@@ -259,9 +256,9 @@ class TestAggregate:
                 calls.append(model)
                 if len(calls) > calls_before_failure:
                     raise exc
-            return solve_onestep(distance, model, *args)
+            return certified_root(distance, model, *args)
 
-        monkeypatch.setattr("cfdens.selection.solve_onestep", solve)
+        monkeypatch.setattr("cfdens.selection.certified_root", solve)
 
     @pytest.mark.parametrize("role", [0, 1], ids=["every-role", "second-role"])
     def test_failing_candidate_is_infeasible(self, monkeypatch, grid128, role):
@@ -302,6 +299,30 @@ class TestAggregate:
         self._inject(monkeypatch, SolverError("no root"))
         agg = aggregate_linear(table, folds, 1, cands, grid128)
         assert agg.infeasible == ["expfam:d=3"] and agg.dropped == [2]
+
+    @pytest.mark.parametrize("fit", [aggregate_linear, select_model])
+    def test_singular_sandwich_leaves_every_candidate_feasible(self, monkeypatch, grid128,
+                                                               fit):
+        # a candidate is only its fitted density: its fit stops at the
+        # certified root, so a singular sandwich there cannot reject it
+        def singular(*args):
+            raise RankError("moment derivative is numerically singular (cond=1e+14)")
+
+        monkeypatch.setattr("cfdens.projection.sandwich_cov", singular)
+        table = get_dgp("confounded_shift").sample(400, np.random.default_rng(13))
+        folds = make_folds(400, 2, seed=31)
+        cands = [parse_model(t) for t in ("series:d=2", "expfam:d=3", "series:d=4")]
+        out = fit(table, folds, 1, cands, grid128)
+        assert out.infeasible == [] and out.warnings == []
+
+    def test_mixture_with_a_singular_sandwich_is_aggregated(self, grid128):
+        # on this sample the gmm:k=2 root is certified, but its moment
+        # derivative has cond ~ 4e13, so a full fit would raise RankError
+        table = get_dgp("confounded_shift").sample(1500, np.random.default_rng(0))
+        cands = [parse_model(t) for t in ("series:d=2", "gmm:k=2", "expfam:d=3")]
+        agg = aggregate_linear(table, make_folds(1500, 3, 0), 1, cands, grid128)
+        assert agg.infeasible == [] and agg.warnings == []
+        assert agg.weights[1] != 0.0
 
     @pytest.mark.parametrize("fit", [aggregate_linear, select_model])
     def test_absent_level_is_named(self, grid128, fit):
