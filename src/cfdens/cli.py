@@ -78,6 +78,11 @@ def _validate(cfg: RunConfig):
             bad.append(f"data: no such file {cfg.data!r}")
         if not cfg.x_cols:
             bad.append("x-cols: at least one covariate column required")
+        overlap = [c for c in cfg.x_cols if c in (cfg.a_col, cfg.y_col)]
+        if overlap:
+            bad.append(f"x-cols: {overlap} name the treatment or outcome column")
+    if cfg.seed < 0:
+        bad.append(f"seed: need >= 0, got {cfg.seed}")
     if cfg.grid < 8:
         bad.append(f"grid: {cfg.grid} too coarse, need >= 8")
     if cfg.grid_rule not in ("trapezoid", "gauss_legendre"):
@@ -107,6 +112,8 @@ def _validate(cfg: RunConfig):
             parse_distance(cfg.distance)
         except CfdensError:
             bad.append(f"distance: cannot parse {cfg.distance!r}")
+    if cfg.command == "density-effect" and cfg.level1 == cfg.level0:
+        bad.append(f"level0: must differ from level1, both are {cfg.level1}")
     if cfg.command == "select-model":
         text = cfg.dims
         try:

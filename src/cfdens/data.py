@@ -161,7 +161,8 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
     blank/NA outcome cells are also treated as unobserved. A cell matches the
     code as text, or, for a numeric code, when it parses to exactly the same
     float ("-999.0" matches "-999"; -999.005 stays observed). Covariates and
-    treatment must parse everywhere.
+    treatment must parse everywhere, and no covariate column may be the
+    treatment or outcome column (``SchemaError``).
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -169,6 +170,10 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
             raise EmptyDataError(f"{path}: no header row")
         header = list(reader.fieldnames)
         wanted = list(x_cols) + [a_col, y_col]
+        overlap = [c for c in x_cols if c in (a_col, y_col)]
+        if overlap:
+            raise SchemaError(f"{path}: covariate columns {overlap} are the "
+                              "treatment or outcome column")
         missing_cols = [c for c in wanted if c not in header]
         if missing_cols:
             raise SchemaError(f"{path}: missing columns {missing_cols}")
@@ -335,11 +340,13 @@ class FoldPlan:
 
 
 def make_folds(n, k, seed) -> FoldPlan:
-    """Balanced fold assignment, a pure function of (n, k, seed)."""
+    """Balanced fold assignment, a pure function of (n, k, seed >= 0)."""
     if k < 2:
         raise FoldError("need at least 2 folds")
     if n < k:
         raise FoldError(f"cannot split {n} rows into {k} folds")
+    if seed < 0:
+        raise FoldError(f"fold seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     assignment = np.empty(n, dtype=int)

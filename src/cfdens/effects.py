@@ -64,10 +64,12 @@ def effect_onestep(distance: DistanceSpec, table: ObservationTable, folds_nuis,
     Per fold: plug-in divergence between the fold marginals, plus the mean of
     the raw doubly-robust summands of the two effect transforms net of their
     plug-in counterparts. Influence values are pooled across folds for the
-    standard error.
+    standard error. The two levels must differ (``DataError``).
     """
-    require_levels(folds_nuis, levels)
     lev1, lev0 = levels
+    if lev1 == lev0:
+        raise DataError(f"an effect needs two distinct levels, got {tuple(levels)}")
+    require_levels(folds_nuis, levels)
     floor = EFFECT_FLOOR if _needs_floor(distance) else None
 
     def terms(fold):

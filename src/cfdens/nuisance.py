@@ -600,12 +600,20 @@ def fold_nuisance(table: ObservationTable, eval_idx, grid: EvalGrid, pi, tabulat
     d_hat @ h then equals the mean over the eval rows of the raw summand
 
         1(A_i = level)/pi_i (h(Y_i) - hbar_i) + hbar_i,   hbar_i = eta_i @ (w h).
+
+    Every propensity must lie in (0, 1]: fitted ones always do, and an
+    injected one (``pi_fn``) that is not finite or outside raises
+    ``DataError`` naming the level and the first such table row.
     """
     eval_idx = np.asarray(eval_idx)
     n_ev = len(eval_idx)
     a, y = table.a[eval_idx], table.y[eval_idx]
     eta, p_hat, d_hat = {}, {}, {}
     for lev, pi_lev in pi.items():
+        bad = np.flatnonzero(~((pi_lev > 0.0) & (pi_lev <= 1.0)))  # nan fails too
+        if bad.size:
+            raise DataError(f"propensity of level {lev} at row {eval_idx[bad[0]]} is "
+                            f"{float(pi_lev[bad[0]])!r}, not in (0, 1]")
         hit = a == lev
         ipw = np.zeros(n_ev)
         ipw[hit] = 1.0 / (n_ev * pi_lev[hit])

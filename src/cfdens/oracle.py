@@ -6,10 +6,12 @@ computed by quadrature and Nelder-Mead / root-finding, independently of the
 estimation path they validate. The Monte-Carlo runner is a pure function of
 its descriptor: per-rep RNG streams derive from (seed, n index, rep).
 
-Two constants fix the oracles' effort: a marginal without a 1-d closed form
-averages ``MARGINAL_DRAWS`` covariate draws from seed 0, and the Nelder-Mead
-projection oracle starts from ``NM_STARTS`` points (zero, then jittered from
-seed 0).
+Two constants fix the oracles' effort. Every mean over the covariates
+X ~ U([0,1]^d), a design's marginal E_X[eta(.|X)] and each term of the
+remainder harness, is the tensor Gauss-Legendre rule of ``X_NODES`` points
+per axis (``X_NODES**d`` nodes, 576 for the shipped d = 2 designs), exact to
+rounding for their smooth eta. The Nelder-Mead projection oracle starts from
+``NM_STARTS`` points (zero, then jittered from seed 0).
 
 The remainder harness tilts both nuisances of one arm along one fixed
 direction: pi + s*eps*u(x) and eta + s*eps*v(x, y), with
@@ -28,7 +30,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, ndtr, ndtri
 
 from .data import EvalGrid, ObservationTable, make_folds, make_grid
-from .distances import DistanceSpec, divergence, parse_distance
+from .distances import DistanceSpec, divergence
 from .effects import effect_onestep
 from .eif import effect_curves
 from .errors import CfdensError, DataError
@@ -36,7 +38,7 @@ from .models import CosineBasis, TruncatedSeries, g_on_grid, parse_model
 from .nuisance import NuisanceConfig, cross_fit, tabulate_nuisances
 from .projection import _damped_newton, moment, solve_onestep
 
-MARGINAL_DRAWS = 100_000
+X_NODES = 24
 NM_STARTS = 5
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,16 @@ def cosine_series_sample(n, rng, coefs):
     return out
 
 
+def tensor_uniform_quad(m, d):
+    """Tensor Gauss-Legendre rule (nodes, weights) for means over X ~ U([0,1]^d)."""
+    rule = make_grid(m, "gauss_legendre")
+    x = np.column_stack([g.ravel() for g in np.meshgrid(*([rule.points] * d), indexing="ij")])
+    weight = np.ones(len(x))
+    for w in np.meshgrid(*([rule.weights] * d), indexing="ij"):
+        weight *= w.ravel()
+    return x, weight
+
+
 # ---------------------------------------------------------------------------
 # DGP library
 
@@ -90,8 +102,7 @@ class SyntheticDGP:
 
     ``pi_fn(x, level)`` and ``eta_fn(x, level, points)`` are the closed-form
     nuisances; ``sampler(x, a, rng)`` draws outcomes given covariates and
-    treatment; ``marginal_1d`` (optional) marks that eta depends on x only
-    through its first coordinate, enabling machine-precision marginals.
+    treatment. Covariates are uniform on [0,1]^d.
     """
 
     name: str
@@ -100,7 +111,6 @@ class SyntheticDGP:
     pi_fn: object
     eta_fn: object
     sampler: object
-    marginal_1d: bool = False
 
     def sample(self, n, rng) -> ObservationTable:
         x = rng.uniform(size=(n, self.d))
@@ -113,27 +123,13 @@ class SyntheticDGP:
         return ObservationTable(x, a, np.clip(y, 0.0, 1.0), (0.0, 1.0))
 
     def marginal(self, level, grid: EvalGrid):
-        """True counterfactual marginal p_level on the grid.
+        """True counterfactual marginal p_level = E_X[eta(.|X, level)] on the grid.
 
-        When eta depends only on the first covariate coordinate
-        (``marginal_1d``), a 1-d Gauss-Legendre average over that coordinate
-        is exact to machine precision; otherwise the average over
-        ``MARGINAL_DRAWS`` covariate draws from seed 0 is used.
+        The mean over X ~ U([0,1]^d) is ``tensor_uniform_quad(X_NODES, d)``,
+        whatever coordinates of x eta depends on.
         """
-        if self.marginal_1d:
-            rule = make_grid(64, "gauss_legendre")
-            x = np.zeros((64, self.d))
-            x[:, 0] = rule.points
-            return rule.weights @ self.eta_fn(x, level, grid.points)
-        rng = np.random.default_rng(0)
-        total = np.zeros(grid.size)
-        left = MARGINAL_DRAWS
-        while left > 0:
-            m = min(left, 20_000)
-            x = rng.uniform(size=(m, self.d))
-            total += self.eta_fn(x, level, grid.points).sum(axis=0)
-            left -= m
-        return total / MARGINAL_DRAWS
+        x, w = tensor_uniform_quad(X_NODES, self.d)
+        return w @ self.eta_fn(x, level, grid.points)
 
 
 def _two_arm(p1, level):
@@ -154,7 +150,7 @@ def _tn_dgp(name, mean_fn, sigma, pi1_fn):
         return truncnorm_sample(mean_fn(x, a), sigma, rng)
 
     return SyntheticDGP(name=name, d=2, levels=(0, 1), pi_fn=pi_fn,
-                        eta_fn=eta_fn, sampler=sampler, marginal_1d=True)
+                        eta_fn=eta_fn, sampler=sampler)
 
 
 def _mixture_dgp():
@@ -189,7 +185,7 @@ def _mixture_dgp():
         return y
 
     return SyntheticDGP(name="bimodal_mixture", d=2, levels=(0, 1), pi_fn=pi_fn,
-                        eta_fn=eta_fn, sampler=sampler, marginal_1d=True)
+                        eta_fn=eta_fn, sampler=sampler)
 
 
 def cosine_series_dgp(coefs, name="cosine_series") -> SyntheticDGP:
@@ -218,7 +214,7 @@ def cosine_series_dgp(coefs, name="cosine_series") -> SyntheticDGP:
         return y
 
     return SyntheticDGP(name=name, d=2, levels=(0, 1), pi_fn=pi_fn,
-                        eta_fn=eta_fn, sampler=sampler, marginal_1d=True)
+                        eta_fn=eta_fn, sampler=sampler)
 
 
 def dgp_library():
@@ -342,7 +338,11 @@ def oracle_effect(dgp: SyntheticDGP, distance: DistanceSpec, grid: EvalGrid,
 
 @dataclass(frozen=True)
 class Experiment:
-    """Descriptor for a deterministic Monte-Carlo run."""
+    """Descriptor for a deterministic Monte-Carlo run.
+
+    Every experiment is squared-L2: a projection experiment estimates the
+    projection of p_1, an effect experiment the effect between levels (1, 0).
+    """
 
     name: str
     dgp: str = "confounded_shift"
@@ -350,9 +350,6 @@ class Experiment:
     n_values: tuple = (2000,)
     reps: int = 50
     seed: int = 0
-    level: int = 1
-    levels: tuple = (1, 0)
-    distance: str = "l2"
     model: str = "series:d=3"
     k_folds: int = 2
     grid_size: int = 128
@@ -362,7 +359,6 @@ class Experiment:
 
 @dataclass
 class McResult:
-    experiment: Experiment
     oracle: object
     records: list
     summary: dict
@@ -396,15 +392,19 @@ def mc_run(exp: Experiment) -> McResult:
     """
     if exp.reps < 2:
         raise DataError("need reps >= 2")
+    if exp.seed < 0:
+        raise DataError(f"need seed >= 0, got {exp.seed}")
     dgp = get_dgp(exp.dgp)
     grid = make_grid(exp.grid_size, "trapezoid")
-    distance = parse_distance(exp.distance)
+    distance = DistanceSpec("l2")
     if exp.estimator == "projection":
+        levels = (1,)
         model = parse_model(exp.model)
-        oracle = oracle_projection(dgp, exp.level, model, distance, grid)
+        oracle = oracle_projection(dgp, 1, model, distance, grid)
         target = oracle.beta_star
     elif exp.estimator == "effect":
-        oracle = oracle_effect(dgp, distance, grid, exp.levels)
+        levels = (1, 0)
+        oracle = oracle_effect(dgp, distance, grid, levels)
         target = oracle
     else:
         raise DataError(f"unknown estimator {exp.estimator!r}")
@@ -418,11 +418,9 @@ def mc_run(exp: Experiment) -> McResult:
             rec = {"n": int(n), "rep": int(rep), "failed": False}
             try:
                 folds = make_folds(n, exp.k_folds, seed=exp.seed + 7919 * i_n + rep)
-                levels = (exp.level,) if exp.estimator == "projection" else tuple(exp.levels)
                 folds_nuis = _fold_nuisances(exp, dgp, table, folds, grid, levels)
                 if exp.estimator == "projection":
-                    est = solve_onestep(distance, model, table, folds_nuis,
-                                        exp.level, grid)
+                    est = solve_onestep(distance, model, table, folds_nuis, 1, grid)
                     err = est.beta_hat - target
                     rec.update({
                         "estimate": est.beta_hat.tolist(),
@@ -432,7 +430,7 @@ def mc_run(exp: Experiment) -> McResult:
                                   in zip(est.wald_ci, target)],
                     })
                 else:
-                    est = effect_onestep(distance, table, folds_nuis, grid, exp.levels)
+                    est = effect_onestep(distance, table, folds_nuis, grid, levels)
                     rec.update({
                         "estimate": est.psi_hat,
                         "se": est.se,
@@ -447,8 +445,7 @@ def mc_run(exp: Experiment) -> McResult:
                 rec["error_message"] = str(exc)
             rec["runtime"] = time.perf_counter() - t0
             records.append(rec)
-    return McResult(experiment=exp, oracle=oracle, records=records,
-                    summary=_summarize(exp, records))
+    return McResult(oracle=oracle, records=records, summary=_summarize(exp, records))
 
 
 def _summarize(exp, records):
@@ -473,31 +470,21 @@ def _summarize(exp, records):
 EXPERIMENTS = {
     "projection-coverage": Experiment(
         name="projection-coverage", dgp="confounded_shift", estimator="projection",
-        n_values=(2000,), reps=100, model="series:d=3", distance="l2"),
+        n_values=(2000,), reps=100, model="series:d=3"),
     "projection-rate": Experiment(
         name="projection-rate", dgp="confounded_shift", estimator="projection",
-        n_values=(1000, 4000), reps=50, model="series:d=3", distance="l2"),
+        n_values=(1000, 4000), reps=50, model="series:d=3"),
     "effect-coverage": Experiment(
         name="effect-coverage", dgp="cosine_bump", estimator="effect",
-        n_values=(4000,), reps=100, distance="l2"),
+        n_values=(4000,), reps=100),
     "effect-null": Experiment(
         name="effect-null", dgp="null_equal", estimator="effect",
-        n_values=(2000,), reps=100, distance="l2"),
+        n_values=(2000,), reps=100),
 }
 
 
 # ---------------------------------------------------------------------------
 # quadrature harness for second-order remainders
-
-
-def tensor_uniform_quad(m=24, d=2):
-    """Tensor Gauss-Legendre rule for expectations over X ~ U([0,1]^d)."""
-    rule = make_grid(m, "gauss_legendre")
-    x = np.column_stack([g.ravel() for g in np.meshgrid(*([rule.points] * d), indexing="ij")])
-    weight = np.ones(len(x))
-    for w in np.meshgrid(*([rule.weights] * d), indexing="ij"):
-        weight *= w.ravel()
-    return x, weight
 
 
 def _tilted(dgp: SyntheticDGP, level, sign, eps, x, grid: EvalGrid):
@@ -522,13 +509,13 @@ def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps, grid: EvalG
     tabulators: ``h_tab(p_curve) -> (G, m)`` and its p-derivative ``hp_tab``.
     Nuisances are tilted as pi + eps*u and eta + eps*v along the fixed
     direction of the module docstring; with the covariate law fixed
-    (``tensor_uniform_quad(24, d)``), the remainder is
+    (``tensor_uniform_quad(X_NODES, d)``), the remainder is
 
         Psi(P_bar) - Psi(P) + E_X[ (pi/pi_bar) int Hp(y, p_bar)(eta - eta_bar) dy ]
 
     evaluated entirely by quadrature. Returns a vector of length m.
     """
-    x, wx = tensor_uniform_quad(24, dgp.d)
+    x, wx = tensor_uniform_quad(X_NODES, dgp.d)
     pi, pi_bar, eta, eta_bar = _tilted(dgp, level, 1.0, eps, x, grid)
     p = wx @ eta
     p_bar = wx @ eta_bar
@@ -541,17 +528,18 @@ def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps, grid: EvalG
 
 
 def effect_population_bias(dgp: SyntheticDGP, distance: DistanceSpec, eps,
-                           grid: EvalGrid, levels=(1, 0)):
+                           grid: EvalGrid):
     """Population bias of the one-step density effect under tilted nuisances.
 
     Evaluates plug-in distance at the tilted marginals plus the population
     mean of the estimated influence terms, minus the true effect; all terms
     by quadrature, so the value isolates the second-order remainder. The
-    first arm is tilted by +eps, the second by -eps, along the direction and
-    over the covariate quadrature of ``vonmises_remainder``.
+    effect is between levels (1, 0); level 1 is tilted by +eps, level 0 by
+    -eps, along the direction and over the covariate quadrature of
+    ``vonmises_remainder``.
     """
-    x, wx = tensor_uniform_quad(24, dgp.d)
-    arms = [_tilted(dgp, lev, sign, eps, x, grid) for sign, lev in zip((1.0, -1.0), levels)]
+    x, wx = tensor_uniform_quad(X_NODES, dgp.d)
+    arms = [_tilted(dgp, lev, sign, eps, x, grid) for lev, sign in ((1, 1.0), (0, -1.0))]
     p1, p0 = (wx @ eta for _, _, eta, _ in arms)
     p1_bar, p0_bar = (wx @ eta_bar for _, _, _, eta_bar in arms)
     truth = divergence(distance, p1, p0, grid)

@@ -301,6 +301,37 @@ class TestErrors:
         assert err["exit_code"] == 2 and err["type"] == "ConfigError"
         assert "--reps" in err["violations"][0]
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--experiment", "effect-null"],
+        ["fit-projection", "--data", "{data}", *BASE, "--quick"],
+        ["density-effect", "--data", "{data}", *BASE, "--quick"],
+        ["select-model", "--data", "{data}", *BASE, "--quick", "--dims", "1..2"],
+        ["aggregate", "--data", "{data}", *BASE, "--quick", "--candidates", "series:d=1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_config_error(self, capsys, synthetic_csv, argv):
+        argv = [a.replace("{data}", synthetic_csv) for a in argv]
+        code = main(argv + ["--seed", "-1"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert err["violations"] == ["seed: need >= 0, got -1"]
+
+    def test_effect_between_a_level_and_itself_is_config_error(self, capsys, synthetic_csv):
+        code = main(["density-effect", "--data", synthetic_csv, *BASE, "--quick",
+                     "--level1", "1", "--level0", "1"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["violations"] == ["level0: must differ from level1, both are 1"]
+
+    @pytest.mark.parametrize("x_cols", ["x1,y", "x1,a"])
+    def test_covariate_naming_treatment_or_outcome_is_config_error(self, capsys, csv600,
+                                                                   x_cols):
+        code = main(["density-effect", "--data", csv600, "--x-cols", x_cols, "--quick"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["violations"] == [f"x-cols: ['{x_cols[-1]}'] name the treatment "
+                                     "or outcome column"]
+
     def test_unknown_experiment(self, capsys):
         code = main(["simulate", "--experiment", "nope"])
         assert code == 2
@@ -324,7 +355,8 @@ class TestErrors:
 # "--level 7" names a level absent from the data (exit 3), the rest exit 2
 _DATA_INVALID = {
     "--data": ["{missing}"],
-    "--x-cols": [","],
+    "--x-cols": [",", "x1,y", "x1,a"],
+    "--seed": ["-1"],
     "--grid": ["4", "0", "-3", "x"],
     "--folds": ["1", "0", "two", "500"],
     "--clip-eps": ["0", "0.5", "-0.1", "nan", "inf"],
@@ -338,11 +370,11 @@ _INVALID = {
                        "--distance": ["l3", "tv:t=x", "tv:t=inf", "tv:kind=erf"],
                        "--level": ["7", "x"]},
     "density-effect": {**_DATA_INVALID, "--distance": ["l3", "tv:t=inf", "tv:kind=erf"],
-                       "--level1": ["7"]},
+                       "--level1": ["7"], "--level0": ["1"]},
     "select-model": {**_DATA_INVALID, "--dims": ["a..3", "0..3", ""], "--level": ["7"]},
     "aggregate": {**_DATA_INVALID, "--candidates": ["", "bogus"], "--level": ["7"]},
     "simulate": {"--experiment": ["nope", ""], "--reps": ["1", "0", "-3", "x"],
-                 "--seed": ["x"]},
+                 "--seed": ["x", "-1"]},
 }
 
 

@@ -70,6 +70,12 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="x9"):
             load_csv(path, ["x9"], "a", "y")
 
+    @pytest.mark.parametrize("x_cols", [["x1", "y"], ["x1", "a"]])
+    def test_covariate_naming_treatment_or_outcome_is_schema_error(self, tmp_path, x_cols):
+        path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"], [[1, 0, 2], [2, 1, 3]])
+        with pytest.raises(SchemaError, match=f"covariate columns \\['{x_cols[1]}'\\]"):
+            load_csv(path, x_cols, "a", "y")
+
     def test_bad_covariate_reports_row(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"],
                          [[1.0, 0, 2], ["oops", 1, 3]])
@@ -188,6 +194,10 @@ class TestFolds:
             make_folds(3, 4, seed=0)
         with pytest.raises(FoldError):
             make_folds(10, 1, seed=0)
+
+    def test_negative_seed_is_fold_error(self):
+        with pytest.raises(FoldError, match="seed must be >= 0, got -1"):
+            make_folds(10, 2, seed=-1)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(4, 400), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))

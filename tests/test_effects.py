@@ -169,6 +169,14 @@ class TestFixedCandidate:
         assert est.density_floor == 1e-8
 
 
+def test_effect_between_a_level_and_itself_is_data_error(grid128):
+    dgp = get_dgp("confounded_shift")
+    table = dgp.sample(200, np.random.default_rng(0))
+    fn = true_fold(dgp, table, (1, 0), grid128)
+    with pytest.raises(DataError, match=r"two distinct levels, got \(1, 1\)"):
+        effect_onestep(L2, table, fn, grid128, (1, 1))
+
+
 class TestAbsentLevel:
     @pytest.mark.parametrize("entry", ["effect_onestep", "solve_onestep",
                                        "effect_fixed_candidate", "pseudo_l2_risk"])

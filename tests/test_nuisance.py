@@ -411,6 +411,37 @@ class TestCrossFit:
                            plugin_marginal(model, table, eval_idx, grid128))
 
 
+class TestInjectedPropensity:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [0.0, np.nan, -0.5, 2.0])
+    @pytest.mark.parametrize("path", ["tabulate_nuisances", "single_split", "cross_fit"])
+    def test_value_outside_unit_interval_is_data_error(self, grid128, path, value):
+        # level 0 is bad at the eighth eval row of the first fold only
+        dgp = get_dgp("confounded_shift")
+        table = dgp.sample(400, np.random.default_rng(0))
+        folds = make_folds(table.n, 2, seed=1)
+        eval_rows = {"tabulate_nuisances": np.arange(table.n),
+                     "single_split": np.arange(200, 400),
+                     "cross_fit": folds.eval_idx(0)}[path]
+
+        def pi_fn(x, lev):
+            pi = np.asarray(dgp.pi_fn(x, lev), dtype=float)
+            if lev == 0 and np.array_equal(x, table.x[eval_rows]):
+                pi[7] = value
+            return pi
+
+        calls = {
+            "tabulate_nuisances": lambda: tabulate_nuisances(
+                table, eval_rows, (1, 0), grid128, pi_fn, dgp.eta_fn),
+            "single_split": lambda: single_split(
+                table, np.arange(200), eval_rows, (1, 0), grid128, pi_fn=pi_fn),
+            "cross_fit": lambda: cross_fit(table, folds, (1, 0), grid128, pi_fn=pi_fn),
+        }
+        with pytest.raises(DataError, match=rf"propensity of level 0 at row {eval_rows[7]} "
+                                            rf"is {value!r}, not in \(0, 1\]"):
+            calls[path]()
+
+
 class TestMseBound:
     def test_plugin_mse_dominated_by_integrated_conditional_mse(self, grid128):
         # scaled-down version of the acceptance check: the plug-in marginal's

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from cfdens import DistanceSpec, divergence, effect_onestep, fit_cond_density, make_folds, make_grid
-from cfdens.errors import SolverError
+from cfdens.errors import DataError, SolverError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_grid
 from cfdens.nuisance import FactoredEta, cross_fit, fold_nuisance
 from cfdens.oracle import (
@@ -20,6 +20,7 @@ from cfdens.oracle import (
     oracle_effect,
     oracle_projection,
     tensor_uniform_quad,
+    truncnorm_pdf,
     vonmises_remainder,
 )
 
@@ -75,11 +76,30 @@ class TestDgpLibrary:
         assert np.max(np.abs(dens - truth_at_centers)) < 0.05
 
     def test_exact_marginal_agrees_with_sample_tabulation(self, grid128):
+        # the independent reference: eta averaged over 100 000 covariate draws
         dgp = get_dgp("randomized_shift")
         exact = dgp.marginal(1, grid128)
-        sampled = dataclasses.replace(dgp, marginal_1d=False).marginal(1, grid128)
+        x = np.random.default_rng(0).uniform(size=(100_000, dgp.d))
+        sampled = sum(dgp.eta_fn(x[i:i + 20_000], 1, grid128.points).sum(axis=0)
+                      for i in range(0, len(x), 20_000)) / len(x)
         l2gap = np.sqrt(grid128.integrate((exact - sampled) ** 2))
         assert l2gap < 0.02
+
+    @pytest.mark.parametrize("size", [128, 512])
+    def test_marginal_averages_every_covariate(self, size):
+        # eta depends on x_1 and x_2; a finer tensor rule is the reference
+        grid = make_grid(size)
+        base = get_dgp("confounded_shift")
+
+        def eta_fn(x, level, points):
+            mean = 0.40 + 0.18 * (level == 1) + 0.12 * (x[:, 0] - 0.5) + 0.3 * (x[:, 1] - 0.5)
+            return truncnorm_pdf(points, mean, 0.27)
+
+        dgp = dataclasses.replace(base, eta_fn=eta_fn)
+        x, w = tensor_uniform_quad(64, 2)
+        for level in dgp.levels:
+            np.testing.assert_allclose(dgp.marginal(level, grid),
+                                       w @ eta_fn(x, level, grid.points), rtol=1e-12)
 
     def test_marginal_vs_brute_force_kde(self, grid128):
         # two independent computations of the same truth: covariate-averaged
@@ -129,7 +149,7 @@ class TestOracleProjection:
             pi_fn=lambda x, lev: np.full(len(x), 0.5),
             eta_fn=lambda x, lev, pts: np.tile(
                 np.interp(pts, grid.points, curve), (len(x), 1)),
-            sampler=None, marginal_1d=True)
+            sampler=None)
         orc = oracle_projection(dgp, 1, model, DistanceSpec("kl"), grid)
         assert np.max(np.abs(orc.beta_star - beta_gen)) < 1e-5
         assert orc.moment_norm < 1e-6
@@ -166,6 +186,12 @@ class TestMcRun:
         assert mc_run(exp).summary[300]["failures"] == 2
         raised["exc"] = ValueError("a bug, not a data-dependent failure")
         with pytest.raises(ValueError, match="a bug"):
+            mc_run(exp)
+
+    def test_negative_seed_is_data_error(self):
+        exp = Experiment(name="neg", dgp="cosine_bump", estimator="effect",
+                         n_values=(300,), reps=2, seed=-1, grid_size=64)
+        with pytest.raises(DataError, match="seed >= 0, got -1"):
             mc_run(exp)
 
     def test_determinism_modulo_runtime(self):
