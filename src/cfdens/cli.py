@@ -14,7 +14,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,12 +59,6 @@ class RunConfig:
     csv_out: str = ""
     quick: bool = False
 
-    def resolved(self):
-        cfg = asdict(self)
-        for key in ("x_cols", "dims", "candidates"):
-            cfg[key] = list(cfg[key])
-        return cfg
-
 
 def _validate(cfg: RunConfig):
     """Collect every violated field before rejecting the run."""
@@ -81,6 +75,8 @@ def _validate(cfg: RunConfig):
         overlap = [c for c in cfg.x_cols if c in (cfg.a_col, cfg.y_col)]
         if overlap:
             bad.append(f"x-cols: {overlap} name the treatment or outcome column")
+        if cfg.y_col == cfg.a_col:
+            bad.append(f"y-col: {cfg.y_col!r} names the treatment column")
     if cfg.seed < 0:
         bad.append(f"seed: need >= 0, got {cfg.seed}")
     if cfg.grid < 8:
@@ -135,14 +131,11 @@ def _validate(cfg: RunConfig):
         raise ConfigError(bad)
 
 
-def _bandwidth_value(cfg):
-    return cfg.bandwidth if cfg.bandwidth == "silverman" else float(cfg.bandwidth)
-
-
 def _nuisance_config(cfg: RunConfig) -> NuisanceConfig:
     return NuisanceConfig(propensity=cfg.nuisance_propensity,
                           density=cfg.nuisance_density,
-                          bandwidth=_bandwidth_value(cfg),
+                          bandwidth=(cfg.bandwidth if cfg.bandwidth == "silverman"
+                                     else float(cfg.bandwidth)),
                           clip_eps=cfg.clip_eps)
 
 
@@ -157,7 +150,7 @@ def _report(cfg: RunConfig, results: dict) -> dict:
     return {
         "version": __version__,
         "command": cfg.command,
-        "config": cfg.resolved(),
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "results": results,
@@ -294,15 +287,7 @@ def _cmd_aggregate(cfg: RunConfig):
 
 def _cmd_simulate(cfg: RunConfig):
     exp = EXPERIMENTS[cfg.experiment]
-    overrides = {}
-    if cfg.reps:
-        overrides["reps"] = cfg.reps
-    if cfg.seed:
-        overrides["seed"] = cfg.seed
-    if overrides:
-        from dataclasses import replace
-
-        exp = replace(exp, **overrides)
+    exp = replace(exp, reps=cfg.reps or exp.reps, seed=cfg.seed or exp.seed)
     result = mc_run(exp)
     if cfg.csv_out:
         keys = sorted({k for rec in result.records for k in rec})

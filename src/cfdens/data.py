@@ -162,7 +162,7 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
     code as text, or, for a numeric code, when it parses to exactly the same
     float ("-999.0" matches "-999"; -999.005 stays observed). Covariates and
     treatment must parse everywhere, and no covariate column may be the
-    treatment or outcome column (``SchemaError``).
+    treatment or outcome column, nor the outcome the treatment (``SchemaError``).
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -174,6 +174,8 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
         if overlap:
             raise SchemaError(f"{path}: covariate columns {overlap} are the "
                               "treatment or outcome column")
+        if y_col == a_col:
+            raise SchemaError(f"{path}: outcome column {y_col!r} is the treatment column")
         missing_cols = [c for c in wanted if c not in header]
         if missing_cols:
             raise SchemaError(f"{path}: missing columns {missing_cols}")

@@ -1,10 +1,12 @@
 """Density effects: one-step estimation of the distance between counterfactual densities.
 
-The effect estimate is the plug-in distance between the two fold marginals
-plus the averaged influence correction for both arms. Wald intervals use the
-pooled influence variance; a conservative interval widens the standard error
-to at least 1/sqrt(n), which stays valid when the two densities coincide and
-the influence function degenerates.
+Both entry points are one estimator (``_effect``): per fold, the plug-in
+distance D(p, q) plus the averaged influence correction of each arm. For an
+effect, p and q are the fold marginals at two levels and both are arms; for
+the distance to a fixed, known candidate, q is that candidate and only p is
+an arm. Wald intervals use the pooled influence variance; a conservative
+interval widens the standard error to at least 1/sqrt(n), which stays valid
+when the two densities coincide and the influence function degenerates.
 """
 
 from __future__ import annotations
@@ -53,36 +55,20 @@ def _finalize(psi, influence_pooled, levels, floor):
         density_floor=floor)
 
 
-def _needs_floor(distance):
-    return distance.kind in ("kl", "chisq", "hellinger")
-
-
 def effect_onestep(distance: DistanceSpec, table: ObservationTable, folds_nuis,
                    grid: EvalGrid, levels=(1, 0)) -> EffectEstimate:
     """One-step estimate of D(p_level1, p_level0) with both corrections.
 
     Per fold: plug-in divergence between the fold marginals, plus the mean of
     the raw doubly-robust summands of the two effect transforms net of their
-    plug-in counterparts. Influence values are pooled across folds for the
-    standard error. The two levels must differ (``DataError``).
+    plug-in counterparts (``_effect``). The two levels must differ
+    (``DataError``).
     """
     lev1, lev0 = levels
     if lev1 == lev0:
         raise DataError(f"an effect needs two distinct levels, got {tuple(levels)}")
     require_levels(folds_nuis, levels)
-    floor = EFFECT_FLOOR if _needs_floor(distance) else None
-
-    def terms(fold):
-        p1, p0 = fold.p_hat[lev1], fold.p_hat[lev0]
-        if floor is not None:
-            p1 = np.maximum(p1, floor)
-            p0 = np.maximum(p0, floor)
-        lam1, lam0 = effect_curves(distance, p1, p0)
-        return divergence(distance, p1, p0, grid), [(lev1, lam1, p1), (lev0, lam0, p0)]
-
-    psi = onestep(folds_nuis, grid, terms)
-    influence = onestep_influence(table, folds_nuis, grid, terms)
-    return _finalize(psi, influence, levels, floor)
+    return _effect(distance, table, folds_nuis, grid, (lev1, lev0))
 
 
 def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
@@ -90,23 +76,38 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
     """One-step distance between p_level and a fixed, known density g.
 
     Plug-in D(p_hat, g) plus the mean doubly-robust summand of the
-    fixed-candidate transform net of its plug-in counterpart; for l2 this is
-    the displayed closed form with transform 2 (p_hat - g).
+    fixed-candidate transform net of its plug-in counterpart (``_effect``
+    with no arm for g); for l2 this is the displayed closed form with
+    transform 2 (p_hat - g).
     """
     require_levels(folds_nuis, (level,))
     g = np.asarray(g, dtype=float)
     if g.shape != grid.points.shape:
         raise DataError("candidate density must be tabulated on the grid")
-    floor = EFFECT_FLOOR if _needs_floor(distance) else None
+    return _effect(distance, table, folds_nuis, grid, (level,), g)
+
+
+def _effect(distance, table, folds_nuis, grid, levels, g=None):
+    """The one-step distance D(p, q) behind both entry points.
+
+    p is the fold marginal at ``levels[0]``; q is the fold marginal at
+    ``levels[1]``, or, with one level, the fixed density g, which has no arm
+    of its own. Per fold, for kl, chisq and hellinger, p and q are floored at
+    ``EFFECT_FLOOR``; the fold's estimate is D(p, q) plus, per arm, the mean
+    doubly-robust summand of its transform from ``effect_curves`` net of its
+    plug-in counterpart. Influence values are pooled across folds for the
+    standard error.
+    """
+    floor = EFFECT_FLOOR if distance.kind in ("kl", "chisq", "hellinger") else None
 
     def terms(fold):
-        p_hat, gf = fold.p_hat[level], g
+        p = fold.p_hat[levels[0]]
+        q = g if g is not None else fold.p_hat[levels[1]]
         if floor is not None:
-            p_hat = np.maximum(p_hat, floor)
-            gf = np.maximum(g, floor)
-        lam = effect_curves(distance, p_hat, gf)[0]
-        return divergence(distance, p_hat, gf, grid), [(level, lam, p_hat)]
+            p, q = np.maximum(p, floor), np.maximum(q, floor)
+        arms = zip(levels, effect_curves(distance, p, q), (p, q))   # as many as levels
+        return divergence(distance, p, q, grid), list(arms)
 
     psi = onestep(folds_nuis, grid, terms)
     influence = onestep_influence(table, folds_nuis, grid, terms)
-    return _finalize(psi, influence, (level,), floor)
+    return _finalize(psi, influence, levels, floor)

@@ -16,8 +16,9 @@ a bit); it equals the full three-term float64 sum rounded to float32, bit for
 bit. The covariate weights are clipped Epanechnikov windows; only a block with
 a zero-mass row is searched for empty windows, whose rows fall back to their
 nearest training row. An eval row left with no kernel mass raises
-``DataError``, in ``FactoredEta``, ``predict`` and ``tabulate_nuisances``
-alike. Shipped learners are multinomial logistic
+``DataError`` in ``FactoredEta``, and so in ``predict``, its dense view;
+``tabulate_nuisances`` raises one for an injected row without finite, positive
+mass. Shipped learners are multinomial logistic
 regression and k-NN for the propensity, and Nadaraya-Watson / k-NN /
 marginal-only kernel regressions of a Gaussian-kernel-transformed outcome
 for the conditional density. Analytic or deliberately misspecified
@@ -316,19 +317,6 @@ def _kernel_outcome_matrix(y_train, points, h):
     return out
 
 
-def _normalize_rows_to_density(eta, grid):
-    """Rows of eta clipped at 0 and scaled to unit mass under the grid
-    quadrature; a row whose mass is not finite and positive (a NaN or inf
-    entry, or no mass) raises ``DataError``, as in ``FactoredEta``."""
-    eta = np.maximum(eta, 0.0)
-    mass = eta @ grid.weights
-    bad = np.flatnonzero(~np.isfinite(mass) | (mass <= 1e-300))
-    if bad.size:
-        raise DataError(f"conditional density row {bad[0]} has non-finite or no mass on "
-                        f"the {grid.size}-point grid ({bad.size} such rows)")
-    return eta / mass[:, None]
-
-
 class CondDensityModel:
     """Conditional density eta_hat(. | x) on an EvalGrid, held in factored form.
 
@@ -345,8 +333,8 @@ class CondDensityModel:
 
     K is kept in float32 (``kmat``; the marginal's summed row in float64) and
     every product with it runs in float64.
-    ``predict`` materialises (n, G) rows on request; the estimators only ever
-    contract the factored form (``FactoredEta``).
+    ``predict`` materialises (n, G) rows on request, as the dense view of
+    ``FactoredEta``; the estimators only ever contract the factored form.
     """
 
     def __init__(self, level, x_train, k_matrix, regressor, h_y, train_row_ids=None):
@@ -424,16 +412,11 @@ class CondDensityModel:
         return empty, raw[empty].argmax(axis=1)
 
     def predict(self, x, grid: EvalGrid):
-        """Materialise eta_hat on the rows of x: (n, G), each row unit mass; a
-        row with no kernel mass raises ``DataError``."""
-        kmat = self.kmat.astype(float)
-        kw = kmat @ grid.weights
-        xa = self.covariates(x)
-        out = np.empty((len(xa), kmat.shape[1]))
-        for rows, w in self.weight_blocks(xa):
-            w[self.empty_rows(xa, rows, w @ kw)] = 1.0
-            out[rows] = w @ kmat
-        return _normalize_rows_to_density(out, grid)
+        """Materialise eta_hat on the rows of x: (n, G), each row unit mass.
+
+        The dense view of ``FactoredEta``, its rows contracted with the
+        identity; a row with no kernel mass raises its ``DataError``."""
+        return FactoredEta(self, x, grid, np.empty((len(x), 0))).contract(np.eye(grid.size))
 
 
 class FactoredEta:
@@ -664,6 +647,19 @@ def cross_fit(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid,
     """Fit nuisances per fold on the complement, tabulate on the held-out rows."""
     return [single_split(table, train_idx, eval_idx, levels, grid, config, pi_fn)
             for _, train_idx, eval_idx in folds.splits()]
+
+
+def _normalize_rows_to_density(eta, grid):
+    """Rows of an injected eta clipped at 0 and scaled to unit mass under the
+    grid quadrature; a row whose mass is not finite and positive (a NaN or inf
+    entry, or no mass) raises ``DataError``, as in ``FactoredEta``."""
+    eta = np.maximum(eta, 0.0)
+    mass = eta @ grid.weights
+    bad = np.flatnonzero(~np.isfinite(mass) | (mass <= 1e-300))
+    if bad.size:
+        raise DataError(f"conditional density row {bad[0]} has non-finite or no mass on "
+                        f"the {grid.size}-point grid ({bad.size} such rows)")
+    return eta / mass[:, None]
 
 
 def tabulate_nuisances(table: ObservationTable, eval_idx, levels, grid: EvalGrid,

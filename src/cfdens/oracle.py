@@ -137,8 +137,13 @@ def _two_arm(p1, level):
     return p1 if level == 1 else 1.0 - p1
 
 
-def _tn_dgp(name, mean_fn, sigma, pi1_fn):
-    """Two-level design with truncated-normal conditional outcome densities."""
+def _tn_dgp(name, base, shift, slope, sigma, pi1_fn):
+    """Two-level design whose outcome given (x, a) is N(mean, sigma^2) truncated
+    to [0, 1], with mean = base + shift 1(a = 1) + slope (x_1 - 1/2)."""
+
+    def mean_fn(x, level):
+        lvl = np.broadcast_to(level, (len(x),))
+        return base + shift * (lvl == 1) + slope * (x[:, 0] - 0.5)
 
     def pi_fn(x, level):
         return _two_arm(pi1_fn(x), level)
@@ -222,38 +227,24 @@ def dgp_library():
 
     randomized_shift: randomized arms, mean-shifted truncated normals.
     confounded_shift: logistic confounding in both arms and the outcome mean.
-    null_equal:       identical conditional densities in both arms.
+    null_equal:       identical conditional densities in both arms (shift 0).
     bimodal_mixture:  two-component truncated mixtures, arm-dependent shape.
     cosine_bump:      randomized; arm 1 has one active cosine coefficient
                       (squared-L2 effect vs the uniform arm is exactly 0.25).
+
+    The first three are ``_tn_dgp`` designs, one truncated-normal rule with
+    their own (base, shift, slope, sigma) and propensity.
     """
-    lib = {}
-
-    def mean_rand(x, level):
-        lvl = np.broadcast_to(level, (len(x),))
-        return 0.40 + 0.15 * (lvl == 1) + 0.10 * (x[:, 0] - 0.5)
-
-    lib["randomized_shift"] = _tn_dgp(
-        "randomized_shift", mean_rand, 0.25, lambda x: np.full(len(x), 0.5))
-
-    def mean_conf(x, level):
-        lvl = np.broadcast_to(level, (len(x),))
-        return 0.40 + 0.18 * (lvl == 1) + 0.12 * (x[:, 0] - 0.5)
-
-    lib["confounded_shift"] = _tn_dgp(
-        "confounded_shift", mean_conf, 0.27,
-        lambda x: expit(x[:, 0] - x[:, 1] + 0.2))
-
-    def mean_null(x, level):
-        return 0.45 + 0.12 * (x[:, 0] - 0.5)
-
-    lib["null_equal"] = _tn_dgp(
-        "null_equal", mean_null, 0.26,
-        lambda x: expit(0.5 * (x[:, 0] - x[:, 1])))
-
-    lib["bimodal_mixture"] = _mixture_dgp()
-    lib["cosine_bump"] = cosine_series_dgp([0.5], name="cosine_bump")
-    return lib
+    return {
+        "randomized_shift": _tn_dgp("randomized_shift", 0.40, 0.15, 0.10, 0.25,
+                                    lambda x: np.full(len(x), 0.5)),
+        "confounded_shift": _tn_dgp("confounded_shift", 0.40, 0.18, 0.12, 0.27,
+                                    lambda x: expit(x[:, 0] - x[:, 1] + 0.2)),
+        "null_equal": _tn_dgp("null_equal", 0.45, 0.0, 0.12, 0.26,
+                              lambda x: expit(0.5 * (x[:, 0] - x[:, 1]))),
+        "bimodal_mixture": _mixture_dgp(),
+        "cosine_bump": cosine_series_dgp([0.5], name="cosine_bump"),
+    }
 
 
 def get_dgp(name) -> SyntheticDGP:

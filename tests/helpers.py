@@ -1,15 +1,17 @@
 """Shared test oracles: the raw discrepancy table, the full outcome-kernel
-matrix, the row-max covariate weights, the generic-route projection root, the
-direct closed form of the squared-L2 effect, finite-difference checks and
-small builders."""
+matrix, the row-max covariate weights, the dense conditional-density rows, the
+generic-route projection root, the direct closed form of the squared-L2
+effect, the one-step distance by hand, finite-difference checks and small
+builders."""
 
 import numpy as np
 
 from cfdens.data import EvalGrid, ObservationTable
-from cfdens.distances import DistanceSpec, abs_smooth, abs_smooth_d1, abs_smooth_d2
+from cfdens.distances import (DistanceSpec, abs_smooth, abs_smooth_d1, abs_smooth_d2,
+                              divergence)
 from cfdens.effects import EffectEstimate, _finalize
 from cfdens.eif import dr_scores, effect_curves
-from cfdens.nuisance import _CHUNK, tabulate_nuisances
+from cfdens.nuisance import _CHUNK, _normalize_rows_to_density, tabulate_nuisances
 from cfdens.projection import ACCEPT, _damped_newton, default_start, one_step_equation
 
 # ---------------------------------------------------------------------------
@@ -118,6 +120,23 @@ def weight_blocks_reference(model, xa):
         yield rows, w
 
 
+def predict_reference(model, x, grid):
+    """eta_hat on the rows of x, materialised block by block: each block's
+    weights get their nearest-neighbour fallback from ``empty_rows``, its
+    rows are W K in float64, and every row is then scaled to unit mass under
+    the grid quadrature (a row with no mass raises ``DataError``). The
+    reference ``FactoredEta`` and its dense view ``CondDensityModel.predict``
+    are checked against."""
+    kmat = model.kmat.astype(float)
+    kw = kmat @ grid.weights
+    xa = model.covariates(x)
+    out = np.empty((len(xa), kmat.shape[1]))
+    for rows, w in model.weight_blocks(xa):
+        w[model.empty_rows(xa, rows, w @ kw)] = 1.0
+        out[rows] = w @ kmat
+    return _normalize_rows_to_density(out, grid)
+
+
 def generic_root(distance, model, folds_nuis, level, grid):
     """Root of the pooled one-step estimating equation by the generic route:
     ``_damped_newton`` with a finite-difference Jacobian from ``default_start``,
@@ -175,6 +194,34 @@ def effect_l2_direct(table: ObservationTable, folds_nuis, grid: EvalGrid,
         pooled.append((s1 - s1.mean()) + (s0 - s0.mean()))
     influence = np.concatenate(pooled)
     return _finalize(psi, influence, levels, None)
+
+
+def onestep_distance_by_hand(distance, table, folds_nuis, grid, levels, g=None):
+    """(psi, se) of the one-step distance D(p, q), assembled from ``dr_scores``.
+
+    p is the fold marginal at levels[0]; q the one at levels[1], or the fixed
+    density g when one level is given. For kl, chisq and hellinger both are
+    floored at 1e-8. Per fold: D(p, q) plus, per arm, the mean of its raw
+    doubly-robust summands minus the quadrature of its transform against the
+    arm's curve; folds pooled by size. se from the summands centred per fold
+    and arm, summed over arms and stacked over folds."""
+    floored = distance.kind in ("kl", "chisq", "hellinger")
+    n = sum(fold.n_eval for fold in folds_nuis)
+    psi, pooled = 0.0, []
+    for fold in folds_nuis:
+        p = fold.p_hat[levels[0]]
+        q = g if len(levels) == 1 else fold.p_hat[levels[1]]
+        if floored:
+            p, q = np.maximum(p, 1e-8), np.maximum(q, 1e-8)
+        est, centred = divergence(distance, p, q, grid), 0.0
+        for level, h, curve in zip(levels, effect_curves(distance, p, q), (p, q)):
+            scores = dr_scores(table, fold, level, h, grid)
+            est += scores.mean() - grid.integrate(h * curve)
+            centred = centred + (scores - scores.mean())
+        psi += fold.n_eval / n * est
+        pooled.append(centred)
+    influence = np.concatenate(pooled)
+    return psi, float(np.std(influence, ddof=1) / np.sqrt(n))
 
 
 def fd_table_check(spec, p_vals=None, q_vals=None, tol=1e-6):

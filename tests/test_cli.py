@@ -332,6 +332,13 @@ class TestErrors:
         assert err["violations"] == [f"x-cols: ['{x_cols[-1]}'] name the treatment "
                                      "or outcome column"]
 
+    def test_outcome_naming_the_treatment_is_config_error(self, capsys, csv600):
+        code = main(["density-effect", "--data", csv600, "--x-cols", "x1", "--y-col", "a",
+                     "--quick"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["violations"] == ["y-col: 'a' names the treatment column"]
+
     def test_unknown_experiment(self, capsys):
         code = main(["simulate", "--experiment", "nope"])
         assert code == 2
@@ -356,6 +363,7 @@ class TestErrors:
 _DATA_INVALID = {
     "--data": ["{missing}"],
     "--x-cols": [",", "x1,y", "x1,a"],
+    "--y-col": ["a"],
     "--seed": ["-1"],
     "--grid": ["4", "0", "-3", "x"],
     "--folds": ["1", "0", "two", "500"],

@@ -76,6 +76,11 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match=f"covariate columns \\['{x_cols[1]}'\\]"):
             load_csv(path, x_cols, "a", "y")
 
+    def test_outcome_naming_the_treatment_is_schema_error(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"], [[1, 0, 2], [2, 1, 3]])
+        with pytest.raises(SchemaError, match="outcome column 'a' is the treatment column"):
+            load_csv(path, ["x1"], "a", "a")
+
     def test_bad_covariate_reports_row(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"],
                          [[1.0, 0, 2], ["oops", 1, 3]])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import effect_l2_direct, true_fold
+from helpers import effect_l2_direct, onestep_distance_by_hand, random_density, true_fold
 
-from cfdens import DistanceSpec, cross_fit, divergence, make_folds
+from cfdens import DistanceSpec, cross_fit, divergence, make_folds, parse_distance
 from cfdens.data import ObservationTable
 from cfdens.effects import effect_fixed_candidate, effect_onestep
 from cfdens.errors import DataError
@@ -167,6 +167,33 @@ class TestFixedCandidate:
         est = effect_fixed_candidate(spec, table, fn, 1, g, grid128)
         assert abs(est.psi_hat - oracle_plug) <= 4 * est.se + 1e-12
         assert est.density_floor == 1e-8
+
+
+class TestOnestepByHand:
+    """Both entry points against the one-step assembled from ``dr_scores``."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, grid128):
+        table = get_dgp("confounded_shift").sample(701, np.random.default_rng(3))
+        fn = cross_fit(table, make_folds(701, 3, seed=2), (0, 1), grid128)
+        g = random_density(grid128, np.random.default_rng(4))
+        g[:6] = 0.0                       # the ratio-based distances floor it
+        return table, fn, g
+
+    @pytest.mark.parametrize("dist", ["l2", "kl", "chisq", "hellinger", "tv:t=50"])
+    @pytest.mark.parametrize("entry", ["effect_onestep", "effect_fixed_candidate"])
+    def test_psi_and_se(self, fitted, entry, dist, grid128):
+        table, fn, g = fitted
+        spec = parse_distance(dist)
+        if entry == "effect_onestep":
+            est = effect_onestep(spec, table, fn, grid128, (1, 0))
+            psi, se = onestep_distance_by_hand(spec, table, fn, grid128, (1, 0))
+        else:
+            est = effect_fixed_candidate(spec, table, fn, 1, g, grid128)
+            psi, se = onestep_distance_by_hand(spec, table, fn, grid128, (1,), g)
+        assert est.psi_hat == pytest.approx(psi, rel=1e-12, abs=0.0)
+        assert est.se == pytest.approx(se, rel=1e-12, abs=0.0)
+        assert est.density_floor == (None if dist in ("l2", "tv:t=50") else 1e-8)
 
 
 def test_effect_between_a_level_and_itself_is_data_error(grid128):

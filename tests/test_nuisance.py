@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import kernel_outcome_reference, weight_blocks_reference
+from helpers import kernel_outcome_reference, predict_reference, weight_blocks_reference
 
 from cfdens import NuisanceConfig, cross_fit, fit_cond_density, make_folds, make_grid
 from cfdens import nuisance
@@ -220,8 +220,8 @@ class TestCondDensity:
 class TestFactoredEta:
     @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
     def test_contraction_matches_dense_predict(self, regressor, rng, grid128):
-        # the factored W(K(w h)) / mass equals predict's materialised rows
-        # contracted with the same h, and so do the row-weighted sums
+        # the factored W(K(w h)) / mass equals the reference's materialised
+        # rows contracted with the same h, and so do the row-weighted sums
         table = get_dgp("confounded_shift").sample(1200, rng)
         model = fit_cond_density(table, 1, grid128, regressor=regressor)
         x = np.vstack([rng.uniform(size=(600, 2)), [[40.0, -40.0]]])
@@ -231,11 +231,23 @@ class TestFactoredEta:
         h = np.column_stack([grid128.points**2, np.cos(5 * grid128.points)])
         v = rng.uniform(size=(len(x), 2))
         factored = FactoredEta(model, x, grid128, v)
-        eta = model.predict(x, grid128)
+        eta = predict_reference(model, x, grid128)
         wh = grid128.weights[:, None] * h
         assert np.allclose(factored.contract(wh), eta @ wh, rtol=0.0, atol=1e-12)
         assert np.allclose(factored.contract(wh[:, 0]), eta @ wh[:, 0], rtol=0.0, atol=1e-12)
         assert np.allclose(factored.row_sums, v.T @ eta, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("size", [128, 512])
+    @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
+    def test_predict_is_the_dense_view(self, regressor, size, rng):
+        # predict (FactoredEta contracted with the identity) against the dense
+        # reference, on rows inside and far outside the training cloud
+        grid = make_grid(size, "trapezoid")
+        table = get_dgp("confounded_shift").sample(1200, rng)
+        model = fit_cond_density(table, 1, grid, regressor=regressor)
+        x = np.vstack([rng.uniform(size=(300, 2)), 30.0 + 10.0 * rng.uniform(size=(300, 2))])
+        ref = predict_reference(model, x, grid)
+        assert np.allclose(model.predict(x, grid), ref, rtol=2e-15, atol=0.0)
 
 
 class TestCovariateWeights:
@@ -302,7 +314,7 @@ class TestZeroMassRows:
         x = table.x[300:]
         with pytest.raises(DataError, match="no kernel mass"):
             FactoredEta(model, x, grid8, np.ones((300, 1)))
-        with pytest.raises(DataError, match="no mass"):
+        with pytest.raises(DataError, match="no kernel mass"):
             model.predict(x, grid8)
 
     def test_tabulate_raises_on_a_zero_row(self, rng, grid128):

@@ -3,6 +3,8 @@
 ``perfbench/tracing.py`` wraps cfdens bindings by name (``WRAPS``); a change
 that drops or renames one breaks the traced benchmark, so it is checked here.
 A module may keep a binding it never calls only because ``WRAPS`` wraps it.
+Two static checks keep the package free of dead code: every package import
+is used or wrapped, and every package function is named somewhere.
 """
 
 import ast
@@ -54,3 +56,28 @@ def test_every_package_import_is_used_or_traced(monkeypatch):
                     if name not in used and (path.stem, name) not in wrapped:
                         unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def test_every_package_function_is_named_somewhere(monkeypatch):
+    # a module-level function or method of the package that no Name or
+    # attribute in src, tests or perfbench refers to, and that WRAPS does not
+    # wrap, has outlived its last caller (dunder methods are called implicitly)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    named = {part for _, attr, _ in importlib.import_module("tracing").WRAPS
+             for part in attr.split(".")}
+    defined = []
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")) \
+            + sorted(PERFBENCH.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        if path.parent == PACKAGE:
+            for node in tree.body:
+                body = node.body if isinstance(node, ast.ClassDef) else [node]
+                defined += [(path.stem, f.name) for f in body
+                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (f.name.startswith("__") and f.name.endswith("__"))]
+    assert [f"{mod}: {name}" for mod, name in defined if name not in named] == []
