@@ -13,9 +13,14 @@ a time straight into float32, skipping every entry whose value is already
 known: the main term beyond a band of about 15 bandwidths (float32 0) and
 each reflection beyond a staircase near its end of [0,1] (too small to move
 a bit); it equals the full three-term float64 sum rounded to float32, bit for
-bit. The covariate weights are clipped Epanechnikov windows; only a block with
-a zero-mass row is searched for empty windows, whose rows fall back to their
-nearest training row. An eval row left with no kernel mass raises
+bit. The covariate weights are clipped Epanechnikov windows, built in blocks of
+about 512 KB of float64 (one core's L2). Nadaraya-Watson training rows are
+sorted by their first covariate at fit and ``FactoredEta`` sorts its eval rows
+the same way, so each block multiplies only the training rows whose first
+coordinate lies within the window's reach of the block's; every entry skipped
+is 0 after the clip. Only a block with a zero-mass row is searched for empty
+windows, whose rows fall back to their nearest training row (that block spans
+every training row). An eval row left with no kernel mass raises
 ``DataError`` in ``FactoredEta``, and so in ``predict``, its dense view;
 ``tabulate_nuisances`` raises one for an injected row without finite, positive
 mass. Shipped learners are multinomial logistic
@@ -38,8 +43,9 @@ from .errors import (
     InsufficientDataError,
 )
 
-_CHUNK = 256           # rows per covariate-weight block and per outcome-kernel block
-                       # (``_kernel_outcome_matrix``); bounds peak memory
+_CHUNK = 256           # rows per outcome-kernel block (``_kernel_outcome_matrix``) and
+                       # per k-NN propensity block; bounds peak memory. Covariate-weight
+                       # blocks are sized by bytes (``CondDensityModel.weight_blocks``)
 # Reach of a reflected outcome-kernel term, in bandwidths from its end of [0,1].
 # A term skipped beyond it is below exp(-18^2 / 2) = e^-162 ~ 6e-71 (before the
 # division by h sqrt(2 pi)). The smallest float64 sum that survives the cast of
@@ -331,6 +337,10 @@ class CondDensityModel:
     fallback rule); k-NN weights mark the k nearest rows; marginal weights
     are uniform, so there K collapses to the (1, G) sum of its rows.
 
+    Nadaraya-Watson training rows must come sorted by their first covariate
+    (``fit_cond_density`` sorts them; unsorted rows raise ``DataError``): the
+    weight blocks are banded on that coordinate.
+
     K is kept in float32 (``kmat``; the marginal's summed row in float64) and
     every product with it runs in float64.
     ``predict`` materialises (n, G) rows on request, as the dense view of
@@ -359,6 +369,13 @@ class CondDensityModel:
         # = 1 - |x - x_j|^2 / b^2
         self._train_aug = np.column_stack(
             [xt, np.ones(m), -self._inv_bw2 * (xt**2).sum(axis=1)])
+        # the band coordinate in the scale of covariates(x)[:, 0], and the
+        # window's reach in it: b plus a margin for the GEMM's cancellation
+        self._key = 2.0 * self._inv_bw2 * xt[:, 0]
+        self._reach = 2.0 * self._inv_bw2 * (x_bw * (1.0 + 1e-6) + 1e-9)
+        if regressor == "nadaraya_watson" and np.any(self._key[1:] < self._key[:-1]):
+            raise DataError("Nadaraya-Watson training rows must be sorted by their "
+                            "first covariate")
         self.kmat = k_matrix.astype(np.float32, copy=False)
         if regressor == "marginal":
             # uniform covariate weights: K collapses to the sum of its rows
@@ -371,45 +388,64 @@ class CondDensityModel:
                                 1.0 - self._inv_bw2 * (xn**2).sum(axis=1),
                                 np.ones(len(xn))])
 
-    def weight_blocks(self, xa):
-        """Yield (rows, W): unnormalised covariate weights of ``_CHUNK`` rows of
-        ``covariates(x)`` against the training rows, each block from one GEMM.
+    def weight_blocks(self, xa, full=()):
+        """Yield (rows, cols, W): unnormalised covariate weights of a block of
+        rows of ``covariates(x)`` against the training rows ``cols``, each
+        block from one GEMM.
 
-        Nadaraya-Watson weights are only clipped at 0 here, in place, so a row
-        with an empty window is all zero: it has zero mass, and the caller
-        gives it its nearest-neighbour fallback from ``empty_rows``.
+        A block holds min(256, max(32, 65536 // m)) rows, about 512 KB of
+        float64, so it stays in a core's L2. Nadaraya-Watson blocks expect xa
+        sorted by its first column (``FactoredEta`` sorts it): a block then
+        spans only the training rows whose band key lies within the window's
+        reach of the block's key range, as every other entry clips to 0. A
+        block whose start is in ``full`` spans every training row. k-NN and
+        marginal blocks always do. Nadaraya-Watson weights are only clipped
+        at 0 here, in place, so a row with an empty window is all zero: it
+        has zero mass, and the caller gives it its nearest-neighbour fallback
+        from ``empty_rows``.
         """
         m = len(self.kmat)
-        for lo in range(0, len(xa), _CHUNK):
-            rows = slice(lo, min(lo + _CHUNK, len(xa)))
+        step = min(256, max(32, 65536 // m))
+        for lo in range(0, len(xa), step):
+            rows = slice(lo, min(lo + step, len(xa)))
+            cols = slice(0, m)
             if self.regressor == "marginal":
-                yield rows, np.ones((rows.stop - lo, m))
+                yield rows, cols, np.ones((rows.stop - lo, m))
                 continue
-            w = xa[rows] @ self._train_aug.T            # 1 - |x - x_j|^2 / b^2
+            if self.regressor == "nadaraya_watson" and lo not in full:
+                cols = slice(np.searchsorted(self._key, xa[lo, 0] - self._reach),
+                             np.searchsorted(self._key, xa[rows.stop - 1, 0] + self._reach,
+                                             side="right"))
+            w = xa[rows] @ self._train_aug[cols].T      # 1 - |x - x_j|^2 / b^2
             if self.regressor == "knn":
                 nbr = np.argpartition(w, m - self._k, axis=1)[:, m - self._k:]
                 w.fill(0.0)
                 np.put_along_axis(w, nbr, 1.0, axis=1)
             else:
                 np.maximum(w, 0.0, out=w)
-            yield rows, w
+            yield rows, cols, w
 
     def empty_rows(self, xa, rows, mass):
-        """(empty, nearest) for the ``weight_blocks`` block ``rows`` with row
+        """(empty, nearest, W) for the ``weight_blocks`` block ``rows`` with row
         masses ``mass``: the rows of zero mass whose Epanechnikov window holds
-        no training row, relative to the block, and the nearest training row
-        of each. Setting W[empty, nearest] = 1 gives them their fallback.
+        no training row, relative to the block, the nearest training row of
+        each, and the block's weights against every training row with
+        W[empty, nearest] = 1, their fallback.
 
-        Only a zero mass makes a row a candidate, so the block's GEMM is re-run
-        here, and nowhere else, only for a block that has one; the nearest row
-        is then the argmax of the very values ``weight_blocks`` clipped.
+        Only a zero mass makes a row a candidate, so the block's full-width
+        GEMM (a nearest row may lie outside the band) is run here only for a
+        Nadaraya-Watson block that has one; the nearest row is then the argmax
+        of the very values the full-width block clips. Otherwise W is None.
         """
         cand = np.flatnonzero(mass == 0.0)
         if self.regressor != "nadaraya_watson" or not cand.size:
-            return cand[:0], cand[:0]
-        raw = xa[rows] @ self._train_aug.T
-        empty = cand[raw[cand].max(axis=1) <= 0.0]
-        return empty, raw[empty].argmax(axis=1)
+            return cand[:0], cand[:0], None
+        w = xa[rows] @ self._train_aug.T
+        empty = cand[w[cand].max(axis=1) <= 0.0]
+        nearest = w[empty].argmax(axis=1)
+        np.maximum(w, 0.0, out=w)
+        w[empty, nearest] = 1.0
+        return empty, nearest, w
 
     def predict(self, x, grid: EvalGrid):
         """Materialise eta_hat on the rows of x: (n, G), each row unit mass.
@@ -423,55 +459,64 @@ class FactoredEta:
     """eta_hat on a fold's eval rows as diag(1/mass) W K, never materialised.
 
     Keeps the fitted model (K in float32 and the training covariates), the
-    eval rows' augmented covariates and their 1/mass. ``contract`` rebuilds W
-    one ``_CHUNK``-row block at a time. ``row_sums`` is v.T @ eta_hat for the
-    row weights v (n_ev, k) given at construction, accumulated in the same
-    pass that finds 1/mass.
+    eval rows' augmented covariates and their 1/mass. For Nadaraya-Watson the
+    eval rows are held sorted by their first covariate, so the
+    ``CondDensityModel.weight_blocks`` are banded; ``inv_mass`` and the rows
+    of ``contract`` come back in the caller's row order. ``contract``
+    rebuilds W one block at a time. ``row_sums`` is v.T @ eta_hat for the row
+    weights v (n_ev, k) given at construction, accumulated in the same pass
+    that finds 1/mass.
 
     That pass also finds the nearest-neighbour fallback: in a block with a
     zero mass, ``CondDensityModel.empty_rows`` names the rows with an empty
     window, and the mass of such a row is that of its nearest training
-    kernel (exact, since the row is one-hot). The fallback is stored per
-    block, and ``contract`` patches it into the blocks it rebuilds. An eval
-    row still without mass (every training kernel it weights is 0 on the
-    grid, as at a tiny h_y) raises ``DataError``.
+    kernel (exact, since the row is one-hot). Such a block spans every
+    training row; the fallback is stored per block, and ``contract`` builds
+    the block at full width again and patches it in. An eval row still
+    without mass (every training kernel it weights is 0 on the grid, as at a
+    tiny h_y) raises ``DataError``.
     """
 
     def __init__(self, model: CondDensityModel, x, grid: EvalGrid, row_weights):
         self.model = model
-        self._xa = model.covariates(x)
+        xa = model.covariates(x)
+        self._order = (np.argsort(xa[:, 0], kind="stable")
+                       if model.regressor == "nadaraya_watson" else np.arange(len(xa)))
+        self._xa = xa[self._order]
+        row_weights = row_weights[self._order]
         kmat = model.kmat.astype(float)
         kw = kmat @ grid.weights                        # (m,) mass of each training kernel
-        self.inv_mass = np.empty(len(self._xa))
+        self.inv_mass = np.empty(len(xa))               # in the caller's row order
         self._fallback = {}                             # block start -> (empty, nearest)
         acc = np.zeros((row_weights.shape[1], len(kw)))
-        for rows, w in model.weight_blocks(self._xa):
-            mass = w @ kw
+        for rows, cols, w in model.weight_blocks(self._xa):
+            mass = w @ kw[cols]
             if not np.all(mass > 0.0):
-                empty, nearest = model.empty_rows(self._xa, rows, mass)
-                if empty.size:
+                empty, nearest, full = model.empty_rows(self._xa, rows, mass)
+                if full is not None:
                     self._fallback[rows.start] = empty, nearest
-                    w[empty, nearest] = 1.0
-                    mass[empty] = kw[nearest]
+                    cols, w = slice(0, len(kw)), full
+                    mass = w @ kw
                 if not np.all(mass > 0.0):
                     raise DataError(
                         f"level {model.level}: an evaluation row has no kernel mass on the "
                         f"{grid.size}-point grid at outcome bandwidth h_y={model.h_y:g}; "
                         f"use a larger bandwidth or a finer grid")
-            self.inv_mass[rows] = 1.0 / mass
-            acc += (row_weights[rows] * self.inv_mass[rows, None]).T @ w
+            self.inv_mass[self._order[rows]] = inv = 1.0 / mass
+            acc[:, cols] += (row_weights[rows] * inv[:, None]).T @ w
         self.row_sums = acc @ kmat
 
     def contract(self, wh):
         """eta_hat @ wh for wh of shape (G,) or (G, k); with wh = w * h, the
-        quadrature of h against each row."""
+        quadrature of h against each row, in the caller's row order."""
         kwh = self.model.kmat @ np.asarray(wh, dtype=float)     # float64 product
         out = np.empty((len(self._xa),) + kwh.shape[1:])
-        for rows, w in self.model.weight_blocks(self._xa):
+        for rows, cols, w in self.model.weight_blocks(self._xa, full=self._fallback):
             fallback = self._fallback.get(rows.start)
             if fallback is not None:
                 w[fallback] = 1.0
-            out[rows] = ((w @ kwh).T * self.inv_mass[rows]).T
+            idx = self._order[rows]
+            out[idx] = ((w @ kwh[cols]).T * self.inv_mass[idx]).T
         return out
 
 
@@ -502,13 +547,17 @@ def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
         )
     if regressor not in ("nadaraya_watson", "knn", "marginal"):
         raise DataError(f"unknown conditional-density regressor {regressor!r}")
-    y = train.y[mask]
+    x, y = train.x[mask], train.y[mask]
     h = silverman_bandwidth(y) if bandwidth == "silverman" else float(bandwidth)
     if not (0.0 < h < np.inf):  # nan fails too
         raise DataError(f"bandwidth must be positive and finite, got {h}")
-    kmat = _kernel_outcome_matrix(y, grid.points, h)
     ids = None if train_row_ids is None else np.asarray(train_row_ids)[mask]
-    return CondDensityModel(level, train.x[mask], kmat, regressor, h, train_row_ids=ids)
+    if regressor == "nadaraya_watson":
+        # sorted by the band coordinate; K is built for the rows in this order
+        order = np.argsort(x[:, 0], kind="stable")
+        x, y, ids = x[order], y[order], None if ids is None else ids[order]
+    kmat = _kernel_outcome_matrix(y, grid.points, h)
+    return CondDensityModel(level, x, kmat, regressor, h, train_row_ids=ids)
 
 
 def plugin_marginal(model: CondDensityModel, table: ObservationTable, eval_idx,

@@ -7,17 +7,12 @@ estimation path they validate. The Monte-Carlo runner is a pure function of
 its descriptor: per-rep RNG streams derive from (seed, n index, rep).
 
 Two constants fix the oracles' effort. Every mean over the covariates
-X ~ U([0,1]^d), a design's marginal E_X[eta(.|X)] and each term of the
-remainder harness, is the tensor Gauss-Legendre rule of ``X_NODES`` points
-per axis (``X_NODES**d`` nodes, 576 for the shipped d = 2 designs), exact to
-rounding for their smooth eta. The Nelder-Mead projection oracle starts from
-``NM_STARTS`` points (zero, then jittered from seed 0).
-
-The remainder harness tilts both nuisances of one arm along one fixed
-direction: pi + s*eps*u(x) and eta + s*eps*v(x, y), with
-u = 0.5 sin(3 x_1) cos(2 x_2) and v = 0.3 (0.5 + 0.5 x_1) cos(2 pi y). v is
-mean-zero in y, so the tilted eta still integrates to 1. The sign s is +1,
-and -1 for the second arm of a density effect.
+X ~ U([0,1]^d), such as a design's marginal E_X[eta(.|X)], is the tensor
+Gauss-Legendre rule of ``X_NODES`` points per axis (``X_NODES**d`` nodes, 576
+for the shipped d = 2 designs), exact to rounding for their smooth eta. The
+Nelder-Mead projection oracle starts from ``NM_STARTS`` points (zero, then
+jittered from seed 0). The second-order remainder harness that backs the
+test suite uses the same rule and lives with the tests.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ from scipy.special import expit, ndtr, ndtri
 from .data import EvalGrid, ObservationTable, make_folds, make_grid
 from .distances import DistanceSpec, divergence
 from .effects import effect_onestep
-from .eif import effect_curves
 from .errors import CfdensError, DataError
 from .models import CosineBasis, TruncatedSeries, g_on_grid, parse_model
 from .nuisance import NuisanceConfig, cross_fit, tabulate_nuisances
@@ -472,80 +466,3 @@ EXPERIMENTS = {
         name="effect-null", dgp="null_equal", estimator="effect",
         n_values=(2000,), reps=100),
 }
-
-
-# ---------------------------------------------------------------------------
-# quadrature harness for second-order remainders
-
-
-def _tilted(dgp: SyntheticDGP, level, sign, eps, x, grid: EvalGrid):
-    """(pi, pi_bar, eta, eta_bar) of one arm at x: the true nuisances and
-    their tilt by sign*eps along the fixed direction (u, v)."""
-    pi = np.asarray(dgp.pi_fn(x, level), dtype=float)
-    pi_bar = pi + sign * eps * (0.5 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]))
-    if np.any(pi_bar <= 0) or np.any(pi_bar >= 1):
-        raise DataError("perturbed propensity left (0,1); shrink eps")
-    eta = np.asarray(dgp.eta_fn(x, level, grid.points), dtype=float)
-    v = 0.3 * (0.5 + 0.5 * x[:, 0])[:, None] * np.cos(2.0 * np.pi * grid.points)[None, :]
-    eta_bar = eta + sign * eps * v
-    if np.any(eta_bar < 0):
-        raise DataError("perturbed conditional density went negative; shrink eps")
-    return pi, pi_bar, eta, eta_bar
-
-
-def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps, grid: EvalGrid):
-    """Second-order remainder of a density functional at a perturbed law.
-
-    The functional is the integral over y of H(y, p(y)) with H supplied as
-    tabulators: ``h_tab(p_curve) -> (G, m)`` and its p-derivative ``hp_tab``.
-    Nuisances are tilted as pi + eps*u and eta + eps*v along the fixed
-    direction of the module docstring; with the covariate law fixed
-    (``tensor_uniform_quad(X_NODES, d)``), the remainder is
-
-        Psi(P_bar) - Psi(P) + E_X[ (pi/pi_bar) int Hp(y, p_bar)(eta - eta_bar) dy ]
-
-    evaluated entirely by quadrature. Returns a vector of length m.
-    """
-    x, wx = tensor_uniform_quad(X_NODES, dgp.d)
-    pi, pi_bar, eta, eta_bar = _tilted(dgp, level, 1.0, eps, x, grid)
-    p = wx @ eta
-    p_bar = wx @ eta_bar
-    psi = grid.integrate(h_tab(p))
-    psi_bar = grid.integrate(h_tab(p_bar))
-    hp_bar = hp_tab(p_bar)                       # (G, m)
-    inner = (eta - eta_bar) @ (grid.weights[:, None] * hp_bar)   # (nx, m)
-    first_order_mean = (wx * (pi / pi_bar)) @ inner
-    return np.atleast_1d(psi_bar - psi + first_order_mean)
-
-
-def effect_population_bias(dgp: SyntheticDGP, distance: DistanceSpec, eps,
-                           grid: EvalGrid):
-    """Population bias of the one-step density effect under tilted nuisances.
-
-    Evaluates plug-in distance at the tilted marginals plus the population
-    mean of the estimated influence terms, minus the true effect; all terms
-    by quadrature, so the value isolates the second-order remainder. The
-    effect is between levels (1, 0); level 1 is tilted by +eps, level 0 by
-    -eps, along the direction and over the covariate quadrature of
-    ``vonmises_remainder``.
-    """
-    x, wx = tensor_uniform_quad(X_NODES, dgp.d)
-    arms = [_tilted(dgp, lev, sign, eps, x, grid) for lev, sign in ((1, 1.0), (0, -1.0))]
-    p1, p0 = (wx @ eta for _, _, eta, _ in arms)
-    p1_bar, p0_bar = (wx @ eta_bar for _, _, _, eta_bar in arms)
-    truth = divergence(distance, p1, p0, grid)
-    plug = divergence(distance, p1_bar, p0_bar, grid)
-    mean_terms = 0.0
-    for lam, (pi, pi_bar, eta, eta_bar) in zip(effect_curves(distance, p1_bar, p0_bar), arms):
-        inner = (eta - eta_bar) @ (grid.weights * lam)
-        mean_terms += float((wx * (pi / pi_bar)) @ inner)
-    return plug + mean_terms - truth
-
-
-def loglog_slope(eps_values, magnitudes):
-    """Least-squares slope of log |magnitude| against log eps."""
-    eps_values = np.asarray(eps_values, dtype=float)
-    mags = np.abs(np.asarray(magnitudes, dtype=float))
-    if np.any(mags <= 0):
-        raise DataError("remainder vanished; slope undefined")
-    return float(np.polyfit(np.log(eps_values), np.log(mags), 1)[0])

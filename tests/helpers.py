@@ -1,8 +1,8 @@
 """Shared test oracles: the raw discrepancy table, the full outcome-kernel
-matrix, the row-max covariate weights, the dense conditional-density rows, the
-generic-route projection root, the direct closed form of the squared-L2
-effect, the one-step distance by hand, finite-difference checks and small
-builders."""
+matrix, the full-width row-max covariate weights, the dense conditional-density
+rows, the generic-route projection root, the direct closed form of the
+squared-L2 effect, the one-step distance by hand, finite-difference checks,
+small builders and the quadrature harness for second-order remainders."""
 
 import numpy as np
 
@@ -11,7 +11,9 @@ from cfdens.distances import (DistanceSpec, abs_smooth, abs_smooth_d1, abs_smoot
                               divergence)
 from cfdens.effects import EffectEstimate, _finalize
 from cfdens.eif import dr_scores, effect_curves
-from cfdens.nuisance import _CHUNK, _normalize_rows_to_density, tabulate_nuisances
+from cfdens.errors import DataError
+from cfdens.nuisance import _normalize_rows_to_density, tabulate_nuisances
+from cfdens.oracle import X_NODES, SyntheticDGP, tensor_uniform_quad
 from cfdens.projection import ACCEPT, _damped_newton, default_start, one_step_equation
 
 # ---------------------------------------------------------------------------
@@ -106,34 +108,39 @@ def kernel_outcome_reference(y_train, points, h):
 
 def weight_blocks_reference(model, xa):
     """Nadaraya-Watson covariate weights of the augmented covariates xa, block
-    by block: each block's empty Epanechnikov windows are found by a pass over
-    its row maxima, and such a row gets weight 1 on its nearest training row.
-    The reference the W blocks that ``FactoredEta`` feeds to ``contract``
-    must match."""
-    for lo in range(0, len(xa), _CHUNK):
-        rows = slice(lo, min(lo + _CHUNK, len(xa)))
+    by block and against every training row: yields (rows, cols, W) with
+    cols all m columns, over the row blocks of ``CondDensityModel.weight_blocks``
+    (min(256, max(32, 65536 // m)) rows). Each block's empty Epanechnikov
+    windows are found by a pass over its row maxima, and such a row gets
+    weight 1 on its nearest training row. The reference the banded blocks
+    that ``FactoredEta`` feeds to ``contract`` must match."""
+    m = len(model.kmat)
+    step = min(256, max(32, 65536 // m))
+    for lo in range(0, len(xa), step):
+        rows = slice(lo, min(lo + step, len(xa)))
         w = xa[rows] @ model._train_aug.T
         empty = np.flatnonzero(w.max(axis=1) <= 0.0)
         nearest = w[empty].argmax(axis=1)
         np.maximum(w, 0.0, out=w)
         w[empty, nearest] = 1.0
-        yield rows, w
+        yield rows, slice(0, m), w
 
 
 def predict_reference(model, x, grid):
-    """eta_hat on the rows of x, materialised block by block: each block's
-    weights get their nearest-neighbour fallback from ``empty_rows``, its
-    rows are W K in float64, and every row is then scaled to unit mass under
-    the grid quadrature (a row with no mass raises ``DataError``). The
-    reference ``FactoredEta`` and its dense view ``CondDensityModel.predict``
-    are checked against."""
+    """eta_hat on the rows of x in their given order, materialised block by
+    block: each block's rows are W K in float64, with W from
+    ``weight_blocks_reference`` for Nadaraya-Watson (full width, no band) and
+    from the model's own unbanded ``weight_blocks`` for k-NN and marginal;
+    every row is then scaled to unit mass under the grid quadrature (a row
+    with no mass raises ``DataError``). The reference ``FactoredEta`` and its
+    dense view ``CondDensityModel.predict`` are checked against."""
     kmat = model.kmat.astype(float)
-    kw = kmat @ grid.weights
     xa = model.covariates(x)
+    blocks = (weight_blocks_reference(model, xa) if model.regressor == "nadaraya_watson"
+              else model.weight_blocks(xa))
     out = np.empty((len(xa), kmat.shape[1]))
-    for rows, w in model.weight_blocks(xa):
-        w[model.empty_rows(xa, rows, w @ kw)] = 1.0
-        out[rows] = w @ kmat
+    for rows, cols, w in blocks:
+        out[rows] = w @ kmat[cols]
     return _normalize_rows_to_density(out, grid)
 
 
@@ -273,3 +280,85 @@ def random_density(grid, rng, wiggle=0.6, floor=0.05):
         + 0.2 * rng.normal(size=grid.size)
     vals = np.maximum(vals, floor)
     return vals / grid.integrate(vals)
+
+
+# ---------------------------------------------------------------------------
+# quadrature harness for second-order remainders. It tilts both nuisances of
+# one arm along one fixed direction: pi + s*eps*u(x) and eta + s*eps*v(x, y),
+# with u = 0.5 sin(3 x_1) cos(2 x_2) and v = 0.3 (0.5 + 0.5 x_1) cos(2 pi y).
+# v is mean-zero in y, so the tilted eta still integrates to 1. The sign s is
+# +1, and -1 for the second arm of a density effect. Every covariate mean is
+# the designs' own rule, ``tensor_uniform_quad(X_NODES, d)``.
+
+
+def _tilted(dgp: SyntheticDGP, level, sign, eps, x, grid: EvalGrid):
+    """(pi, pi_bar, eta, eta_bar) of one arm at x: the true nuisances and
+    their tilt by sign*eps along the fixed direction (u, v)."""
+    pi = np.asarray(dgp.pi_fn(x, level), dtype=float)
+    pi_bar = pi + sign * eps * (0.5 * np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1]))
+    if np.any(pi_bar <= 0) or np.any(pi_bar >= 1):
+        raise DataError("perturbed propensity left (0,1); shrink eps")
+    eta = np.asarray(dgp.eta_fn(x, level, grid.points), dtype=float)
+    v = 0.3 * (0.5 + 0.5 * x[:, 0])[:, None] * np.cos(2.0 * np.pi * grid.points)[None, :]
+    eta_bar = eta + sign * eps * v
+    if np.any(eta_bar < 0):
+        raise DataError("perturbed conditional density went negative; shrink eps")
+    return pi, pi_bar, eta, eta_bar
+
+
+def vonmises_remainder(dgp: SyntheticDGP, level, h_tab, hp_tab, eps, grid: EvalGrid):
+    """Second-order remainder of a density functional at a perturbed law.
+
+    The functional is the integral over y of H(y, p(y)) with H supplied as
+    tabulators: ``h_tab(p_curve) -> (G, m)`` and its p-derivative ``hp_tab``.
+    Nuisances are tilted as pi + eps*u and eta + eps*v along the fixed
+    direction above; with the covariate law fixed
+    (``tensor_uniform_quad(X_NODES, d)``), the remainder is
+
+        Psi(P_bar) - Psi(P) + E_X[ (pi/pi_bar) int Hp(y, p_bar)(eta - eta_bar) dy ]
+
+    evaluated entirely by quadrature. Returns a vector of length m.
+    """
+    x, wx = tensor_uniform_quad(X_NODES, dgp.d)
+    pi, pi_bar, eta, eta_bar = _tilted(dgp, level, 1.0, eps, x, grid)
+    p = wx @ eta
+    p_bar = wx @ eta_bar
+    psi = grid.integrate(h_tab(p))
+    psi_bar = grid.integrate(h_tab(p_bar))
+    hp_bar = hp_tab(p_bar)                       # (G, m)
+    inner = (eta - eta_bar) @ (grid.weights[:, None] * hp_bar)   # (nx, m)
+    first_order_mean = (wx * (pi / pi_bar)) @ inner
+    return np.atleast_1d(psi_bar - psi + first_order_mean)
+
+
+def effect_population_bias(dgp: SyntheticDGP, distance: DistanceSpec, eps,
+                           grid: EvalGrid):
+    """Population bias of the one-step density effect under tilted nuisances.
+
+    Evaluates plug-in distance at the tilted marginals plus the population
+    mean of the estimated influence terms, minus the true effect; all terms
+    by quadrature, so the value isolates the second-order remainder. The
+    effect is between levels (1, 0); level 1 is tilted by +eps, level 0 by
+    -eps, along the direction and over the covariate quadrature of
+    ``vonmises_remainder``.
+    """
+    x, wx = tensor_uniform_quad(X_NODES, dgp.d)
+    arms = [_tilted(dgp, lev, sign, eps, x, grid) for lev, sign in ((1, 1.0), (0, -1.0))]
+    p1, p0 = (wx @ eta for _, _, eta, _ in arms)
+    p1_bar, p0_bar = (wx @ eta_bar for _, _, _, eta_bar in arms)
+    truth = divergence(distance, p1, p0, grid)
+    plug = divergence(distance, p1_bar, p0_bar, grid)
+    mean_terms = 0.0
+    for lam, (pi, pi_bar, eta, eta_bar) in zip(effect_curves(distance, p1_bar, p0_bar), arms):
+        inner = (eta - eta_bar) @ (grid.weights * lam)
+        mean_terms += float((wx * (pi / pi_bar)) @ inner)
+    return plug + mean_terms - truth
+
+
+def loglog_slope(eps_values, magnitudes):
+    """Least-squares slope of log |magnitude| against log eps."""
+    eps_values = np.asarray(eps_values, dtype=float)
+    mags = np.abs(np.asarray(magnitudes, dtype=float))
+    if np.any(mags <= 0):
+        raise DataError("remainder vanished; slope undefined")
+    return float(np.polyfit(np.log(eps_values), np.log(mags), 1)[0])

@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from helpers import effect_l2_direct, fd_table_check, generic_root
+from helpers import (effect_l2_direct, effect_population_bias, fd_table_check, generic_root,
+                     loglog_slope, vonmises_remainder)
 
 from cfdens import DistanceSpec, cross_fit, make_folds, make_grid
 from cfdens.effects import effect_onestep
@@ -26,13 +27,10 @@ from cfdens.models import (
 from cfdens.nuisance import NuisanceConfig
 from cfdens.oracle import (
     Experiment,
-    effect_population_bias,
     get_dgp,
-    loglog_slope,
     mc_run,
     oracle_projection,
     tensor_uniform_quad,
-    vonmises_remainder,
 )
 from cfdens.projection import onestep_influence, solve_onestep
 from cfdens.selection import select_model

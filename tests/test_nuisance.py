@@ -150,11 +150,17 @@ class TestOutcomeKernel:
         assert count[0] < bound * m * grid.size
 
     def test_model_keeps_the_float32_kernel(self, rng, grid128):
+        # Nadaraya-Watson rows come sorted by their first covariate, as
+        # fit_cond_density sorts them; unsorted ones are rejected
         table = uniform_table(200, rng)
-        y = table.y[table.a == 1]
-        kmat = _kernel_outcome_matrix(y, grid128.points, 0.05)
-        model = CondDensityModel(1, table.x[table.a == 1], kmat, "nadaraya_watson", 0.05)
+        x, y = table.x[table.a == 1], table.y[table.a == 1]
+        order = np.argsort(x[:, 0], kind="stable")
+        kmat = _kernel_outcome_matrix(y[order], grid128.points, 0.05)
+        model = CondDensityModel(1, x[order], kmat, "nadaraya_watson", 0.05)
         assert np.shares_memory(model.kmat, kmat)
+        with pytest.raises(DataError, match="sorted by their first covariate"):
+            CondDensityModel(1, x[order[::-1]], kmat, "nadaraya_watson", 0.05)
+        CondDensityModel(1, x[order[::-1]], kmat, "knn", 0.05)
 
 
 class TestCondDensity:
@@ -252,48 +258,92 @@ class TestFactoredEta:
 
 class TestCovariateWeights:
     @staticmethod
-    def far_rows(rng, grid128):
-        # rows 200..699 lie far outside the training cloud: the tail of the
-        # first 256-row block, all of the second and most of the third fall
+    def far_rows(rng, grid128, constant=0):
+        # the first ``constant`` covariates of the training rows are constant.
+        # Eval rows 200..449 lie far below the training cloud in every
+        # covariate and rows 450..699 far above it, so they sort to both ends
+        # of the band coordinate; unless every covariate is constant they fall
         # back to their nearest training row
         table = get_dgp("confounded_shift").sample(1200, rng)
+        if constant:
+            xc = table.x.copy()
+            xc[:, :constant] = 0.3
+            table = ObservationTable(xc, table.a, table.y, (0.0, 1.0))
         model = fit_cond_density(table, 1, grid128)
         far = 30.0 + 10.0 * rng.uniform(size=(500, 2))
+        far[:250] *= -1.0
         x = np.vstack([rng.uniform(size=(200, 2)), far, rng.uniform(size=(100, 2))])
         return model, x
 
-    def test_blocks_match_the_row_max_builder(self, rng, grid128, monkeypatch):
-        model, x = self.far_rows(rng, grid128)
-        xa = model.covariates(x)
-        empty = np.flatnonzero((xa @ model._train_aug.T).max(axis=1) <= 0.0)
-        assert np.array_equal(empty, np.arange(200, 700))
+    @pytest.mark.parametrize("constant", [0, 1, 2])
+    def test_blocks_match_the_row_max_builder(self, constant, rng, grid128, monkeypatch):
+        model, x = self.far_rows(rng, grid128, constant)
         v = rng.uniform(size=(len(x), 2))
         eta = FactoredEta(model, x, grid128, v)
+        xa = eta._xa                        # the eval rows, sorted by the band coordinate
+        assert np.array_equal(xa, model.covariates(x)[eta._order])
+        # the far rows on both sides fall back, to the nearest rows the
+        # reference picks (checked with W below)
+        empty = np.flatnonzero((xa @ model._train_aug.T).max(axis=1) <= 0.0)
+        assert np.array_equal(np.sort(eta._order[empty]),
+                              np.arange(200, 700) if constant < 2 else np.arange(0))
+        fell_back = np.zeros(len(x), dtype=bool)
+        for lo, (e, _) in eta._fallback.items():
+            fell_back[lo + e] = True
+        assert np.array_equal(np.flatnonzero(fell_back), empty)
         # the blocks contract multiplies, as they stand once it has used them
         got = []
         blocks = model.weight_blocks
 
-        def spy(xa_):
-            for rows, w in blocks(xa_):
-                got.append((rows, w))
-                yield rows, w
+        def spy(xa_, full=()):
+            for rows, cols, w in blocks(xa_, full):
+                got.append((rows, cols, w))
+                yield rows, cols, w
 
         monkeypatch.setattr(model, "weight_blocks", spy)
         eta.contract(grid128.weights)
         ref = list(weight_blocks_reference(model, xa))
-        assert [rows for rows, _ in got] == [rows for rows, _ in ref]
-        for (_, w), (_, w_ref) in zip(got, ref):
-            assert np.array_equal(w, w_ref)
-        # 1/mass and row sums as the row-max builder's FactoredEta formed them
+        assert [rows for rows, _, _ in got] == [rows for rows, _, _ in ref]
+        m = len(model.kmat)
+        # only a varying band coordinate narrows a block
+        assert any(c.stop - c.start < m for _, c, _ in got) == (constant == 0)
+        for (_, cols, w), (_, _, w_ref) in zip(got, ref):
+            outside = np.ones(m, dtype=bool)
+            outside[cols] = False
+            assert not w_ref[:, outside].any()          # exact zeros outside the band
+            assert np.all(np.abs(w - w_ref[:, cols]) <= 4e-15)
+        # 1/mass (in the caller's row order) and row sums as the full-width
+        # row-max builder forms them: the band changes the GEMM's and the
+        # sums' rounding only
         kmat = model.kmat.astype(float)
         kw = kmat @ grid128.weights
         inv_mass = np.empty(len(x))
         acc = np.zeros((2, len(kw)))
-        for rows, w in ref:
-            inv_mass[rows] = 1.0 / (w @ kw)
-            acc += (v[rows] * inv_mass[rows, None]).T @ w
-        assert np.array_equal(eta.inv_mass, inv_mass)
-        assert np.array_equal(eta.row_sums, acc @ kmat)
+        vs = v[eta._order]
+        for rows, _, w in ref:
+            inv = 1.0 / (w @ kw)
+            inv_mass[eta._order[rows]] = inv
+            acc += (vs[rows] * inv[:, None]).T @ w
+        assert np.allclose(eta.inv_mass, inv_mass, rtol=1e-14, atol=0.0)
+        assert np.allclose(eta.row_sums, acc @ kmat, rtol=1e-14, atol=0.0)
+
+    def test_weight_entries_evaluated(self, grid128, monkeypatch):
+        # the W entries one FactoredEta construction and one contract
+        # evaluate, per pass of n_ev m, on an mc-effect-shaped fold
+        # (m = 1091): full-width blocks would read 1.00, the band reads 0.55
+        table = get_dgp("confounded_shift").sample(4000, np.random.default_rng(3))
+        model = fit_cond_density(table.rows(np.arange(2000)), 1, grid128)
+        count = [0]
+        blocks = model.weight_blocks
+
+        def counting(xa, full=()):
+            for rows, cols, w in blocks(xa, full):
+                count[0] += w.size
+                yield rows, cols, w
+
+        monkeypatch.setattr(model, "weight_blocks", counting)
+        FactoredEta(model, table.x[2000:], grid128, np.ones((2000, 1))).contract(grid128.weights)
+        assert count[0] < 0.65 * 2 * 2000 * len(model.kmat)
 
     def test_fallback_to_a_massless_kernel_raises(self, rng, grid128):
         model, x = self.far_rows(rng, grid128)

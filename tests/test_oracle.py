@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from helpers import effect_population_bias, loglog_slope, vonmises_remainder
+
 from cfdens import DistanceSpec, divergence, effect_onestep, fit_cond_density, make_folds, make_grid
 from cfdens.errors import DataError, SolverError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_grid
@@ -13,15 +15,12 @@ from cfdens.oracle import (
     _fold_nuisances,
     SyntheticDGP,
     dgp_library,
-    effect_population_bias,
     get_dgp,
-    loglog_slope,
     mc_run,
     oracle_effect,
     oracle_projection,
     tensor_uniform_quad,
     truncnorm_pdf,
-    vonmises_remainder,
 )
 
 L2 = DistanceSpec("l2")
