@@ -16,7 +16,6 @@ from .data import (
     load_csv,
     make_folds,
     make_grid,
-    recode_missingness,
 )
 from .distances import DistanceSpec, divergence, parse_distance
 from .effects import EffectEstimate, effect_fixed_candidate, effect_onestep
@@ -35,12 +34,11 @@ from .nuisance import (
     NuisanceConfig,
     cross_fit,
     fit_cond_density,
-    plugin_marginal,
     tabulate_nuisances,
 )
 from .oracle import Experiment, SyntheticDGP, dgp_library, mc_run, oracle_projection
 from .projection import ProjectionEstimate, moment, solve_onestep
-from .selection import aggregate_linear, pseudo_l2_risk, select_model
+from .selection import aggregate_linear, select_model
 
 __all__ = [
     "CosineBasis",
@@ -76,9 +74,6 @@ __all__ = [
     "oracle_projection",
     "parse_distance",
     "parse_model",
-    "plugin_marginal",
-    "pseudo_l2_risk",
-    "recode_missingness",
     "select_model",
     "solve_onestep",
     "tabulate_nuisances",

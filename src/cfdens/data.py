@@ -109,8 +109,13 @@ class ObservationTable:
 def from_raw(x, a, y_raw, observed=None) -> ObservationTable:
     """Build a table from raw arrays, min-max rescaling the outcome.
 
-    The rescale range is computed over observed rows only; unobserved rows are
-    recoded to the missing level with placeholder outcome 0.
+    The rescale range is computed over observed rows only. The table is built
+    and validated on every row first, and then outcome missingness is folded
+    into the treatment label: unobserved rows get label ``MISSING_LEVEL`` (so
+    the counterfactual targets become "assigned to arm a AND outcome
+    observed") and outcome 0, which is never read downstream because the arm
+    indicator excludes these rows from every outcome-dependent term.
+    Covariate averages still run over all rows.
     """
     x = np.asarray(x, dtype=float)
     y_raw = np.asarray(y_raw, dtype=float)
@@ -131,24 +136,9 @@ def from_raw(x, a, y_raw, observed=None) -> ObservationTable:
     y = np.where(observed, (y_raw - lo) / (hi - lo), 0.0)
     table = ObservationTable(x, a, y, (lo, hi))
     if not observed.all():
-        table = recode_missingness(table, observed)
+        table = ObservationTable(table.x, np.where(observed, table.a, MISSING_LEVEL), table.y,
+                                 table.rescale_params)
     return table
-
-
-def recode_missingness(table: ObservationTable, observed_flag) -> ObservationTable:
-    """Fold outcome missingness into the treatment label.
-
-    Unobserved rows get label ``MISSING_LEVEL`` (so the counterfactual targets
-    become "assigned to arm a AND outcome observed") and outcome 0, which is
-    never read downstream because the arm indicator excludes these rows from
-    every outcome-dependent term. Covariate averages still run over all rows.
-    """
-    observed = np.asarray(observed_flag, dtype=bool)
-    if observed.shape != (table.n,):
-        raise DataError("observed flag length must match row count")
-    a = np.where(observed, table.a, MISSING_LEVEL)
-    y = np.where(observed, table.y, 0.0)
-    return ObservationTable(table.x, a, y, table.rescale_params)
 
 
 _NA_STRINGS = {"", "na", "nan", "n/a", "null"}

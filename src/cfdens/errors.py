@@ -57,10 +57,6 @@ class InsufficientDataError(DataError):
     """Too few training rows for a nuisance fit; names the treatment level."""
 
 
-class CrossFitViolationError(CfdensError):
-    """Training and evaluation rows overlap where disjointness is required."""
-
-
 class SolverError(CfdensError):
     """Root finder failed to converge; carries the residual trace."""
 

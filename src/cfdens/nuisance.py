@@ -1,4 +1,4 @@
-"""Nuisance estimation: propensities, conditional outcome densities, plug-in marginals.
+"""Nuisance estimation: propensities and conditional outcome densities, cross-fit.
 
 The estimators downstream consume nuisances only through ``FoldNuisance``,
 so the learners here are swappable. Per fold and level it holds the clipped
@@ -18,10 +18,11 @@ about 512 KB of float64 (one core's L2). Nadaraya-Watson training rows are
 sorted by their first covariate at fit and ``FactoredEta`` sorts its eval rows
 the same way, so each block multiplies only the training rows whose first
 coordinate lies within the window's reach of the block's; every entry skipped
-is 0 after the clip. Only a block with a zero-mass row is searched for empty
-windows, whose rows fall back to their nearest training row (that block spans
-every training row). An eval row left with no kernel mass raises
-``DataError`` in ``FactoredEta``, and so in ``predict``, its dense view;
+is 0 after the clip. Only the rows of zero mass are searched for empty
+windows, one GEMM against every training row for those rows alone, and such a
+row falls back to its nearest training row. An eval row left with no kernel
+mass raises ``DataError`` in ``FactoredEta``, and so in ``predict``, its dense
+view;
 ``tabulate_nuisances`` raises one for an injected row without finite, positive
 mass. Shipped learners are multinomial logistic
 regression and k-NN for the propensity, and Nadaraya-Watson / k-NN /
@@ -37,15 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EvalGrid, FoldPlan, ObservationTable
-from .errors import (
-    CrossFitViolationError,
-    DataError,
-    InsufficientDataError,
-)
+from .errors import DataError, InsufficientDataError
 
-_CHUNK = 256           # rows per outcome-kernel block (``_kernel_outcome_matrix``) and
-                       # per k-NN propensity block; bounds peak memory. Covariate-weight
-                       # blocks are sized by bytes (``CondDensityModel.weight_blocks``)
+_CHUNK = 256           # rows per outcome-kernel block (``_kernel_outcome_matrix``)
 # Reach of a reflected outcome-kernel term, in bandwidths from its end of [0,1].
 # A term skipped beyond it is below exp(-18^2 / 2) = e^-162 ~ 6e-71 (before the
 # division by h sqrt(2 pi)). The smallest float64 sum that survives the cast of
@@ -83,6 +78,12 @@ class NuisanceConfig:
     density: str = "nadaraya_watson"    # nadaraya_watson | knn | marginal
     bandwidth: object = "silverman"     # "silverman" or a fixed float
     clip_eps: float = 0.01
+
+
+def _block_rows(m):
+    """Rows per block of float64 values against m training rows: about 512 KB,
+    so a block stays in a core's L2 (covariate weights, k-NN distances)."""
+    return min(256, max(32, 65536 // m))
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +190,14 @@ def _fit_knn_propensity(x, a, levels):
     xt = (x - mean) / sd
     m = len(a)
     k = min(m, max(10, int(np.ceil(m ** (2.0 / 3.0)))))
+    step = _block_rows(m)
     onehot = np.stack([(a == lev).astype(float) for lev in levels], axis=1)
 
     def predict_raw(x_new):
         xn = (np.asarray(x_new, dtype=float) - mean) / sd
         out = np.empty((len(xn), len(levels)))
-        for lo in range(0, len(xn), _CHUNK):
-            blk = xn[lo:lo + _CHUNK]
+        for lo in range(0, len(xn), step):
+            blk = xn[lo:lo + step]
             d2 = ((blk**2).sum(axis=1)[:, None] + (xt**2).sum(axis=1)[None, :]
                   - 2.0 * blk @ xt.T)
             nbr = np.argpartition(d2, k - 1, axis=1)[:, :k]
@@ -333,8 +335,8 @@ class CondDensityModel:
     the unit-mass normaliser under the grid quadrature w (so the scale of W
     never matters). Nadaraya-Watson weights are Epanechnikov on standardized
     coordinates (compact support keeps them cheap) and a row with no
-    in-window neighbor falls back to its nearest one (``empty_rows``, the one
-    fallback rule); k-NN weights mark the k nearest rows; marginal weights
+    in-window neighbor falls back to its nearest one (``nearest_rows``, the
+    one fallback rule); k-NN weights mark the k nearest rows; marginal weights
     are uniform, so there K collapses to the (1, G) sum of its rows.
 
     Nadaraya-Watson training rows must come sorted by their first covariate
@@ -347,11 +349,10 @@ class CondDensityModel:
     ``FactoredEta``; the estimators only ever contract the factored form.
     """
 
-    def __init__(self, level, x_train, k_matrix, regressor, h_y, train_row_ids=None):
+    def __init__(self, level, x_train, k_matrix, regressor, h_y):
         self.level = int(level)
         self.h_y = float(h_y)
         self.regressor = regressor
-        self.train_row_ids = None if train_row_ids is None else np.asarray(train_row_ids)
         self._x_mean = x_train.mean(axis=0)
         sd = x_train.std(axis=0)
         self._x_sd = np.where(sd < 1e-12, np.inf, sd)  # inf: dim carries no distance
@@ -388,31 +389,30 @@ class CondDensityModel:
                                 1.0 - self._inv_bw2 * (xn**2).sum(axis=1),
                                 np.ones(len(xn))])
 
-    def weight_blocks(self, xa, full=()):
+    def weight_blocks(self, xa):
         """Yield (rows, cols, W): unnormalised covariate weights of a block of
         rows of ``covariates(x)`` against the training rows ``cols``, each
         block from one GEMM.
 
-        A block holds min(256, max(32, 65536 // m)) rows, about 512 KB of
-        float64, so it stays in a core's L2. Nadaraya-Watson blocks expect xa
-        sorted by its first column (``FactoredEta`` sorts it): a block then
-        spans only the training rows whose band key lies within the window's
-        reach of the block's key range, as every other entry clips to 0. A
-        block whose start is in ``full`` spans every training row. k-NN and
-        marginal blocks always do. Nadaraya-Watson weights are only clipped
-        at 0 here, in place, so a row with an empty window is all zero: it
-        has zero mass, and the caller gives it its nearest-neighbour fallback
-        from ``empty_rows``.
+        A block holds ``_block_rows(m)`` = min(256, max(32, 65536 // m)) rows,
+        about 512 KB of float64, so it stays in a core's L2. Nadaraya-Watson
+        blocks expect xa sorted by its first column (``FactoredEta`` sorts
+        it): a block then spans only the training rows whose band key lies
+        within the window's reach of the block's key range, as every other
+        entry clips to 0. k-NN and marginal blocks span every training row.
+        Nadaraya-Watson weights are only clipped at 0 here, in place, so a row
+        with an empty window is all zero: it has zero mass, and the caller
+        gives it its nearest-neighbour fallback from ``nearest_rows``.
         """
         m = len(self.kmat)
-        step = min(256, max(32, 65536 // m))
+        step = _block_rows(m)
         for lo in range(0, len(xa), step):
             rows = slice(lo, min(lo + step, len(xa)))
             cols = slice(0, m)
             if self.regressor == "marginal":
                 yield rows, cols, np.ones((rows.stop - lo, m))
                 continue
-            if self.regressor == "nadaraya_watson" and lo not in full:
+            if self.regressor == "nadaraya_watson":
                 cols = slice(np.searchsorted(self._key, xa[lo, 0] - self._reach),
                              np.searchsorted(self._key, xa[rows.stop - 1, 0] + self._reach,
                                              side="right"))
@@ -425,27 +425,21 @@ class CondDensityModel:
                 np.maximum(w, 0.0, out=w)
             yield rows, cols, w
 
-    def empty_rows(self, xa, rows, mass):
-        """(empty, nearest, W) for the ``weight_blocks`` block ``rows`` with row
-        masses ``mass``: the rows of zero mass whose Epanechnikov window holds
-        no training row, relative to the block, the nearest training row of
-        each, and the block's weights against every training row with
-        W[empty, nearest] = 1, their fallback.
+    def nearest_rows(self, xa):
+        """(empty, nearest): the rows of ``covariates(x)`` xa whose
+        Epanechnikov window holds no training row, and the nearest training
+        row of each, their fallback.
 
-        Only a zero mass makes a row a candidate, so the block's full-width
-        GEMM (a nearest row may lie outside the band) is run here only for a
-        Nadaraya-Watson block that has one; the nearest row is then the argmax
-        of the very values the full-width block clips. Otherwise W is None.
+        Called only with the rows of zero mass, so its GEMM against every
+        training row (a nearest row may lie outside the band) runs for those
+        rows alone; the nearest row is the argmax of the values the window
+        clips. k-NN and marginal windows are never empty.
         """
-        cand = np.flatnonzero(mass == 0.0)
-        if self.regressor != "nadaraya_watson" or not cand.size:
-            return cand[:0], cand[:0], None
-        w = xa[rows] @ self._train_aug.T
-        empty = cand[w[cand].max(axis=1) <= 0.0]
-        nearest = w[empty].argmax(axis=1)
-        np.maximum(w, 0.0, out=w)
-        w[empty, nearest] = 1.0
-        return empty, nearest, w
+        if self.regressor != "nadaraya_watson":
+            return np.arange(0), np.arange(0)
+        w = xa @ self._train_aug.T
+        empty = np.flatnonzero(w.max(axis=1) <= 0.0)
+        return empty, w[empty].argmax(axis=1)
 
     def predict(self, x, grid: EvalGrid):
         """Materialise eta_hat on the rows of x: (n, G), each row unit mass.
@@ -467,14 +461,15 @@ class FactoredEta:
     weights v (n_ev, k) given at construction, accumulated in the same pass
     that finds 1/mass.
 
-    That pass also finds the nearest-neighbour fallback: in a block with a
-    zero mass, ``CondDensityModel.empty_rows`` names the rows with an empty
-    window, and the mass of such a row is that of its nearest training
-    kernel (exact, since the row is one-hot). Such a block spans every
-    training row; the fallback is stored per block, and ``contract`` builds
-    the block at full width again and patches it in. An eval row still
-    without mass (every training kernel it weights is 0 on the grid, as at a
-    tiny h_y) raises ``DataError``.
+    That pass also collects the rows of zero mass. Of these,
+    ``CondDensityModel.nearest_rows`` names the rows with an empty window and
+    the nearest training row of each: such a row is one-hot on it, so its
+    mass is that training kernel's mass and its term of ``row_sums`` one
+    scaled row of K. The (caller row, nearest training row) pairs are
+    stored, and ``contract`` writes each such row from its nearest row's
+    product after the banded blocks. An eval row still without mass (every
+    training kernel it weights is 0 on the grid, as at a tiny h_y) raises
+    ``DataError``.
     """
 
     def __init__(self, model: CondDensityModel, x, grid: EvalGrid, row_weights):
@@ -487,23 +482,25 @@ class FactoredEta:
         kmat = model.kmat.astype(float)
         kw = kmat @ grid.weights                        # (m,) mass of each training kernel
         self.inv_mass = np.empty(len(xa))               # in the caller's row order
-        self._fallback = {}                             # block start -> (empty, nearest)
         acc = np.zeros((row_weights.shape[1], len(kw)))
+        zero = np.zeros(len(xa), dtype=bool)            # zero mass, in the sorted order
         for rows, cols, w in model.weight_blocks(self._xa):
             mass = w @ kw[cols]
-            if not np.all(mass > 0.0):
-                empty, nearest, full = model.empty_rows(self._xa, rows, mass)
-                if full is not None:
-                    self._fallback[rows.start] = empty, nearest
-                    cols, w = slice(0, len(kw)), full
-                    mass = w @ kw
-                if not np.all(mass > 0.0):
-                    raise DataError(
-                        f"level {model.level}: an evaluation row has no kernel mass on the "
-                        f"{grid.size}-point grid at outcome bandwidth h_y={model.h_y:g}; "
-                        f"use a larger bandwidth or a finer grid")
+            zero[rows] = ~(mass > 0.0)
+            mass[zero[rows]] = np.inf                   # 1/mass 0: no term until the fallback
             self.inv_mass[self._order[rows]] = inv = 1.0 / mass
             acc[:, cols] += (row_weights[rows] * inv[:, None]).T @ w
+        zero = np.flatnonzero(zero)
+        empty, nearest = model.nearest_rows(self._xa[zero])
+        if len(empty) < len(zero) or not np.all(kw[nearest] > 0.0):
+            raise DataError(
+                f"level {model.level}: an evaluation row has no kernel mass on the "
+                f"{grid.size}-point grid at outcome bandwidth h_y={model.h_y:g}; "
+                f"use a larger bandwidth or a finer grid")
+        idx = self._order[zero]
+        self.inv_mass[idx] = inv = 1.0 / kw[nearest]
+        np.add.at(acc.T, nearest, row_weights[zero] * inv[:, None])
+        self._fallback = idx, nearest                   # (caller row, nearest training row)
         self.row_sums = acc @ kmat
 
     def contract(self, wh):
@@ -511,12 +508,11 @@ class FactoredEta:
         quadrature of h against each row, in the caller's row order."""
         kwh = self.model.kmat @ np.asarray(wh, dtype=float)     # float64 product
         out = np.empty((len(self._xa),) + kwh.shape[1:])
-        for rows, cols, w in self.model.weight_blocks(self._xa, full=self._fallback):
-            fallback = self._fallback.get(rows.start)
-            if fallback is not None:
-                w[fallback] = 1.0
+        for rows, cols, w in self.model.weight_blocks(self._xa):
             idx = self._order[rows]
             out[idx] = ((w @ kwh[cols]).T * self.inv_mass[idx]).T
+        idx, nearest = self._fallback
+        out[idx] = (kwh[nearest].T * self.inv_mass[idx]).T
         return out
 
 
@@ -536,8 +532,7 @@ class DenseEta:
 
 
 def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
-                     bandwidth="silverman", regressor="nadaraya_watson",
-                     train_row_ids=None) -> CondDensityModel:
+                     bandwidth="silverman", regressor="nadaraya_watson") -> CondDensityModel:
     """Fit eta_hat_level by kernel-outcome regression on the level's rows."""
     mask = train.a == level
     m = int(mask.sum())
@@ -551,31 +546,12 @@ def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
     h = silverman_bandwidth(y) if bandwidth == "silverman" else float(bandwidth)
     if not (0.0 < h < np.inf):  # nan fails too
         raise DataError(f"bandwidth must be positive and finite, got {h}")
-    ids = None if train_row_ids is None else np.asarray(train_row_ids)[mask]
     if regressor == "nadaraya_watson":
         # sorted by the band coordinate; K is built for the rows in this order
         order = np.argsort(x[:, 0], kind="stable")
-        x, y, ids = x[order], y[order], None if ids is None else ids[order]
+        x, y = x[order], y[order]
     kmat = _kernel_outcome_matrix(y, grid.points, h)
-    return CondDensityModel(level, x, kmat, regressor, h, train_row_ids=ids)
-
-
-def plugin_marginal(model: CondDensityModel, table: ObservationTable, eval_idx,
-                    grid: EvalGrid):
-    """p_hat(y) = average of eta_hat(y | X_i) over the evaluation rows.
-
-    Cross-fitting is enforced when the model knows its training row ids.
-    """
-    eval_idx = np.asarray(eval_idx)
-    if model.train_row_ids is not None:
-        overlap = np.intersect1d(model.train_row_ids, eval_idx)
-        if overlap.size:
-            raise CrossFitViolationError(
-                f"evaluation rows overlap training rows (e.g. row {int(overlap[0])})"
-            )
-    n_ev = len(eval_idx)
-    return FactoredEta(model, table.x[eval_idx], grid,
-                       np.full((n_ev, 1), 1.0 / n_ev)).row_sums[0]
+    return CondDensityModel(level, x, kmat, regressor, h)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +642,6 @@ def single_split(table: ObservationTable, train_idx, eval_idx, levels,
     with a closed-form one (the oracle's true-propensity mode).
     """
     levels = tuple(levels)
-    train_idx = np.asarray(train_idx)
     eval_idx = np.asarray(eval_idx)
     train = table.rows(train_idx)
     x = table.x[eval_idx]
@@ -685,7 +660,7 @@ def single_split(table: ObservationTable, train_idx, eval_idx, levels,
 
     def tabulate(lev, row_weights):
         model = fit_cond_density(train, lev, grid, bandwidth=config.bandwidth,
-                                 regressor=config.density, train_row_ids=train_idx)
+                                 regressor=config.density)
         return FactoredEta(model, x, grid, row_weights)
 
     return fold_nuisance(table, eval_idx, grid, pi, tabulate, warn)

@@ -27,7 +27,7 @@ from .distances import DistanceSpec
 from .eif import dr_scores
 from .errors import CfdensError, DataError
 from .models import ExponentialFamily, clip_to_density, g_on_grid
-from .nuisance import NuisanceConfig, cross_fit, require_levels, single_split
+from .nuisance import NuisanceConfig, cross_fit, single_split
 # solve_onestep is not called here; perfbench/tracing.py wraps this module's binding of it
 from .projection import certified_root, solve_onestep  # noqa: F401
 
@@ -62,36 +62,6 @@ class AggregateEstimate:
 def _labels(candidates):
     return [c.label if hasattr(c, "label") else f"fixed[{i}]"
             for i, c in enumerate(candidates)]
-
-
-def _pseudo_risk_summands(table, fold, level, dens, grid):
-    """Per-row pseudo-risk summands, (n_ev, k), of a (G, k) stack of candidate
-    densities: -2 x each one's raw doubly-robust summand plus its int g^2."""
-    return -2.0 * dr_scores(table, fold, level, dens, grid) + grid.integrate(dens**2)
-
-
-def _pooled_risk(summands):
-    """Per column of the pooled (n, k) summands: the mean and its standard error."""
-    n = len(summands)
-    se = summands.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(summands.shape[1])
-    return summands.mean(axis=0), se
-
-
-def pseudo_l2_risk(table: ObservationTable, folds_nuis, level, g_k, grid: EvalGrid):
-    """Pseudo squared-L2 risk of a candidate density and its standard error.
-
-    Pooled mean of the per-row summand
-        -2 [ 1(A=a)/pi_hat {g_k(Y) - int g_k eta_hat} + int g_k eta_hat ]
-    plus int g_k^2. Equals the one-step squared-L2 distance up to a term that
-    does not involve g_k, so candidate rankings agree between the two.
-    """
-    require_levels(folds_nuis, (level,))
-    g_k = np.asarray(g_k, dtype=float)
-    if g_k.shape != grid.points.shape:
-        raise DataError("candidate density must be tabulated on the grid")
-    risk, se = _pooled_risk(np.concatenate(
-        [_pseudo_risk_summands(table, fold, level, g_k[:, None], grid) for fold in folds_nuis]))
-    return float(risk[0]), float(se[0])
 
 
 def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, failed,
@@ -141,9 +111,16 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
     For every fold role, nuisances are fit on the training folds, model
     candidates are fit on the same training folds (with their own inner
     cross-fitting) and clipped to densities, and all still-feasible candidates
-    are scored on the held-out fold in one stacked call; per-row summands pool
-    across roles. Ties break to the earlier (smaller-dimension) candidate.
-    Infeasible candidates get risk inf.
+    are scored on the held-out fold in one stacked call. A candidate g's
+    per-row summand is
+        -2 [ 1(A=a)/pi_hat {g(Y) - int g eta_hat} + int g eta_hat ] + int g^2,
+    -2 x its raw doubly-robust summand (``dr_scores``) plus int g^2. The
+    summands pool across roles: the risk is their mean and its standard
+    error their standard deviation (ddof 1) over sqrt(n). The risk equals the
+    one-step squared-L2 distance to g (``effect_fixed_candidate``) up to a
+    term that does not involve g, so the two rank candidates alike. Ties
+    break to the earlier (smaller-dimension) candidate. Infeasible
+    candidates get risk inf.
     """
     if len(candidates) < 1:
         raise DataError("need at least one candidate")
@@ -156,11 +133,14 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
         fold = single_split(table, train_idx, eval_idx, (level,), grid, nuis_config)
         dens = _fit_candidates(table.rows(train_idx), grid, level, nuis_config,
                                folds.seed + 7 * j + 1, candidates, labels, failed, warnings)
+        stack = np.column_stack(list(dens.values()))
         role = np.full((len(eval_idx), k), np.nan)
-        role[:, list(dens)] = _pseudo_risk_summands(table, fold, level,
-                                                    np.column_stack(list(dens.values())), grid)
+        role[:, list(dens)] = (-2.0 * dr_scores(table, fold, level, stack, grid)
+                               + grid.integrate(stack**2))
         scored.append(role)
-    risks, ses = _pooled_risk(np.concatenate(scored))
+    summands = np.concatenate(scored)
+    risks = summands.mean(axis=0)
+    ses = summands.std(axis=0, ddof=1) / np.sqrt(len(summands))
     risks[failed] = np.inf
     return RiskTable(labels=labels, risks=risks, ses=ses, chosen=int(np.argmin(risks)),
                      infeasible=[labels[i] for i in range(k) if failed[i]],

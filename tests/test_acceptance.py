@@ -269,7 +269,7 @@ class TestAcceptance:
 
     def test_10_plugin_mse_bound(self):
         t0 = time.time()
-        from cfdens.nuisance import fit_cond_density, plugin_marginal
+        from cfdens.nuisance import FactoredEta, fit_cond_density
 
         dgp = get_dgp("randomized_shift")
         n, reps = 2000, 200
@@ -284,9 +284,9 @@ class TestAcceptance:
             rng = np.random.default_rng([53, rep])
             table = dgp.sample(2 * n, rng)
             train_idx = np.arange(n)
-            model = fit_cond_density(table.rows(train_idx), 1, GRID,
-                                     train_row_ids=train_idx)
-            p_hat = plugin_marginal(model, table, np.arange(n, 2 * n), GRID)
+            model = fit_cond_density(table.rows(train_idx), 1, GRID)
+            p_hat = FactoredEta(model, table.x[np.arange(n, 2 * n)], GRID,
+                                np.full((n, 1), 1.0 / n)).row_sums[0]
             sq_err[rep] = (p_hat[idx] - truth[idx]) ** 2
             eta_hat_q = model.predict(xq, GRID)
             int_mse[rep] = wx @ ((eta_hat_q[:, idx] - eta_true[:, idx]) ** 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfdens import from_raw, load_csv, make_folds, make_grid, recode_missingness
+from cfdens import from_raw, load_csv, make_folds, make_grid
 from cfdens.data import MISSING_LEVEL, EvalGrid, ObservationTable
 from cfdens.errors import (
     DataError,
@@ -102,16 +102,23 @@ class TestLoadCsv:
 
 class TestRecode:
     def test_observed_row_keeps_label(self):
-        t = from_raw(np.ones((3, 1)), [1, 1, 0], [1.0, 2.0, 3.0])
-        out = recode_missingness(t, [True, False, False])
-        assert list(out.a) == [1, MISSING_LEVEL, MISSING_LEVEL]
-        assert out.y[1] == 0.0 and out.y[2] == 0.0
-        assert out.y[0] == t.y[0]
+        t = from_raw(np.ones((4, 1)), [1, 1, 0, 0], [1.0, 2.0, 3.0, 4.0],
+                     observed=[True, False, False, True])
+        assert list(t.a) == [1, MISSING_LEVEL, MISSING_LEVEL, 0]
+        assert t.y[1] == 0.0 and t.y[2] == 0.0
+        assert t.y[0] == 0.0 and t.y[3] == 1.0
+        assert t.rescale_params == (1.0, 4.0)
 
     def test_length_mismatch(self):
-        t = from_raw(np.ones((3, 1)), [1, 1, 0], [1.0, 2.0, 3.0])
-        with pytest.raises(DataError):
-            recode_missingness(t, [True, False])
+        with pytest.raises(DataError, match="observed flag length"):
+            from_raw(np.ones((3, 1)), [1, 1, 0], [1.0, 2.0, 3.0], observed=[True, False])
+
+    def test_unobserved_row_label_is_still_validated(self):
+        # the table is validated on every row before the recode overwrites
+        # the unobserved rows' labels
+        with pytest.raises(DataError, match="treatment label 1.5 at row 1"):
+            from_raw(np.ones((3, 1)), [1, 1.5, 0], [1.0, 2.0, 3.0],
+                     observed=[True, False, True])
 
 
 class TestGrid:

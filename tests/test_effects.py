@@ -11,7 +11,6 @@ from cfdens.models import CosineBasis, TruncatedSeries
 from cfdens.nuisance import tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_effect
 from cfdens.projection import solve_onestep
-from cfdens.selection import pseudo_l2_risk
 
 L2 = DistanceSpec("l2")
 
@@ -206,7 +205,7 @@ def test_effect_between_a_level_and_itself_is_data_error(grid128):
 
 class TestAbsentLevel:
     @pytest.mark.parametrize("entry", ["effect_onestep", "solve_onestep",
-                                       "effect_fixed_candidate", "pseudo_l2_risk"])
+                                       "effect_fixed_candidate"])
     def test_every_entry_point_raises_data_error(self, entry, grid128):
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(200, np.random.default_rng(0))
@@ -218,7 +217,6 @@ class TestAbsentLevel:
                 L2, TruncatedSeries(CosineBasis(2)), table, fn, 0, grid128),
             "effect_fixed_candidate": lambda: effect_fixed_candidate(
                 L2, table, fn, 0, flat, grid128),
-            "pseudo_l2_risk": lambda: pseudo_l2_risk(table, fn, 0, flat, grid128),
         }
         with pytest.raises(DataError, match="level 0 missing from nuisance tabulations"):
             calls[entry]()

@@ -6,7 +6,7 @@ from helpers import kernel_outcome_reference, predict_reference, weight_blocks_r
 from cfdens import NuisanceConfig, cross_fit, fit_cond_density, make_folds, make_grid
 from cfdens import nuisance
 from cfdens.data import ObservationTable
-from cfdens.errors import CrossFitViolationError, DataError, InsufficientDataError
+from cfdens.errors import DataError, InsufficientDataError
 from cfdens.nuisance import (
     _CHUNK,
     CondDensityModel,
@@ -14,7 +14,6 @@ from cfdens.nuisance import (
     _kernel_outcome_matrix,
     fit_propensity_all,
     floor_probs,
-    plugin_marginal,
     silverman_bandwidth,
     single_split,
     tabulate_nuisances,
@@ -64,6 +63,23 @@ class TestPropensity:
         model = fit_propensity_all(table, method="knn")
         preds = model.predict(rng.uniform(0.2, 0.8, size=(100, 2)))[:, model.levels.index(1)]
         assert preds.min() > 0.35 and preds.max() < 0.65
+
+    def test_knn_blocks_match_a_single_block_neighbour_mean(self):
+        # 2000 training rows: the search runs in blocks of 65536 // 2000 = 32
+        # rows; the reference takes every eval row's neighbours at once, from
+        # the plain squared differences
+        table = get_dgp("confounded_shift").sample(2500, np.random.default_rng(5))
+        train = table.rows(np.arange(2000))
+        model = fit_propensity_all(train, method="knn")
+        xt = (train.x - train.x.mean(axis=0)) / train.x.std(axis=0)
+        xn = (table.x[2000:] - train.x.mean(axis=0)) / train.x.std(axis=0)
+        d2 = ((xn[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+        k = int(np.ceil(2000 ** (2.0 / 3.0)))
+        nbr = np.argsort(d2, axis=1)[:, :k]
+        onehot = np.stack([train.a == lev for lev in model.levels], axis=1)
+        want = floor_probs(onehot[nbr].mean(axis=1), model.clip_eps)
+        assert nuisance._block_rows(2000) == 32
+        assert np.array_equal(model.predict(table.x[2000:]), want)
 
     def test_separation_degrades_with_warning(self, rng):
         x = rng.uniform(size=(300, 1))
@@ -278,52 +294,58 @@ class TestCovariateWeights:
     @pytest.mark.parametrize("constant", [0, 1, 2])
     def test_blocks_match_the_row_max_builder(self, constant, rng, grid128, monkeypatch):
         model, x = self.far_rows(rng, grid128, constant)
+        m = len(model.kmat)
         v = rng.uniform(size=(len(x), 2))
         eta = FactoredEta(model, x, grid128, v)
         xa = eta._xa                        # the eval rows, sorted by the band coordinate
         assert np.array_equal(xa, model.covariates(x)[eta._order])
-        # the far rows on both sides fall back, to the nearest rows the
-        # reference picks (checked with W below)
+        ref = list(weight_blocks_reference(model, xa))
+        w_ref = np.vstack([w for _, _, w in ref])
+        # the far rows on both sides fall back, row by row, to the nearest
+        # rows the reference picks
         empty = np.flatnonzero((xa @ model._train_aug.T).max(axis=1) <= 0.0)
-        assert np.array_equal(np.sort(eta._order[empty]),
-                              np.arange(200, 700) if constant < 2 else np.arange(0))
-        fell_back = np.zeros(len(x), dtype=bool)
-        for lo, (e, _) in eta._fallback.items():
-            fell_back[lo + e] = True
-        assert np.array_equal(np.flatnonzero(fell_back), empty)
+        rows, nearest = eta._fallback
+        assert np.array_equal(np.sort(rows), np.arange(200, 700) if constant < 2 else np.arange(0))
+        pos = np.argsort(eta._order)[rows]  # their sorted positions
+        assert np.array_equal(np.sort(pos), empty)
+        onehot = np.zeros((len(rows), m))
+        onehot[np.arange(len(rows)), nearest] = 1.0
+        assert np.array_equal(w_ref[pos], onehot)
         # the blocks contract multiplies, as they stand once it has used them
         got = []
         blocks = model.weight_blocks
 
-        def spy(xa_, full=()):
-            for rows, cols, w in blocks(xa_, full):
-                got.append((rows, cols, w))
-                yield rows, cols, w
+        def spy(xa_):
+            for rows_, cols, w in blocks(xa_):
+                got.append((rows_, cols, w))
+                yield rows_, cols, w
 
         monkeypatch.setattr(model, "weight_blocks", spy)
         eta.contract(grid128.weights)
-        ref = list(weight_blocks_reference(model, xa))
-        assert [rows for rows, _, _ in got] == [rows for rows, _, _ in ref]
-        m = len(model.kmat)
-        # only a varying band coordinate narrows a block
-        assert any(c.stop - c.start < m for _, c, _ in got) == (constant == 0)
-        for (_, cols, w), (_, _, w_ref) in zip(got, ref):
+        assert [r for r, _, _ in got] == [r for r, _, _ in ref]
+        # a varying band coordinate narrows every block, fallback blocks
+        # included; a constant one narrows none
+        widths = [c.stop - c.start for _, c, _ in got]
+        assert all(wd < m for wd in widths) if constant == 0 else all(wd == m for wd in widths)
+        w_clip = w_ref.copy()
+        w_clip[pos] = 0.0                   # the empty windows, before their fallback
+        for r, cols, w in got:
             outside = np.ones(m, dtype=bool)
             outside[cols] = False
-            assert not w_ref[:, outside].any()          # exact zeros outside the band
-            assert np.all(np.abs(w - w_ref[:, cols]) <= 4e-15)
+            assert not w_clip[r][:, outside].any()      # exact zeros outside the band
+            assert np.all(np.abs(w - w_clip[r][:, cols]) <= 4e-15)
         # 1/mass (in the caller's row order) and row sums as the full-width
-        # row-max builder forms them: the band changes the GEMM's and the
-        # sums' rounding only
+        # row-max builder forms them: the band and the per-row fallback
+        # change the GEMM's and the sums' rounding only
         kmat = model.kmat.astype(float)
         kw = kmat @ grid128.weights
         inv_mass = np.empty(len(x))
         acc = np.zeros((2, len(kw)))
         vs = v[eta._order]
-        for rows, _, w in ref:
+        for r, _, w in ref:
             inv = 1.0 / (w @ kw)
-            inv_mass[eta._order[rows]] = inv
-            acc += (vs[rows] * inv[:, None]).T @ w
+            inv_mass[eta._order[r]] = inv
+            acc += (vs[r] * inv[:, None]).T @ w
         assert np.allclose(eta.inv_mass, inv_mass, rtol=1e-14, atol=0.0)
         assert np.allclose(eta.row_sums, acc @ kmat, rtol=1e-14, atol=0.0)
 
@@ -336,8 +358,8 @@ class TestCovariateWeights:
         count = [0]
         blocks = model.weight_blocks
 
-        def counting(xa, full=()):
-            for rows, cols, w in blocks(xa, full):
+        def counting(xa):
+            for rows, cols, w in blocks(xa):
                 count[0] += w.size
                 yield rows, cols, w
 
@@ -414,18 +436,8 @@ class TestPluginMarginal:
         table = uniform_table(300, rng)
         model = fit_cond_density(table, 1, grid128, regressor="marginal")
         curve = model.predict(np.zeros((1, 2)), grid128)[0]
-        p_hat = plugin_marginal(model, table, np.arange(300), grid128)
+        p_hat = FactoredEta(model, table.x, grid128, np.full((300, 1), 1.0 / 300)).row_sums[0]
         assert np.allclose(p_hat, curve, atol=1e-12)
-
-    def test_cross_fit_violation(self, rng, grid128):
-        table = uniform_table(300, rng)
-        train_idx = np.arange(150)
-        model = fit_cond_density(table.rows(train_idx), 1, grid128,
-                                 train_row_ids=train_idx)
-        with pytest.raises(CrossFitViolationError):
-            plugin_marginal(model, table, np.arange(100, 200), grid128)
-        ok = plugin_marginal(model, table, np.arange(150, 300), grid128)
-        assert abs(ok @ grid128.weights - 1.0) < 1e-6
 
     def test_marginal_error_shrinks_with_n(self, grid128):
         # fixed-seed Monte-Carlo: median L2 error decreases over the n ladder
@@ -438,9 +450,9 @@ class TestPluginMarginal:
                 rng = np.random.default_rng([17, n, rep])
                 table = dgp.sample(n, rng)
                 half = n // 2
-                model = fit_cond_density(table.rows(np.arange(half)), 1, grid128,
-                                         train_row_ids=np.arange(half))
-                p_hat = plugin_marginal(model, table, np.arange(half, n), grid128)
+                model = fit_cond_density(table.rows(np.arange(half)), 1, grid128)
+                p_hat = FactoredEta(model, table.x[half:], grid128,
+                                    np.full((n - half, 1), 1.0 / (n - half))).row_sums[0]
                 errs.append(np.sqrt(grid128.integrate((p_hat - truth) ** 2)))
             medians.append(np.median(errs))
         assert medians[0] > medians[1] > medians[2]
@@ -467,10 +479,9 @@ class TestCrossFit:
         train_idx = np.arange(200)
         eval_idx = np.arange(200, 400)
         fold = single_split(table, train_idx, eval_idx, (1,), grid128)
-        model = fit_cond_density(table.rows(train_idx), 1, grid128,
-                                 train_row_ids=train_idx)
-        assert np.allclose(fold.p_hat[1],
-                           plugin_marginal(model, table, eval_idx, grid128))
+        model = fit_cond_density(table.rows(train_idx), 1, grid128)
+        eta = FactoredEta(model, table.x[eval_idx], grid128, np.full((200, 1), 1.0 / 200))
+        assert np.allclose(fold.p_hat[1], eta.row_sums[0])
 
 
 class TestInjectedPropensity:
@@ -523,9 +534,8 @@ class TestMseBound:
             rng = np.random.default_rng([23, rep])
             table = dgp.sample(2 * n, rng)
             train_idx = np.arange(n)
-            model = fit_cond_density(table.rows(train_idx), 1, grid128,
-                                     train_row_ids=train_idx)
-            p_hat = plugin_marginal(model, table, np.arange(n, 2 * n), grid128)
+            model = fit_cond_density(table.rows(train_idx), 1, grid128)
+            p_hat = FactoredEta(model, table.x[n:], grid128, np.full((n, 1), 1.0 / n)).row_sums[0]
             sq_err[rep] = (p_hat[idx] - truth[idx]) ** 2
             eta_hat_q = model.predict(xq, grid128)
             int_mse[rep] = wx @ ((eta_hat_q[:, idx] - eta_true[:, idx]) ** 2)

@@ -216,8 +216,8 @@ class TestMcRun:
         for _, train_idx, eval_idx in folds.splits():
             x = table.x[eval_idx]
             pi = {lev: dgp.pi_fn(x, lev) for lev in levels}
-            models = {lev: fit_cond_density(table.rows(train_idx), lev, grid128,
-                                            train_row_ids=train_idx) for lev in levels}
+            models = {lev: fit_cond_density(table.rows(train_idx), lev, grid128)
+                      for lev in levels}
             want.append(fold_nuisance(
                 table, eval_idx, grid128, pi,
                 lambda lev, v: FactoredEta(models[lev], x, grid128, v)))

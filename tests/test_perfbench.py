@@ -4,7 +4,8 @@
 that drops or renames one breaks the traced benchmark, so it is checked here.
 A module may keep a binding it never calls only because ``WRAPS`` wraps it.
 Two static checks keep the package free of dead code: every package import
-is used or wrapped, and every package function is named somewhere.
+is used or wrapped, and every package function is reachable from the CLI, the
+exported names or the wrapped names.
 """
 
 import ast
@@ -58,26 +59,62 @@ def test_every_package_import_is_used_or_traced(monkeypatch):
     assert unused == []
 
 
-def test_every_package_function_is_named_somewhere(monkeypatch):
-    # a module-level function or method of the package that no Name or
-    # attribute in src, tests or perfbench refers to, and that WRAPS does not
-    # wrap, has outlived its last caller (dunder methods are called implicitly)
+def _referenced(nodes):
+    """Every Name and attribute name under the AST nodes."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def test_every_package_function_is_reachable(monkeypatch):
+    # An AST call graph of src/cfdens rooted at cli.main, the package's
+    # __all__ names and the WRAPS names. A reference resolves by name: a
+    # reached Name or attribute reaches every module-level function, method
+    # and class of that name, so the graph over-approximates the calls. A
+    # reached class reaches its dunder methods and class-body statements,
+    # which run implicitly; module-level statements run at import. A
+    # function or method left unreached is called, if at all, only from
+    # tests or perfbench. Dunder methods are exempt, as is _Parser.error,
+    # which argparse calls.
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    named = {part for _, attr, _ in importlib.import_module("tracing").WRAPS
-             for part in attr.split(".")}
-    defined = []
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")) \
-            + sorted(PERFBENCH.rglob("*.py")):
+    roots = {"main"} | {part for _, attr, _ in importlib.import_module("tracing").WRAPS
+                        for part in attr.split(".")}
+    edges = {}          # name -> names referenced by a definition of that name
+    defined = []        # (module, qualified name, name) of every function and method
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-        if path.parent == PACKAGE:
-            for node in tree.body:
-                body = node.body if isinstance(node, ast.ClassDef) else [node]
-                defined += [(path.stem, f.name) for f in body
-                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not (f.name.startswith("__") and f.name.endswith("__"))]
-    assert [f"{mod}: {name}" for mod, name in defined if name not in named] == []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                edges.setdefault(node.name, set()).update(_referenced([node]))
+                defined.append((path.stem, node.name, node.name))
+            elif isinstance(node, ast.ClassDef):
+                implicit = []
+                for item in node.body:
+                    if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        implicit.append(item)
+                    elif item.name.startswith("__") and item.name.endswith("__"):
+                        implicit.append(item)
+                    else:
+                        edges.setdefault(item.name, set()).update(_referenced([item]))
+                        defined.append((path.stem, f"{node.name}.{item.name}", item.name))
+                edges.setdefault(node.name, set()).update(
+                    _referenced(implicit + node.decorator_list + node.bases))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                roots |= set(ast.literal_eval(node.value))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                roots |= _referenced([node])
+    reached, frontier = set(roots), list(roots)
+    while frontier:
+        for name in edges.get(frontier.pop(), ()):
+            if name not in reached:
+                reached.add(name)
+                frontier.append(name)
+    exempt = {("cli", "_Parser.error")}
+    assert [f"{mod}: {qual}" for mod, qual, name in defined
+            if name not in reached and (mod, qual) not in exempt] == []

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import true_fold
-
 from cfdens import cross_fit, make_folds, make_grid
 from cfdens.distances import DistanceSpec
 from cfdens.effects import effect_fixed_candidate
+from cfdens.eif import dr_scores
 from cfdens.errors import DataError, RankError, SolverError
 from cfdens.models import CosineBasis, TruncatedSeries, parse_model
 from cfdens.nuisance import NuisanceConfig
 from cfdens.oracle import get_dgp
-from cfdens.selection import _gram_schmidt, aggregate_linear, pseudo_l2_risk, select_model
+from cfdens.selection import _gram_schmidt, aggregate_linear, select_model
 
 
 def bump_density(grid, coef=0.5):
@@ -21,25 +20,22 @@ def bump_density(grid, coef=0.5):
 class TestPseudoRisk:
     def test_uniform_candidate_uniform_truth_is_minus_one(self, rng, grid128):
         # raw summand is identically 1 when the candidate is the uniform
-        # density, so the risk equals -2 + 1 exactly
+        # density (every eta row has unit mass), so the risk equals -2 + 1
         dgp = get_dgp("cosine_bump")
         table = dgp.sample(500, rng)
-        fn = true_fold(dgp, table, (0,), grid128)
-        risk, se = pseudo_l2_risk(table, fn, 0, np.ones(grid128.size), grid128)
-        assert risk == pytest.approx(-1.0, abs=1e-12)
-        assert se == pytest.approx(0.0, abs=1e-12)
+        rt = select_model(table, make_folds(500, 2, seed=3), 0, [np.ones(grid128.size)], grid128)
+        assert rt.risks[0] == pytest.approx(-1.0, abs=1e-12)
+        assert rt.ses[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_to_onestep_distance_is_candidate_free(self, rng, grid128):
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(800, rng)
         folds = make_folds(800, 2, seed=11)
+        cands = [bump_density(grid128, coef) for coef in (0.0, 0.2, 0.45)]
+        rt = select_model(table, folds, 1, cands, grid128)
         fn = cross_fit(table, folds, (1,), grid128)
-        offsets = []
-        for coef in (0.0, 0.2, 0.45):
-            g = bump_density(grid128, coef)
-            full = effect_fixed_candidate(DistanceSpec("l2"), table, fn, 1, g, grid128)
-            pseudo, _ = pseudo_l2_risk(table, fn, 1, g, grid128)
-            offsets.append(full.psi_hat - pseudo)
+        offsets = [effect_fixed_candidate(DistanceSpec("l2"), table, fn, 1, g, grid128).psi_hat
+                   - rt.risks[i] for i, g in enumerate(cands)]
         assert np.max(offsets) - np.min(offsets) < 1e-10
 
     def test_population_orthogonal_perturbation_adds_its_mass(self, grid128):
@@ -137,17 +133,22 @@ class TestSelectModel:
         assert np.allclose(rt.ses[[0, 2]], ref.ses, rtol=1e-12, atol=0.0)
 
     def test_fixed_candidate_risks_match_pseudo_l2_risk(self, rng, grid128):
+        # by hand: -2 x the raw doubly-robust summands plus int g^2, pooled
+        # over the cross_fit folds (the same splits as select_model's roles)
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(900, rng)
         folds = make_folds(900, 3, seed=12)
         # no uniform candidate: its summands are constant and its se is roundoff
         cands = [bump_density(grid128, c) for c in (0.15, 0.3, -0.2)]
         rt = select_model(table, folds, 1, cands, grid128)
-        fn = cross_fit(table, folds, (1,), grid128)
-        for i, g in enumerate(cands):
-            risk, se = pseudo_l2_risk(table, fn, 1, g, grid128)
-            assert rt.risks[i] == pytest.approx(risk, rel=1e-12, abs=0.0)
-            assert rt.ses[i] == pytest.approx(se, rel=1e-12, abs=0.0)
+        stack = np.column_stack(cands)
+        summands = np.concatenate(
+            [-2.0 * dr_scores(table, fold, 1, stack, grid128) + grid128.integrate(stack**2)
+             for fold in cross_fit(table, folds, (1,), grid128)])
+        risks = summands.mean(axis=0)
+        ses = summands.std(axis=0, ddof=1) / np.sqrt(len(summands))
+        assert np.allclose(rt.risks, risks, rtol=1e-12, atol=0.0)
+        assert np.allclose(rt.ses, ses, rtol=1e-12, atol=0.0)
 
 
 class TestSelectionConsistency:
