@@ -153,12 +153,14 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
     float ("-999.0" matches "-999"; -999.005 stays observed). Covariates and
     treatment must parse everywhere, and no covariate column may be the
     treatment or outcome column, nor the outcome the treatment (``SchemaError``).
+    Cells are parsed column by column; a column that fails is searched for its
+    first bad cell, and the ``ParseError`` names the first bad row.
     """
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyDataError(f"{path}: no header row")
-        header = list(reader.fieldnames)
         wanted = list(x_cols) + [a_col, y_col]
         overlap = [c for c in x_cols if c in (a_col, y_col)]
         if overlap:
@@ -169,38 +171,39 @@ def load_csv(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
         missing_cols = [c for c in wanted if c not in header]
         if missing_cols:
             raise SchemaError(f"{path}: missing columns {missing_cols}")
-        xs, as_, ys, obs = [], [], [], []
-        code = None if missing_code is None else str(missing_code).strip().lower()
-        for i, row in enumerate(reader):
-            try:
-                xs.append([float(row[c]) for c in x_cols])
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: non-numeric covariate at row {i}") from None
-            try:
-                as_.append(float(row[a_col]))
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: non-numeric treatment at row {i}") from None
-            cell = (row[y_col] or "").strip()
-            is_missing = False
-            if code is not None:
-                is_missing = cell.lower() in _NA_STRINGS or cell.lower() == code
-            if is_missing:
-                ys.append(0.0)
-                obs.append(False)
-                continue
-            try:
-                val = float(cell)
-            except (TypeError, ValueError):
-                raise ParseError(f"{path}: non-numeric outcome at row {i}") from None
-            if code is not None and _is_number(code) and val == float(code):
-                ys.append(0.0)
-                obs.append(False)
-            else:
-                ys.append(val)
-                obs.append(True)
-    if not ys:
+        rows = [row for row in reader if row]   # blank lines are skipped
+    index = {name: j for j, name in enumerate(header)}   # a repeated name reads its last column
+
+    def column(name):   # a short row's absent cell is None, which fails to parse
+        j = index[name]
+        return [row[j] if j < len(row) else None for row in rows]
+
+    code = None if missing_code is None else str(missing_code).strip().lower()
+    y_cells = [(cell or "").strip() for cell in column(y_col)]
+    unobserved = np.array([code is not None and (c.lower() in _NA_STRINGS or c.lower() == code)
+                           for c in y_cells], dtype=bool)
+    columns = [(column(c), "covariate") for c in x_cols] + [
+        (column(a_col), "treatment"),
+        ([0.0 if u else c for c, u in zip(y_cells, unobserved)], "outcome")]
+    values, bad = [], []
+    for order, (cells, kind) in enumerate(columns):
+        try:
+            values.append(np.fromiter(map(float, cells), dtype=float, count=len(cells)))
+        except (TypeError, ValueError):
+            # the first bad row wins; within it, columns in x_cols, treatment, outcome order
+            row = next(i for i, cell in enumerate(cells) if not _is_number(cell))
+            bad.append((row, order, kind))
+    if bad:
+        row, _, kind = min(bad)
+        raise ParseError(f"{path}: non-numeric {kind} at row {row}")
+    if not rows:
         raise EmptyDataError(f"{path}: no data rows")
-    return from_raw(np.array(xs), np.array(as_), np.array(ys), np.array(obs))
+    *xs, a, y = values
+    observed = ~unobserved
+    if code is not None and _is_number(code):
+        observed &= y != float(code)
+    x = np.reshape(xs, (len(xs), len(rows))).T
+    return from_raw(x, a, np.where(observed, y, 0.0), observed)
 
 
 def _is_number(text):

@@ -3,11 +3,12 @@
 The discrepancy f takes two arguments (density value p of the target, density
 value q of the approximant), which covers squared-L2 alongside the classical
 density-ratio divergences. The estimators never need f itself, only D and
-three reduced factors: d/dq (f q) (``moment_integrand_factor``), d/dp (f q)
-(``effect_integrand_factor``) and the p-derivative of the first
-(``influence_integrand_factor``). This module holds that one representation,
-written per kind. The full table of f and its partials lives in
-``tests/helpers.py`` as the independent reference it is checked against.
+three reduced factors, all from one call per (p, q): ``reduced_factors``
+returns d/dq (f q) for the projection's moment, d/dp (f q) for the effect
+transforms and the p-derivative of the first for the projection's
+influence. This module holds that one representation, one branch per kind.
+The full table of f and its partials lives in ``tests/helpers.py`` as the
+independent reference it is checked against.
 
 Floors: ratio/sqrt/log evaluations clamp q at ``Q_FLOOR`` and (for KL and
 Hellinger) p at ``P_FLOOR`` so behavior on vanishing densities is defined.
@@ -140,64 +141,37 @@ def divergence(spec, p, q, grid):
     return float(grid.integrate((np.sqrt(p / q) - 1.0) ** 2 * q))
 
 
-def moment_integrand_factor(spec, p, q):
-    """The scalar factor f(p,q) + q * f_dq(p,q), i.e. d/dq of f(p,q) q.
+def reduced_factors(spec, p, q):
+    """The three reduced factors of f(p,q) q at (p, q): (moment, effect, influence).
 
-    Evaluated in per-kind reduced form, algebraically identical to composing
-    the table but avoiding 0/0 at clipped densities:
-      l2: 2(q - p); kl: -p/q; chisq: 1 - (p/q)^2;
-      hellinger: 1 - sqrt(p/q); tv: -nu'(p - q)/2.
-    The kl entry keeps the exact q-derivative of f(p,q) q; it differs from
-    the familiar 1 - p/q by a constant that integrates to zero against the
-    coefficient gradient of any family with mass one for every beta.
+    moment is d/dq (f q) = f + q f_dq, the projection's moment integrand;
+    effect is d/dp (f q) = q f_dp, the density-effect transform; influence is
+    the p-derivative of moment, f_dp + q f_dpdq, which weights the model
+    gradient in the projection's correction transform. Each is written in
+    reduced form, algebraically identical to composing the table but free of
+    0/0 at clipped densities:
+      l2: 2(q - p), 2(p - q), -2 (no p dependence at all);
+      kl: -p/q, log(p/q) + 1, -1/q;
+      chisq: 1 - (p/q)^2, 2(p - q)/q, -2p/q^2;
+      hellinger: 1 - sqrt(p/q), 1 - sqrt(q/p), -1/(2 sqrt(p q));
+      tv: -nu'(p - q)/2, nu'(p - q)/2, -nu''(p - q)/2.
+    For l2 and tv, f(p,q) q depends on p - q alone, so effect is -moment and
+    no floor applies. The kl moment keeps the exact q-derivative of f(p,q) q;
+    it differs from the familiar 1 - p/q by a constant that integrates to
+    zero against the coefficient gradient of any family with mass one for
+    every beta.
     """
     if spec.kind == "l2":
-        return 2.0 * (np.asarray(q, dtype=float) - np.asarray(p, dtype=float))
+        moment = 2.0 * (np.asarray(q, dtype=float) - np.asarray(p, dtype=float))
+        return moment, -moment, np.full_like(moment, -2.0)
     if spec.kind == "tv":
         diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-        return -abs_smooth_d1(diff, spec.tv_t) / 2.0
+        moment = -abs_smooth_d1(diff, spec.tv_t) / 2.0
+        return moment, -moment, -abs_smooth_d2(diff, spec.tv_t) / 2.0
     p, q = clamp_densities(spec, p, q)
     r = p / q
     if spec.kind == "kl":
-        return -r
+        return -r, np.log(r) + 1.0, -1.0 / q
     if spec.kind == "chisq":
-        return 1.0 - r**2
-    return 1.0 - np.sqrt(r)
-
-
-def effect_integrand_factor(spec, p, q):
-    """The scalar factor q * f_dp(p,q), i.e. d/dp of f(p,q) q, reduced per kind:
-      l2: 2(p - q); kl: log(p/q) + 1; chisq: 2(p - q)/q;
-      hellinger: 1 - sqrt(q/p); tv: nu'(p - q)/2.
-    For l2 and tv, f(p,q) q depends on p - q alone: the negated moment factor.
-    """
-    if spec.kind in ("l2", "tv"):
-        return -moment_integrand_factor(spec, p, q)
-    p, q = clamp_densities(spec, p, q)
-    r = p / q
-    if spec.kind == "kl":
-        return np.log(r) + 1.0
-    if spec.kind == "chisq":
-        return 2.0 * (p - q) / q
-    return 1.0 - np.sqrt(1.0 / r)
-
-
-def influence_integrand_factor(spec, p, q):
-    """The scalar factor f_dp(p,q) + q * f_dpdq(p,q), reduced per kind.
-
-    This is the p-derivative of ``moment_integrand_factor``; the one-step
-    correction weights the model gradient with it. Reduced forms:
-      l2: -2 (no p dependence at all); kl: -1/q; chisq: -2p/q^2;
-      hellinger: -1/(2 sqrt(p q)); tv: -nu''(p - q)/2.
-    """
-    if spec.kind == "l2":
-        return np.broadcast_to(-2.0, np.broadcast_shapes(np.shape(p), np.shape(q))).copy()
-    if spec.kind == "tv":
-        diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-        return -abs_smooth_d2(diff, spec.tv_t) / 2.0
-    p, q = clamp_densities(spec, p, q)
-    if spec.kind == "kl":
-        return -1.0 / q
-    if spec.kind == "chisq":
-        return -2.0 * p / q**2
-    return -0.5 / np.sqrt(p * q)
+        return 1.0 - r**2, 2.0 * (p - q) / q, -2.0 * p / q**2
+    return 1.0 - np.sqrt(r), 1.0 - np.sqrt(1.0 / r), -0.5 / np.sqrt(p * q)

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EvalGrid, ObservationTable
-from .distances import DistanceSpec, divergence
-# dr_scores is not called here; perfbench/tracing.py wraps this module's binding of it
-from .eif import dr_scores, effect_curves  # noqa: F401
+from .distances import DistanceSpec, divergence, reduced_factors
 from .errors import DataError
 from .nuisance import require_levels
-from .projection import Z95, onestep, onestep_influence
+# dr_scores is not called here; perfbench/tracing.py wraps this module's binding of it
+from .projection import Z95, dr_scores, onestep, onestep_influence  # noqa: F401
 
 EFFECT_FLOOR = 1e-8  # density floor for the ratio-based divergences
 
@@ -85,6 +84,18 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
     if g.shape != grid.points.shape:
         raise DataError("candidate density must be tabulated on the grid")
     return _effect(distance, table, folds_nuis, grid, (level,), g)
+
+
+def effect_curves(distance: DistanceSpec, p1, p0):
+    """The pair of outcome transforms behind the density-effect correction.
+
+    lam1 = p0 f_dp(p1, p0) and lam0 = f(p1, p0) + p0 f_dq(p1, p0), the p- and
+    q-derivatives of f(p, q) q at (p1, p0): the effect and moment columns of
+    one ``reduced_factors`` call. With p1 a density p_a and p0 a fixed, known
+    candidate g, lam1 alone is the transform behind the distance D(p_a, g).
+    """
+    moment, effect, _ = reduced_factors(distance, p1, p0)
+    return effect, moment
 
 
 def _effect(distance, table, folds_nuis, grid, levels, g=None):

@@ -353,15 +353,13 @@ def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, leve
     mode = exp.nuisance_mode
     if mode == "fitted":
         return cross_fit(table, folds, levels, grid, exp.nuisance)
-    if mode == "true":
-        return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
-                                   dgp.pi_fn, dgp.eta_fn)]
-    if mode == "wrong_pi_true_eta":
+    if mode in ("true", "wrong_pi_true_eta"):
         def pi_const(x, level):
             return _two_arm(np.full(len(x), 0.5), level)
 
+        pi_fn = dgp.pi_fn if mode == "true" else pi_const
         return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
-                                   pi_const, dgp.eta_fn)]
+                                   pi_fn, dgp.eta_fn)]
     if mode == "true_pi_fitted_eta":
         return cross_fit(table, folds, levels, grid, exp.nuisance, pi_fn=dgp.pi_fn)
     raise DataError(f"unknown nuisance mode {mode!r}")

@@ -1,8 +1,23 @@
-"""Projection estimation: moment conditions, one-step solvers, Wald inference.
+"""One-step algebra, projection moment conditions, solvers and Wald inference.
 
-The estimating equation pools fold contributions: with per-fold plug-in
-moments m_hat_j and fold-level bias corrections, the reported coefficient
-solves
+Every target is a cross-fit one-step estimate whose correction is a
+counterfactual mean of an outcome transform h tabulated on the grid. Per
+row, the raw doubly-robust summand of h is
+
+    1(A_i = a)/pi_hat(X_i) * (h(Y_i) - hbar(X_i)) + hbar(X_i),
+
+hbar the quadrature of h against eta_hat(.|X_i). Its mean needs no per-row
+work: it is d_hat @ h, with d_hat the fold's doubly-robust grid measure
+(``nuisance.fold_nuisance``), and that is all the estimates use
+(``onestep``). Per-row values, from ``dr_scores``, are the raw summands;
+influence values centre them per fold (``onestep_influence``, which pools
+them) and pseudo-risk summands add a constant per candidate. They contract
+the fold's factored eta_hat, so no (n_ev, G) array is built unless
+``CondDensityModel.predict`` is called.
+
+The projection's estimating equation pools fold contributions: with
+per-fold plug-in moments m_hat_j and fold-level bias corrections, the
+reported coefficient solves
 
     sum_j w_j [ m_hat_j(beta) + correction_j(beta) ] = 0,
 
@@ -12,7 +27,8 @@ matching of a beta-free doubly-robust target. Anything else goes through a
 damped Newton iteration with a finite-difference Jacobian. The moment
 condition (``_moment_condition``) tabulates g and dg/dbeta once per beta;
 every fold's plug-in moment and correction transform are read off that one
-tabulation, for the equation, its influence values and the sandwich alike.
+tabulation and one ``reduced_factors`` call at the fold's marginal, for the
+equation, its influence values and the sandwich alike.
 """
 
 from __future__ import annotations
@@ -22,9 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import EvalGrid, ObservationTable
-from .distances import DistanceSpec, influence_integrand_factor, moment_integrand_factor
-from .eif import dr_scores
-from .errors import InfeasibleMomentError, RankError, SolverError
+from .distances import DistanceSpec, reduced_factors
+from .errors import DistanceDomainError, InfeasibleMomentError, RankError, SolverError
 from .models import (
     ExponentialFamily,
     GaussianMixture,
@@ -34,7 +49,7 @@ from .models import (
     g_on_grid,
     log_partition,
 )
-from .nuisance import require_levels
+from .nuisance import FoldNuisance, require_levels
 
 Z95 = 1.96
 BETA_RUNAWAY = 60.0
@@ -72,26 +87,24 @@ class ProjectionEstimate:
 def _moment_condition(distance: DistanceSpec, model, beta, grid: EvalGrid):
     """The moment condition at beta, from one tabulation of g and dg/dbeta.
 
-    Returns ``(plug_in, correction)``, functions of a marginal p on the grid:
-    the quadrature of dg/dbeta (f + g f_dq)(p, g), and the outcome transform
+    Returns one function of a marginal p on the grid. It returns
+    ``(plug_in, correction)`` from a single ``reduced_factors`` call: the
+    quadrature of dg/dbeta (f + g f_dq)(p, g), and the outcome transform
     dg/dbeta (f_dp + g f_dpdq)(p, g), shape (G, p), whose counterfactual mean
     corrects it (-2 dg/dbeta for l2, -dlog g/dbeta for KL; free of p in both).
     """
     gv = g_on_grid(model, beta, grid)
     gg = g_grad_on_grid(model, beta, grid)
 
-    def plug_in(p):
-        fac = moment_integrand_factor(distance, np.asarray(p, dtype=float), gv)
-        return grid.integrate(gg * fac[:, None])
-
-    def correction(p):
-        return gg * influence_integrand_factor(distance, np.asarray(p, dtype=float), gv)[:, None]
-    return plug_in, correction
+    def at(p):
+        fac, _, influence = reduced_factors(distance, p, gv)
+        return grid.integrate(gg * fac[:, None]), gg * influence[:, None]
+    return at
 
 
 def moment(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
     """Population moment m(beta): quadrature of dg/dbeta (f + g f_dq)(p_a, g)."""
-    return _moment_condition(distance, model, beta, grid)[0](p_a)
+    return _moment_condition(distance, model, beta, grid)(p_a)[0]
 
 
 def onestep(folds_nuis, grid, terms):
@@ -114,6 +127,36 @@ def onestep(folds_nuis, grid, terms):
     return estimate
 
 
+def dr_scores(table: ObservationTable, fold: FoldNuisance, level, h_grid,
+              grid: EvalGrid):
+    """Raw doubly-robust summands for the counterfactual mean of an outcome transform h.
+
+    Per evaluation row i the raw summand is
+        1(A_i = level)/pi_hat(X_i) * (h(Y_i) - hbar(X_i)) + hbar(X_i)
+    with hbar(x) the quadrature of h against eta_hat(.|x). h(Y_i) interpolates
+    linearly between grid nodes and outcomes are only ever read on rows at the
+    queried level. The summands are not centred; their mean is
+    ``fold.d_hat[level] @ h``.
+
+    h_grid: (G,) or (G, m); returns (n_ev,) or (n_ev, m).
+    """
+    h_grid = np.asarray(h_grid, dtype=float)
+    if not np.all(np.isfinite(h_grid)):
+        raise DistanceDomainError("influence transform is non-finite on the grid")
+    squeeze = h_grid.ndim == 1
+    if squeeze:
+        h_grid = h_grid[:, None]
+    idx = fold.eval_idx
+    a = table.a[idx]
+    pi = fold.pi[level]
+    out = fold.eta[level].contract(grid.weights[:, None] * h_grid)   # hbar, (n_ev, m)
+    hit = a == level
+    if hit.any():
+        h_at_y = grid.interp(h_grid, table.y[idx[hit]])  # (n_hit, m)
+        out[hit] += (h_at_y - out[hit]) / pi[hit][:, None]
+    return out[:, 0] if squeeze else out
+
+
 def onestep_influence(table, folds_nuis, grid, terms):
     """Pooled influence values of ``onestep``: per fold, the arm sum of the
     doubly-robust summands, each arm centred exactly at its fold mean, stacked
@@ -128,11 +171,12 @@ def onestep_influence(table, folds_nuis, grid, terms):
 
 def _moment_terms(distance, model, beta, level, grid):
     """Per-fold plug-in moment at beta and the arm that corrects it."""
-    plug_in, correction = _moment_condition(distance, model, beta, grid)
+    at = _moment_condition(distance, model, beta, grid)
 
     def terms(fold):
         p_hat = fold.p_hat[level]
-        return plug_in(p_hat), [(level, correction(p_hat), p_hat)]
+        plug_in, correction = at(p_hat)
+        return plug_in, [(level, correction, p_hat)]
     return terms
 
 
@@ -338,8 +382,8 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid):
         return _kl_expfam_jacobian(model, beta, grid)
 
     def pooled_m(b):
-        plug_in = _moment_condition(distance, model, b, grid)[0]
-        return onestep(folds_nuis, grid, lambda fold: (plug_in(fold.p_hat[level]), []))
+        at = _moment_condition(distance, model, b, grid)
+        return onestep(folds_nuis, grid, lambda fold: (at(fold.p_hat[level])[0], []))
 
     jac = np.empty((p, p))
     for k in range(p):

@@ -24,12 +24,11 @@ import numpy as np
 
 from .data import EvalGrid, FoldPlan, ObservationTable, make_folds
 from .distances import DistanceSpec
-from .eif import dr_scores
 from .errors import CfdensError, DataError
 from .models import ExponentialFamily, clip_to_density, g_on_grid
 from .nuisance import NuisanceConfig, cross_fit, single_split
 # solve_onestep is not called here; perfbench/tracing.py wraps this module's binding of it
-from .projection import certified_root, solve_onestep  # noqa: F401
+from .projection import certified_root, dr_scores, solve_onestep  # noqa: F401
 
 INNER_FOLDS = 2         # inner cross-fit of candidate fits on each training split
 DROP_TOL = 1e-8         # Gram-Schmidt: residual L2 norm below which a curve adds nothing

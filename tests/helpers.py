@@ -2,19 +2,22 @@
 matrix, the full-width row-max covariate weights, the dense conditional-density
 rows, the generic-route projection root, the direct closed form of the
 squared-L2 effect, the one-step distance by hand, finite-difference checks,
-small builders and the quadrature harness for second-order remainders."""
+small builders, the row-by-row CSV loader and the quadrature harness for
+second-order remainders."""
+
+import csv
 
 import numpy as np
 
-from cfdens.data import EvalGrid, ObservationTable
+from cfdens.data import _NA_STRINGS, EvalGrid, ObservationTable, _is_number, from_raw
 from cfdens.distances import (DistanceSpec, abs_smooth, abs_smooth_d1, abs_smooth_d2,
                               divergence)
-from cfdens.effects import EffectEstimate, _finalize
-from cfdens.eif import dr_scores, effect_curves
-from cfdens.errors import DataError
+from cfdens.effects import EffectEstimate, _finalize, effect_curves
+from cfdens.errors import DataError, EmptyDataError, ParseError, SchemaError
 from cfdens.nuisance import _normalize_rows_to_density, tabulate_nuisances
 from cfdens.oracle import X_NODES, SyntheticDGP, tensor_uniform_quad
-from cfdens.projection import ACCEPT, _damped_newton, default_start, one_step_equation
+from cfdens.projection import (ACCEPT, _damped_newton, default_start, dr_scores,
+                               one_step_equation)
 
 # ---------------------------------------------------------------------------
 # raw discrepancy table: f(p, q) and its partials, composed from first
@@ -280,6 +283,66 @@ def random_density(grid, rng, wiggle=0.6, floor=0.05):
         + 0.2 * rng.normal(size=grid.size)
     vals = np.maximum(vals, floor)
     return vals / grid.integrate(vals)
+
+
+def load_csv_reference(path, x_cols, a_col, y_col, missing_code=None) -> ObservationTable:
+    """``data.load_csv`` row by row through ``csv.DictReader``: the reference its
+    column-wise parse is checked against, tables and errors alike.
+
+    ``missing_code`` (string or number) marks unobserved outcomes; when set,
+    blank/NA outcome cells are also treated as unobserved. A cell matches the
+    code as text, or, for a numeric code, when it parses to exactly the same
+    float ("-999.0" matches "-999"; -999.005 stays observed). Covariates and
+    treatment must parse everywhere, and no covariate column may be the
+    treatment or outcome column, nor the outcome the treatment (``SchemaError``).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise EmptyDataError(f"{path}: no header row")
+        header = list(reader.fieldnames)
+        wanted = list(x_cols) + [a_col, y_col]
+        overlap = [c for c in x_cols if c in (a_col, y_col)]
+        if overlap:
+            raise SchemaError(f"{path}: covariate columns {overlap} are the "
+                              "treatment or outcome column")
+        if y_col == a_col:
+            raise SchemaError(f"{path}: outcome column {y_col!r} is the treatment column")
+        missing_cols = [c for c in wanted if c not in header]
+        if missing_cols:
+            raise SchemaError(f"{path}: missing columns {missing_cols}")
+        xs, as_, ys, obs = [], [], [], []
+        code = None if missing_code is None else str(missing_code).strip().lower()
+        for i, row in enumerate(reader):
+            try:
+                xs.append([float(row[c]) for c in x_cols])
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: non-numeric covariate at row {i}") from None
+            try:
+                as_.append(float(row[a_col]))
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: non-numeric treatment at row {i}") from None
+            cell = (row[y_col] or "").strip()
+            is_missing = False
+            if code is not None:
+                is_missing = cell.lower() in _NA_STRINGS or cell.lower() == code
+            if is_missing:
+                ys.append(0.0)
+                obs.append(False)
+                continue
+            try:
+                val = float(cell)
+            except (TypeError, ValueError):
+                raise ParseError(f"{path}: non-numeric outcome at row {i}") from None
+            if code is not None and _is_number(code) and val == float(code):
+                ys.append(0.0)
+                obs.append(False)
+            else:
+                ys.append(val)
+                obs.append(True)
+    if not ys:
+        raise EmptyDataError(f"{path}: no data rows")
+    return from_raw(np.array(xs), np.array(as_), np.array(ys), np.array(obs))
 
 
 # ---------------------------------------------------------------------------

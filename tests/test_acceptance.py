@@ -15,8 +15,7 @@ from helpers import (effect_l2_direct, effect_population_bias, fd_table_check, g
                      loglog_slope, vonmises_remainder)
 
 from cfdens import DistanceSpec, cross_fit, make_folds, make_grid
-from cfdens.effects import effect_onestep
-from cfdens.eif import effect_curves
+from cfdens.effects import effect_curves, effect_onestep
 from cfdens.models import (
     CosineBasis,
     ExponentialFamily,
@@ -157,7 +156,7 @@ class TestAcceptance:
             for e in eps]
         slopes["density-functional"] = loglog_slope(eps, mags)
         # the projection moment functional at a fixed coefficient value
-        from cfdens.distances import influence_integrand_factor, moment_integrand_factor
+        from cfdens.distances import reduced_factors
 
         model = TruncatedSeries(CosineBasis(2))
         beta_bar = np.array([0.2, -0.1])
@@ -166,8 +165,8 @@ class TestAcceptance:
         for spec in (DistanceSpec("kl"), DistanceSpec("hellinger")):
             mags = [np.linalg.norm(vonmises_remainder(
                 dgp, 1,
-                lambda p: gg * moment_integrand_factor(spec, p, gv)[:, None],
-                lambda p: gg * influence_integrand_factor(spec, p, gv)[:, None],
+                lambda p: gg * reduced_factors(spec, p, gv)[0][:, None],
+                lambda p: gg * reduced_factors(spec, p, gv)[2][:, None],
                 e, grid)) for e in eps]
             slopes[f"moment-{spec.kind}"] = loglog_slope(eps, mags)
         for kind in ("l2", "kl"):

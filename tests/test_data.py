@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import load_csv_reference
+
 from cfdens import from_raw, load_csv, make_folds, make_grid
 from cfdens.data import MISSING_LEVEL, EvalGrid, ObservationTable
 from cfdens.errors import (
+    CfdensError,
     DataError,
     DegenerateOutcomeError,
     FoldError,
@@ -98,6 +101,68 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", ["x1", "a", "y"], [])
         with pytest.raises(DataError):
             load_csv(path, ["x1"], "a", "y")
+
+
+# clean cells by column role, and the messy mix some rows draw from instead:
+# NA spellings, missing codes (as numbers and as text), padding and text that
+# fails to parse
+_CLEAN = {"x": ["0", "1", "0.25", "-3.5", "7", "1e3", " 2 ", "4.5 "],
+          "a": ["0", "1", " 1 ", "1.0", "0"],
+          "y": ["0", "1", "0.25", "-3.5", "7", "1e3", " 2 ", "4.5 ", "-999", "-999.0"]}
+_CLEAN["z"] = _CLEAN["x"]
+_MESSY = ["", "NA", " na ", "nan", "null", "n/a", "abc", "-999x", "MISS", " ", "inf", "-999"]
+
+
+@st.composite
+def csv_files(draw):
+    """(text, x_cols, missing_code): a headered CSV whose header may repeat a
+    name or add one, with blank lines, and messy rows with one or two odd
+    cells, some of them short or long."""
+    header = ["x1", "x2", "a", "y"] + draw(st.lists(st.sampled_from(["x1", "y", "a", "z"]),
+                                                    max_size=2))
+    header = draw(st.permutations(header))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["blank"] + ["clean"] * 8 + ["messy"] * 2))
+        if kind == "blank":
+            lines.append("")
+            continue
+        row = [draw(st.sampled_from(_CLEAN[name[0]])) for name in header]
+        if kind == "messy":   # one or two odd cells
+            for j in draw(st.lists(st.integers(0, len(header) - 1), min_size=1, max_size=2)):
+                row[j] = draw(st.sampled_from(_MESSY))
+        cut = draw(st.sampled_from([0, 0, -2, -1, 1, 2] if kind == "messy" else [0]))
+        row = row[:len(row) + cut] if cut < 0 else row + ["5"] * cut
+        lines.append(",".join(row))
+    x_cols = draw(st.sampled_from([["x1", "x2"], ["x2", "x1"], ["x1"]]))
+    code = draw(st.sampled_from([None, -999, "-999", "NA", "miss", 0]))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""])), x_cols, code
+
+
+def _load(loader, path, x_cols, code):
+    try:
+        return loader(path, x_cols, "a", "y", missing_code=code)
+    except CfdensError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoadCsvMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=csv_files())
+    def test_tables_and_errors_match_the_row_loop(self, case, tmp_path_factory):
+        text, x_cols, code = case
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_text(text)
+        got, want = (_load(f, str(path), x_cols, code) for f in (load_csv, load_csv_reference))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, ObservationTable)
+        for attr in ("x", "a", "y"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+        assert got.x.shape == want.x.shape
+        assert got.rescale_params == want.rescale_params
 
 
 class TestRecode:

@@ -8,9 +8,7 @@ from cfdens.distances import (
     abs_smooth,
     abs_smooth_d1,
     abs_smooth_d2,
-    effect_integrand_factor,
-    influence_integrand_factor,
-    moment_integrand_factor,
+    reduced_factors,
 )
 from cfdens.errors import DistanceDomainError
 
@@ -163,21 +161,40 @@ class TestReducedFactors:
         p = np.geomspace(0.05, 3.0, 17)
         q = np.geomspace(0.08, 2.5, 17)
         raw = f_eval(spec, p, q) + q * f2(spec, p, q)
-        assert np.allclose(moment_integrand_factor(spec, p, q), raw, atol=1e-10)
+        assert np.allclose(reduced_factors(spec, p, q)[0], raw, atol=1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_effect_factor(self, spec):
         p = np.geomspace(0.05, 3.0, 17)
         q = np.geomspace(0.08, 2.5, 17)
         raw = q * f1(spec, p, q)
-        assert np.allclose(effect_integrand_factor(spec, p, q), raw, atol=1e-10)
+        assert np.allclose(reduced_factors(spec, p, q)[1], raw, atol=1e-10)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label)
     def test_influence_factor(self, spec):
         p = np.geomspace(0.05, 3.0, 17)
         q = np.geomspace(0.08, 2.5, 17)
         raw = f1(spec, p, q) + q * f21(spec, p, q)
-        assert np.allclose(influence_integrand_factor(spec, p, q), raw, atol=1e-10)
+        assert np.allclose(reduced_factors(spec, p, q)[2], raw, atol=1e-10)
+
+    @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.kind in ("l2", "tv")],
+                             ids=lambda s: s.label)
+    def test_effect_is_negated_moment_when_only_the_difference_matters(self, spec, rng):
+        p = rng.uniform(-0.5, 3.0, 40)   # no floor applies, so a signed p is fine
+        q = rng.uniform(-0.5, 3.0, 40)
+        moment, effect, _ = reduced_factors(spec, p, q)
+        assert np.array_equal(effect, -moment)
+
+    @pytest.mark.parametrize("kind", ["kl", "chisq", "hellinger"])
+    @pytest.mark.parametrize("bad", ["negative p", "non-finite q"])
+    def test_domain_errors_name_kind_and_index(self, kind, bad):
+        p, q = np.ones(9), np.ones(9)
+        if bad == "negative p":
+            p[5] = -0.01
+        else:
+            q[5] = np.nan
+        with pytest.raises(DistanceDomainError, match=f"^{kind}: {bad} at grid index 5$"):
+            reduced_factors(DistanceSpec(kind), p, q)
 
 
 class TestParse:

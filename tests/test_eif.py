@@ -5,18 +5,18 @@ from helpers import f1, f2, f_eval, true_fold
 
 from cfdens import DistanceSpec, make_grid
 from cfdens.data import ObservationTable
-from cfdens.distances import moment_integrand_factor
-from cfdens.eif import dr_scores, effect_curves
+from cfdens.distances import reduced_factors
+from cfdens.effects import effect_curves
 from cfdens.errors import DistanceDomainError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_grad_on_grid, g_on_grid
 from cfdens.nuisance import single_split, tabulate_nuisances
 from cfdens.oracle import get_dgp, tensor_uniform_quad
-from cfdens.projection import _moment_condition, onestep_influence
+from cfdens.projection import _moment_condition, dr_scores, onestep_influence
 
 
 def correction_transform(distance, model, beta, p_a, grid):
     """The projection's correction transform at beta against the marginal p_a."""
-    return _moment_condition(distance, model, beta, grid)[1](p_a)
+    return _moment_condition(distance, model, beta, grid)(p_a)[1]
 
 
 def arm_terms(level, h):
@@ -165,8 +165,8 @@ class TestMomentCorrectionCurve:
         gg = g_grad_on_grid(model, beta, grid)
         curve = correction_transform(spec, model, beta, p_a, grid)
         h = 2e-6
-        fd = (moment_integrand_factor(spec, p_a + h, gv)
-              - moment_integrand_factor(spec, p_a - h, gv)) / (2 * h)
+        fd = (reduced_factors(spec, p_a + h, gv)[0]
+              - reduced_factors(spec, p_a - h, gv)[0]) / (2 * h)
         assert np.allclose(curve, gg * fd[:, None], atol=1e-4)
 
 

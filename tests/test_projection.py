@@ -8,13 +8,13 @@ from helpers import generic_root, true_fold
 
 from cfdens import DistanceSpec, cross_fit, make_folds, models
 from cfdens.data import ObservationTable
-from cfdens.eif import dr_scores
 from cfdens.errors import InfeasibleMomentError, SolverError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_grid
 from cfdens.nuisance import tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_projection
 from cfdens.projection import (
     certified_root,
+    dr_scores,
     moment,
     one_step_equation,
     sandwich_cov,

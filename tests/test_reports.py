@@ -10,7 +10,12 @@ only when a change to the reported numbers is intended. It prints per
 report the largest absolute and relative drift of the numeric leaves and
 every other leaf that changed. A stored report that the fresh one matches
 within the test's tolerance is kept as it was, so only the runs that changed
-are re-recorded; the regenerator names the reports it kept.
+are re-recorded; the regenerator names the reports it kept. With
+
+    PYTHONPATH=src python tests/test_reports.py --check
+
+it prints the same drift lines, writes nothing, and exits 1 if any leaf of
+any report differs from the stored one at all (not just beyond 1e-12).
 """
 
 import csv
@@ -42,6 +47,10 @@ RUNS = {
                                "--model", "gmm:k=1", "--distance", "l2"],
     "density-effect:l2": ["density-effect", "--data", "{data}", *BASE, "--distance", "l2"],
     "density-effect:kl": ["density-effect", "--data", "{data}", *BASE, "--distance", "kl"],
+    "density-effect:chisq": ["density-effect", "--data", "{data}", *BASE, "--distance", "chisq"],
+    "density-effect:hellinger": ["density-effect", "--data", "{data}", *BASE,
+                                 "--distance", "hellinger"],
+    "density-effect:tv": ["density-effect", "--data", "{data}", *BASE, "--distance", "tv"],
     "select-model": ["select-model", "--data", "{data}", *BASE, "--dims", "1..4"],
     "aggregate": ["aggregate", "--data", "{data}", *BASE,
                   "--candidates", "series:d=1,series:d=3"],
@@ -108,7 +117,8 @@ def leaves(obj, path="report"):
 
 def drift(got, want):
     """Largest absolute and relative drift of the numeric leaves of got from
-    want, with their paths, and the lines naming every other changed leaf."""
+    want, with their paths, and the lines naming every other changed leaf
+    (a number that changes only its sign of zero or its type counts too)."""
     new, old = dict(leaves(got)), dict(leaves(want))
     worst_abs, worst_rel, changed = (0.0, None), (0.0, None), []
     for path in sorted(new.keys() | old.keys()):
@@ -119,6 +129,8 @@ def drift(got, want):
             rel = gap / abs(w) if w else (math.inf if gap else 0.0)
             worst_abs = max(worst_abs, (gap, path), key=lambda t: t[0])
             worst_rel = max(worst_rel, (rel, path), key=lambda t: t[0])
+            if not gap and repr(g) != repr(w):     # 0.0 vs -0.0, or 1 vs 1.0
+                changed.append(f"  {path}: {w!r} -> {g!r}")
         elif g != w and not (numbers and math.isnan(g) and math.isnan(w)):
             changed.append(f"  {path}: {w!r} -> {g!r}")
     return worst_abs, worst_rel, changed
@@ -165,6 +177,12 @@ def test_drift_lists_a_lost_empty_container(golden):
     assert changed == ["  report.results.infeasible: [] -> '<absent>'"]
 
 
+def test_drift_lists_a_number_that_changes_only_its_zero_sign_or_type():
+    (gap, _), _, changed = drift({"a": -0.0, "b": 1.0, "c": 2.0}, {"a": 0.0, "b": 1, "c": 2.0})
+    assert gap == 0.0
+    assert changed == ["  report.a: 0.0 -> -0.0", "  report.b: 1 -> 1.0"]
+
+
 def test_merge_keeps_a_report_within_tolerance(golden):
     fresh = json.loads(json.dumps({"density-effect:l2": golden["density-effect:l2"],
                                    "aggregate": golden["aggregate"]}))
@@ -178,24 +196,32 @@ def test_merge_keeps_a_report_within_tolerance(golden):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    check = "--check" in sys.argv[1:]
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "demo.csv"
         write_csv(data)
         reports = {name: run_report(argv, data, Path(tmp) / "out.json")
                    for name, argv in RUNS.items()}
     previous = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    exact = True
     for name in sorted(reports.keys() | previous.keys()):
         if name not in previous or name not in reports:
             print(f"{name}: {'added' if name in reports else 'removed'}")
+            exact = False
             continue
         (gap, gap_at), (rel, rel_at), changed = drift(reports[name], previous[name])
+        exact = exact and not gap and not changed
         print(f"{name}: max abs drift {gap:.3g} at {gap_at}; "
               f"max rel drift {rel:.3g} at {rel_at}; "
-              f"changed non-numeric leaves: {len(changed)}")
+              f"other changed leaves: {len(changed)}")
         for line in changed:
             print(line)
+    if check:
+        print("identical to the stored reports" if exact else "reports differ")
+        sys.exit(0 if exact else 1)
     reports, kept = merge_goldens(reports, previous)
     print(f"kept as stored (within tolerance): {', '.join(sorted(kept)) or 'none'}")
     GOLDEN.write_text(json.dumps(reports, sort_keys=True, indent=1) + "\n")

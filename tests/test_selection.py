@@ -4,11 +4,11 @@ import pytest
 from cfdens import cross_fit, make_folds, make_grid
 from cfdens.distances import DistanceSpec
 from cfdens.effects import effect_fixed_candidate
-from cfdens.eif import dr_scores
 from cfdens.errors import DataError, RankError, SolverError
 from cfdens.models import CosineBasis, TruncatedSeries, parse_model
 from cfdens.nuisance import NuisanceConfig
 from cfdens.oracle import get_dgp
+from cfdens.projection import dr_scores
 from cfdens.selection import _gram_schmidt, aggregate_linear, select_model
 
 
