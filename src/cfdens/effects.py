@@ -4,9 +4,12 @@ Both entry points are one estimator (``_effect``): per fold, the plug-in
 distance D(p, q) plus the averaged influence correction of each arm. For an
 effect, p and q are the fold marginals at two levels and both are arms; for
 the distance to a fixed, known candidate, q is that candidate and only p is
-an arm. Wald intervals use the pooled influence variance; a conservative
-interval widens the standard error to at least 1/sqrt(n), which stays valid
-when the two densities coincide and the influence function degenerates.
+an arm. One pass over the folds (``projection.onestep``) gives the estimate
+and its pooled influence values, so each fold's divergence and transforms
+are built once. Wald intervals use the pooled influence variance; a
+conservative interval widens the standard error to at least 1/sqrt(n), which
+stays valid when the two densities coincide and the influence function
+degenerates.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .distances import DistanceSpec, divergence, reduced_factors
 from .errors import DataError
 from .nuisance import require_levels
 # dr_scores is not called here; perfbench/tracing.py wraps this module's binding of it
-from .projection import Z95, dr_scores, onestep, onestep_influence  # noqa: F401
+from .projection import Z95, dr_scores, onestep  # noqa: F401
 
 EFFECT_FLOOR = 1e-8  # density floor for the ratio-based divergences
 
@@ -77,12 +80,16 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
     Plug-in D(p_hat, g) plus the mean doubly-robust summand of the
     fixed-candidate transform net of its plug-in counterpart (``_effect``
     with no arm for g); for l2 this is the displayed closed form with
-    transform 2 (p_hat - g).
+    transform 2 (p_hat - g). A g off the grid's shape or with a non-finite
+    entry is a ``DataError``.
     """
     require_levels(folds_nuis, (level,))
     g = np.asarray(g, dtype=float)
     if g.shape != grid.points.shape:
         raise DataError("candidate density must be tabulated on the grid")
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise DataError(f"candidate density is non-finite at grid index {bad[0]}")
     return _effect(distance, table, folds_nuis, grid, (level,), g)
 
 
@@ -106,8 +113,8 @@ def _effect(distance, table, folds_nuis, grid, levels, g=None):
     of its own. Per fold, for kl, chisq and hellinger, p and q are floored at
     ``EFFECT_FLOOR``; the fold's estimate is D(p, q) plus, per arm, the mean
     doubly-robust summand of its transform from ``effect_curves`` net of its
-    plug-in counterpart. Influence values are pooled across folds for the
-    standard error.
+    plug-in counterpart. The same pass over the folds (``onestep``) pools
+    the influence values for the standard error.
     """
     floor = EFFECT_FLOOR if distance.kind in ("kl", "chisq", "hellinger") else None
 
@@ -119,6 +126,5 @@ def _effect(distance, table, folds_nuis, grid, levels, g=None):
         arms = zip(levels, effect_curves(distance, p, q), (p, q))   # as many as levels
         return divergence(distance, p, q, grid), list(arms)
 
-    psi = onestep(folds_nuis, grid, terms)
-    influence = onestep_influence(table, folds_nuis, grid, terms)
+    psi, influence = onestep(folds_nuis, grid, terms, table)
     return _finalize(psi, influence, levels, floor)

@@ -366,12 +366,13 @@ def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, leve
 
 
 def mc_run(exp: Experiment) -> McResult:
-    """Run the experiment; bit-identical output for identical descriptors.
+    """Run the experiment.
 
     Per (n, rep): draw data, estimate, record (estimate, se, CI coverage of
     the oracle target, runtime). A CfdensError or LinAlgError fails the rep;
     any other exception propagates. Summaries aggregate bias / RMSE /
-    coverage per n.
+    coverage per n. Identical descriptors give bit-identical oracles,
+    summaries and records, apart from each record's wall-clock ``runtime``.
     """
     if exp.reps < 2:
         raise DataError("need reps >= 2")

@@ -8,12 +8,13 @@ row, the raw doubly-robust summand of h is
 
 hbar the quadrature of h against eta_hat(.|X_i). Its mean needs no per-row
 work: it is d_hat @ h, with d_hat the fold's doubly-robust grid measure
-(``nuisance.fold_nuisance``), and that is all the estimates use
-(``onestep``). Per-row values, from ``dr_scores``, are the raw summands;
-influence values centre them per fold (``onestep_influence``, which pools
-them) and pseudo-risk summands add a constant per candidate. They contract
-the fold's factored eta_hat, so no (n_ev, G) array is built unless
-``CondDensityModel.predict`` is called.
+(``nuisance.fold_nuisance``), and that is all the estimates use.
+Per-row values, from ``dr_scores``, are the raw summands; influence values
+centre them per fold and pseudo-risk summands add a constant per candidate.
+They contract the fold's factored eta_hat, so no (n_ev, G) array is built
+unless ``CondDensityModel.predict`` is called. ``onestep`` is the one fold
+loop: a single pass returns an estimate and, given the table, its pooled
+influence values; without the table it does no per-row work.
 
 The projection's estimating equation pools fold contributions: with
 per-fold plug-in moments m_hat_j and fold-level bias corrections, the
@@ -107,26 +108,6 @@ def moment(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
     return _moment_condition(distance, model, beta, grid)(p_a)[0]
 
 
-def onestep(folds_nuis, grid, terms):
-    """Cross-fit one-step estimate.
-
-    ``terms(fold)`` returns ``(plug_in, arms)`` with each arm a triple
-    ``(level, h, p)``: an outcome transform h tabulated on the grid and the
-    fold marginal p it is centred against. A fold's estimate is its plug-in
-    plus, per arm, the mean doubly-robust summand of h net of its plug-in
-    counterpart int h p, which is (d_hat - w p) @ h; folds are pooled with
-    weights proportional to their sizes. No per-row work is done.
-    """
-    sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
-    estimate = 0.0
-    for w, fold in zip(sizes / sizes.sum(), folds_nuis):
-        plug_in, arms = terms(fold)
-        for level, h, p in arms:
-            plug_in = plug_in + (fold.d_hat[level] - grid.weights * p) @ h
-        estimate = estimate + w * plug_in
-    return estimate
-
-
 def dr_scores(table: ObservationTable, fold: FoldNuisance, level, h_grid,
               grid: EvalGrid):
     """Raw doubly-robust summands for the counterfactual mean of an outcome transform h.
@@ -157,16 +138,31 @@ def dr_scores(table: ObservationTable, fold: FoldNuisance, level, h_grid,
     return out[:, 0] if squeeze else out
 
 
-def onestep_influence(table, folds_nuis, grid, terms):
-    """Pooled influence values of ``onestep``: per fold, the arm sum of the
-    doubly-robust summands, each arm centred exactly at its fold mean, stacked
-    fold by fold."""
-    def centred(fold, level, h):
-        raw = dr_scores(table, fold, level, h, grid)
-        return raw - raw.mean(axis=0)
+def onestep(folds_nuis, grid, terms, table=None):
+    """Cross-fit one-step estimate and, given the table, its influence values.
 
-    return np.concatenate([sum(centred(fold, level, h) for level, h, _ in terms(fold)[1])
-                           for fold in folds_nuis])
+    ``terms(fold)`` returns ``(plug_in, arms)`` with each arm a triple
+    ``(level, h, p)``: an outcome transform h tabulated on the grid and the
+    fold marginal p it is centred against. A fold's estimate is its plug-in
+    plus, per arm, the mean doubly-robust summand of h net of its plug-in
+    counterpart int h p, which is (d_hat - w p) @ h; folds are pooled with
+    weights proportional to their sizes. One pass evaluates ``terms`` once
+    per fold and returns ``(estimate, influence)``. Without the table no
+    per-row work is done and influence is None; with it, influence stacks,
+    fold by fold, the arm sum of the ``dr_scores``, each arm centred exactly
+    at its fold mean.
+    """
+    sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
+    estimate, influence = 0.0, []
+    for w, fold in zip(sizes / sizes.sum(), folds_nuis):
+        plug_in, arms = terms(fold)
+        for level, h, p in arms:
+            plug_in = plug_in + (fold.d_hat[level] - grid.weights * p) @ h
+        estimate = estimate + w * plug_in
+        if table is not None:
+            raw = [dr_scores(table, fold, level, h, grid) for level, h, _ in arms]
+            influence.append(sum(r - r.mean(axis=0) for r in raw))
+    return estimate, None if table is None else np.concatenate(influence)
 
 
 def _moment_terms(distance, model, beta, level, grid):
@@ -187,7 +183,7 @@ def one_step_equation(distance, model, beta, folds_nuis, level, grid):
     correction transform minus its plug-in counterpart (quadrature against
     that fold's marginal), read off the fold's grid measure d_hat.
     """
-    return onestep(folds_nuis, grid, _moment_terms(distance, model, beta, level, grid))
+    return onestep(folds_nuis, grid, _moment_terms(distance, model, beta, level, grid))[0]
 
 
 def default_start(model, folds_nuis, level, grid):
@@ -200,7 +196,7 @@ def default_start(model, folds_nuis, level, grid):
     """
     if not isinstance(model, GaussianMixture):
         return np.zeros(model.beta_dim)
-    p_hat = onestep(folds_nuis, grid, lambda fold: (fold.p_hat[level], []))
+    p_hat = onestep(folds_nuis, grid, lambda fold: (fold.p_hat[level], []))[0]
     p_hat = np.maximum(p_hat, 0.0)
     p_hat = p_hat / grid.integrate(p_hat)
     m1 = float(grid.integrate(grid.points * p_hat))
@@ -293,7 +289,7 @@ def certified_root(distance: DistanceSpec, model, folds_nuis, level, grid: EvalG
     if route != "generic_damped_newton":
         # both closed routes reduce to the one-step mean of the basis
         basis_tab = model.basis.eval(grid.points)
-        target = onestep(folds_nuis, grid, lambda fold: (0.0, [(level, basis_tab, 0.0)]))
+        target = onestep(folds_nuis, grid, lambda fold: (0.0, [(level, basis_tab, 0.0)]))[0]
     if route == "closed_form_l2_series":
         beta_hat = target
     elif route == "moment_matching_kl_expfam":
@@ -383,7 +379,7 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid):
 
     def pooled_m(b):
         at = _moment_condition(distance, model, b, grid)
-        return onestep(folds_nuis, grid, lambda fold: (at(fold.p_hat[level])[0], []))
+        return onestep(folds_nuis, grid, lambda fold: (at(fold.p_hat[level])[0], []))[0]
 
     jac = np.empty((p, p))
     for k in range(p):
@@ -413,8 +409,8 @@ def sandwich_cov(distance: DistanceSpec, model, beta_hat, table, folds_nuis,
     warn = ""
     if cond > 1e8:
         warn = f"ill-conditioned moment derivative (cond={cond:.2e})"
-    influence = onestep_influence(table, folds_nuis, grid,
-                                  _moment_terms(distance, model, beta_hat, level, grid))
+    influence = onestep(folds_nuis, grid, _moment_terms(distance, model, beta_hat, level, grid),
+                        table)[1]
     vinv = np.linalg.inv(v)
     cov = vinv @ np.atleast_2d(np.cov(influence, rowvar=False)) @ vinv.T / len(influence)
     return 0.5 * (cov + cov.T), warn

@@ -31,7 +31,7 @@ from cfdens.oracle import (
     oracle_projection,
     tensor_uniform_quad,
 )
-from cfdens.projection import onestep_influence, solve_onestep
+from cfdens.projection import onestep, solve_onestep
 from cfdens.selection import select_model
 
 GRID = make_grid(128)
@@ -87,9 +87,9 @@ class TestAcceptance:
             closed = solve_onestep(DistanceSpec("l2"), model, table, fn, 1, GRID)
             generic = generic_root(DistanceSpec("l2"), model, fn, 1, GRID)
             worst_beta = max(worst_beta, float(np.max(np.abs(closed.beta_hat - generic))))
-            onestep = effect_onestep(DistanceSpec("l2"), table, fn, GRID)
+            effect = effect_onestep(DistanceSpec("l2"), table, fn, GRID)
             direct = effect_l2_direct(table, fn, GRID)
-            worst_psi = max(worst_psi, abs(onestep.psi_hat - direct.psi_hat))
+            worst_psi = max(worst_psi, abs(effect.psi_hat - direct.psi_hat))
         elapsed = time.time() - t0
         report(3, "closed-form equivalences",
                worst_beta <= 1e-8 and worst_psi <= 1e-10 and elapsed < 30,
@@ -211,8 +211,8 @@ class TestAcceptance:
         basis_tab = CosineBasis(3).eval(GRID.points)
         for fold in fn:
             for lev in (0, 1):
-                scores = onestep_influence(table, [fold], GRID,
-                                           lambda f, lev=lev: (0.0, [(lev, basis_tab, 0.0)]))
+                scores = onestep([fold], GRID,
+                                 lambda f, lev=lev: (0.0, [(lev, basis_tab, 0.0)]), table)[1]
                 worst_mean = max(worst_mean, float(np.max(np.abs(scores.mean(axis=0)))))
         # null design: influence variance of the squared-L2 effect shrinks
         # as the fitted marginals merge (true propensity, fitted density)
@@ -231,7 +231,7 @@ class TestAcceptance:
                                                fold.p_hat[1], fold.p_hat[0])
                     return 0.0, [(1, lam1, fold.p_hat[1]), (0, lam0, fold.p_hat[0])]
 
-                vals = onestep_influence(tab, nuis, GRID, terms)
+                vals = onestep(nuis, GRID, terms, tab)[1]
                 vs.append(float(vals.var(ddof=1)))
             variances[n] = float(np.median(vs))
         ok = worst_mean <= 1e-10 and variances[8000] < variances[2000]

@@ -167,6 +167,39 @@ class TestFixedCandidate:
         assert abs(est.psi_hat - oracle_plug) <= 4 * est.se + 1e-12
         assert est.density_floor == 1e-8
 
+    @pytest.mark.parametrize("dist", ["l2", "kl", "chisq", "hellinger", "tv:t=50"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_candidate_is_named(self, dist, bad, grid128):
+        # rejected up front, before any transform or warning is computed
+        dgp = get_dgp("confounded_shift")
+        table = dgp.sample(200, np.random.default_rng(0))
+        fn = true_fold(dgp, table, (1,), grid128)
+        g = np.ones(grid128.size)
+        g[[7, 40]] = bad
+        with pytest.raises(DataError, match="non-finite at grid index 7$"):
+            effect_fixed_candidate(parse_distance(dist), table, fn, 1, g, grid128)
+
+
+class TestOneFoldLoop:
+    @pytest.mark.parametrize("entry", ["effect_onestep", "effect_fixed_candidate"])
+    def test_divergence_once_per_fold(self, entry, monkeypatch, grid128):
+        # the estimate and its influence values come from one pass, so each
+        # fold's plug-in distance and transforms are built once
+        table = get_dgp("confounded_shift").sample(300, np.random.default_rng(5))
+        fn = cross_fit(table, make_folds(300, 3, seed=1), (0, 1), grid128)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return divergence(*args)
+
+        monkeypatch.setattr("cfdens.effects.divergence", spy)
+        if entry == "effect_onestep":
+            effect_onestep(L2, table, fn, grid128, (1, 0))
+        else:
+            effect_fixed_candidate(L2, table, fn, 1, np.ones(grid128.size), grid128)
+        assert len(calls) == len(fn) == 3
+
 
 class TestOnestepByHand:
     """Both entry points against the one-step assembled from ``dr_scores``."""

@@ -11,7 +11,7 @@ from cfdens.errors import DistanceDomainError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_grad_on_grid, g_on_grid
 from cfdens.nuisance import single_split, tabulate_nuisances
 from cfdens.oracle import get_dgp, tensor_uniform_quad
-from cfdens.projection import _moment_condition, dr_scores, onestep_influence
+from cfdens.projection import _moment_condition, dr_scores, onestep
 
 
 def correction_transform(distance, model, beta, p_a, grid):
@@ -34,7 +34,7 @@ class TestDrScores:
         h = np.full(grid128.size, 3.7)
         out = dr_scores(table, fold, 1, h, grid128)
         assert np.all(np.abs(out - 3.7) < 1e-12)
-        influence = onestep_influence(table, [fold], grid128, arm_terms(1, h))
+        influence = onestep([fold], grid128, arm_terms(1, h), table)[1]
         assert np.all(np.abs(influence) < 1e-12)
 
     def test_full_treatment_reduces_to_centered_transform(self, rng, grid128):
@@ -53,7 +53,7 @@ class TestDrScores:
         out = dr_scores(table, fold, 1, h, grid128)
         # interpolation of the tabulated transform is the only slack
         assert np.allclose(out, y**2, atol=1e-3)
-        centred = onestep_influence(table, [fold], grid128, arm_terms(1, h))
+        centred = onestep([fold], grid128, arm_terms(1, h), table)[1]
         assert np.allclose(centred, y**2 - np.mean(y**2), atol=1e-3)
         assert abs(centred.mean()) < 1e-12
 
@@ -62,7 +62,7 @@ class TestDrScores:
         table = dgp.sample(500, rng)
         fold = true_fold(dgp, table, (0, 1), grid128)[0]
         h = np.column_stack([grid128.points, np.cos(3 * grid128.points)])
-        out = onestep_influence(table, [fold], grid128, arm_terms(1, h))
+        out = onestep([fold], grid128, arm_terms(1, h), table)[1]
         assert out.shape == (table.n, 2)
         assert np.all(np.abs(out.mean(axis=0)) < 1e-10)
 
@@ -106,6 +106,26 @@ class TestDrScores:
             variances.append(out.var(axis=0, ddof=1))
         rel = np.abs(variances[1] - variances[0]) / variances[0]
         assert np.all(rel < 0.10)
+
+    def test_onestep_without_table_does_no_per_row_work(self, monkeypatch, grid128):
+        # the estimate is read off d_hat; only the influence values need rows
+        dgp = get_dgp("confounded_shift")
+        table = dgp.sample(300, np.random.default_rng(2))
+        fold = true_fold(dgp, table, (1,), grid128)[0]
+        h = np.column_stack([grid128.points, np.cos(3 * grid128.points)])
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return dr_scores(*args)
+
+        monkeypatch.setattr("cfdens.projection.dr_scores", spy)
+        estimate, influence = onestep([fold, fold], grid128, arm_terms(1, h))
+        assert influence is None and calls == []
+        assert np.array_equal(estimate, fold.d_hat[1] @ h)
+        with_table = onestep([fold, fold], grid128, arm_terms(1, h), table)
+        assert np.array_equal(with_table[0], estimate) and len(calls) == 2
+        assert with_table[1].shape == (2 * table.n, 2)
 
 
 class TestDHat:

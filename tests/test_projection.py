@@ -49,6 +49,26 @@ class TestMoment:
 
 
 class TestSolveOnestep:
+    @pytest.mark.parametrize("dist,model", [("l2", "series:d=3"), ("kl", "expfam:d=2"),
+                                            ("l2", "gmm:k=1")])
+    def test_only_the_sandwich_reads_rows(self, dist, model, monkeypatch, grid128):
+        # every route finds its root from d_hat alone; the one pass that
+        # builds the sandwich's influence values scores each fold once
+        table = get_dgp("confounded_shift").sample(400, np.random.default_rng(9))
+        fn = cross_fit(table, make_folds(400, 2, seed=4), (1,), grid128)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return dr_scores(*args)
+
+        monkeypatch.setattr("cfdens.projection.dr_scores", spy)
+        spec, fam = DistanceSpec(dist), models.parse_model(model)
+        certified_root(spec, fam, fn, 1, grid128)
+        assert calls == []
+        solve_onestep(spec, fam, table, fn, 1, grid128)
+        assert len(calls) == len(fn) == 2
+
     def test_closed_form_equals_generic_l2_series(self, rng, grid128):
         dgp = get_dgp("confounded_shift")
         table = dgp.sample(1200, rng)

@@ -8,13 +8,28 @@ from cfdens.errors import DataError, RankError, SolverError
 from cfdens.models import CosineBasis, TruncatedSeries, parse_model
 from cfdens.nuisance import NuisanceConfig
 from cfdens.oracle import get_dgp
-from cfdens.projection import dr_scores
+from cfdens.projection import certified_root, dr_scores
 from cfdens.selection import _gram_schmidt, aggregate_linear, select_model
 
 
 def bump_density(grid, coef=0.5):
     g = np.maximum(1.0 + coef * np.sqrt(2) * np.cos(np.pi * grid.points), 0.0)
     return g / grid.integrate(g)
+
+
+def inject_failure(monkeypatch, exc, calls_before_failure=0):
+    """Make the expfam:d=3 fit raise exc once it has been fit
+    ``calls_before_failure`` times; every other fit runs as usual."""
+    calls = []
+
+    def solve(distance, model, *args):
+        if model.label == "expfam:d=3":
+            calls.append(model)
+            if len(calls) > calls_before_failure:
+                raise exc
+        return certified_root(distance, model, *args)
+
+    monkeypatch.setattr("cfdens.selection.certified_root", solve)
 
 
 class TestPseudoRisk:
@@ -132,6 +147,23 @@ class TestSelectModel:
         assert np.allclose(rt.risks[[0, 2]], ref.risks, rtol=1e-12, atol=0.0)
         assert np.allclose(rt.ses[[0, 2]], ref.ses, rtol=1e-12, atol=0.0)
 
+    def test_candidate_failing_from_the_second_role_is_infeasible(self, monkeypatch,
+                                                                  grid128):
+        # expfam:d=3 is scored in the first fold role and fails in the second:
+        # it is infeasible once, and the others score exactly as without it
+        table = get_dgp("confounded_shift").sample(600, np.random.default_rng(13))
+        folds = make_folds(600, 2, seed=31)
+        cands = [parse_model(t) for t in ("series:d=2", "expfam:d=3", "series:d=4")]
+        ref = select_model(table, folds, 1, [cands[0], cands[2]], grid128)
+        inject_failure(monkeypatch, SolverError("no root"), calls_before_failure=1)
+        rt = select_model(table, folds, 1, cands, grid128)
+        assert rt.infeasible == ["expfam:d=3"]
+        assert len(rt.warnings) == 1 and "candidate expfam:d=3 infeasible" in rt.warnings[0]
+        assert np.isinf(rt.risks[1])
+        assert np.array_equal(rt.risks[[0, 2]], ref.risks)
+        assert np.array_equal(rt.ses[[0, 2]], ref.ses)
+        assert ref.infeasible == [] and ref.warnings == []
+
     def test_fixed_candidate_risks_match_pseudo_l2_risk(self, rng, grid128):
         # by hand: -2 x the raw doubly-robust summands plus int g^2, pooled
         # over the cross_fit folds (the same splits as select_model's roles)
@@ -245,22 +277,6 @@ class TestAggregate:
         err_unif = grid128.integrate((np.ones(grid128.size) - truth_curve) ** 2)
         assert err_agg < err_unif
 
-    def _inject(self, monkeypatch, exc, calls_before_failure=0):
-        """Make the expfam:d=3 fit raise exc once it has been fit
-        ``calls_before_failure`` times; every other fit runs as usual."""
-        from cfdens.projection import certified_root
-
-        calls = []
-
-        def solve(distance, model, *args):
-            if model.label == "expfam:d=3":
-                calls.append(model)
-                if len(calls) > calls_before_failure:
-                    raise exc
-            return certified_root(distance, model, *args)
-
-        monkeypatch.setattr("cfdens.selection.certified_root", solve)
-
     @pytest.mark.parametrize("role", [0, 1], ids=["every-role", "second-role"])
     def test_failing_candidate_is_infeasible(self, monkeypatch, grid128, role):
         # the expfam fit fails from the given fold role on; the others must
@@ -269,7 +285,7 @@ class TestAggregate:
         folds = make_folds(600, 2, seed=31)
         cands = [parse_model(t) for t in ("series:d=2", "expfam:d=3", "series:d=4")]
         ref = aggregate_linear(table, folds, 1, [cands[0], cands[2]], grid128)
-        self._inject(monkeypatch, SolverError("no root"), calls_before_failure=role)
+        inject_failure(monkeypatch, SolverError("no root"), calls_before_failure=role)
         agg = aggregate_linear(table, folds, 1, cands, grid128)
         assert agg.infeasible == ["expfam:d=3"]
         assert len(agg.warnings) == 1 and "expfam:d=3" in agg.warnings[0]
@@ -282,14 +298,14 @@ class TestAggregate:
         table = get_dgp("confounded_shift").sample(400, np.random.default_rng(13))
         folds = make_folds(400, 2, seed=31)
         cands = [parse_model(t) for t in ("series:d=2", "expfam:d=3")]
-        self._inject(monkeypatch, ValueError("a bug, not a data-dependent failure"))
+        inject_failure(monkeypatch, ValueError("a bug, not a data-dependent failure"))
         with pytest.raises(ValueError, match="a bug"):
             aggregate_linear(table, folds, 1, cands, grid128)
 
     def test_every_candidate_failing_is_a_data_error(self, monkeypatch, grid128):
         table = get_dgp("confounded_shift").sample(400, np.random.default_rng(13))
         folds = make_folds(400, 2, seed=31)
-        self._inject(monkeypatch, SolverError("no root"))
+        inject_failure(monkeypatch, SolverError("no root"))
         with pytest.raises(DataError, match="every candidate failed"):
             aggregate_linear(table, folds, 1, [parse_model("expfam:d=3")], grid128)
 
@@ -297,7 +313,7 @@ class TestAggregate:
         table = get_dgp("confounded_shift").sample(400, np.random.default_rng(13))
         folds = make_folds(400, 2, seed=31)
         cands = [parse_model(t) for t in ("expfam:d=3", "series:d=2", "series:d=2")]
-        self._inject(monkeypatch, SolverError("no root"))
+        inject_failure(monkeypatch, SolverError("no root"))
         agg = aggregate_linear(table, folds, 1, cands, grid128)
         assert agg.infeasible == ["expfam:d=3"] and agg.dropped == [2]
 
