@@ -24,7 +24,7 @@ from .distances import parse_distance
 from .effects import effect_onestep
 from .errors import CfdensError, ConfigError, DataError, SolverError
 from .models import TruncatedSeries, CosineBasis, parse_model
-from .nuisance import NuisanceConfig, cross_fit
+from .nuisance import NuisanceConfig, cross_fit, fold_stream
 from .oracle import EXPERIMENTS, mc_run
 from .projection import solve_onestep
 from .selection import aggregate_linear, select_model
@@ -222,8 +222,8 @@ def _cmd_fit_projection(cfg: RunConfig):
 def _cmd_density_effect(cfg: RunConfig):
     table, grid, folds = _load_data(cfg)
     distance = parse_distance(cfg.distance)
-    folds_nuis = cross_fit(table, folds, (cfg.level1, cfg.level0), grid,
-                           _nuisance_config(cfg))
+    folds_nuis = fold_stream(table, folds, (cfg.level1, cfg.level0), grid,
+                             _nuisance_config(cfg))
     est = effect_onestep(distance, table, folds_nuis, grid,
                          levels=(cfg.level1, cfg.level0))
     lo, hi = table.rescale_params

@@ -6,10 +6,12 @@ effect, p and q are the fold marginals at two levels and both are arms; for
 the distance to a fixed, known candidate, q is that candidate and only p is
 an arm. One pass over the folds (``projection.onestep``) gives the estimate
 and its pooled influence values, so each fold's divergence and transforms
-are built once. Wald intervals use the pooled influence variance; a
-conservative interval widens the standard error to at least 1/sqrt(n), which
-stays valid when the two densities coincide and the influence function
-degenerates.
+are built once. The folds may come as a stream (``nuisance.fold_stream``):
+each fold's levels are checked as it is read, and it is dropped once its
+terms are in, before the next fold is fit. Wald intervals use the pooled
+influence variance; a conservative interval widens the standard error to at
+least 1/sqrt(n), which stays valid when the two densities coincide and the
+influence function degenerates.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ def effect_onestep(distance: DistanceSpec, table: ObservationTable, folds_nuis,
     lev1, lev0 = levels
     if lev1 == lev0:
         raise DataError(f"an effect needs two distinct levels, got {tuple(levels)}")
-    require_levels(folds_nuis, levels)
     return _effect(distance, table, folds_nuis, grid, (lev1, lev0))
 
 
@@ -83,7 +84,6 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
     transform 2 (p_hat - g). A g off the grid's shape or with a non-finite
     entry is a ``DataError``.
     """
-    require_levels(folds_nuis, (level,))
     g = np.asarray(g, dtype=float)
     if g.shape != grid.points.shape:
         raise DataError("candidate density must be tabulated on the grid")
@@ -114,11 +114,13 @@ def _effect(distance, table, folds_nuis, grid, levels, g=None):
     ``EFFECT_FLOOR``; the fold's estimate is D(p, q) plus, per arm, the mean
     doubly-robust summand of its transform from ``effect_curves`` net of its
     plug-in counterpart. The same pass over the folds (``onestep``) pools
-    the influence values for the standard error.
+    the influence values for the standard error. A fold not tabulated at
+    every level raises ``DataError`` when it is read.
     """
     floor = EFFECT_FLOOR if distance.kind in ("kl", "chisq", "hellinger") else None
 
     def terms(fold):
+        require_levels(fold, levels)
         p = fold.p_hat[levels[0]]
         q = g if g is not None else fold.p_hat[levels[1]]
         if floor is not None:

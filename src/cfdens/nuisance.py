@@ -29,6 +29,10 @@ regression and k-NN for the propensity, and Nadaraya-Watson / k-NN /
 marginal-only kernel regressions of a Gaussian-kernel-transformed outcome
 for the conditional density. Analytic or deliberately misspecified
 nuisances enter through ``tabulate_nuisances``, the dense special case.
+
+``fold_stream`` yields the folds one at a time, as they are fit, for a
+consumer that needs each fold only for its own terms (a density effect);
+``cross_fit`` is its list, for the estimates that need every fold at once.
 """
 
 from __future__ import annotations
@@ -586,10 +590,10 @@ class FoldNuisance:
         return len(self.eval_idx)
 
 
-def require_levels(folds_nuis, levels):
-    """Raise ``DataError`` unless the fold nuisances are tabulated at every level."""
+def require_levels(fold, levels):
+    """Raise ``DataError`` unless the fold's nuisances are tabulated at every level."""
     for lev in levels:
-        if lev not in folds_nuis[0].pi:
+        if lev not in fold.pi:
             raise DataError(f"level {lev} missing from nuisance tabulations")
 
 
@@ -666,11 +670,19 @@ def single_split(table: ObservationTable, train_idx, eval_idx, levels,
     return fold_nuisance(table, eval_idx, grid, pi, tabulate, warn)
 
 
+def fold_stream(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid,
+                config: NuisanceConfig = NuisanceConfig(), pi_fn=None):
+    """Yield each fold's nuisances, fit on its complement, as ``single_split``
+    builds them. The stream keeps no fold it has yielded, so a consumer that
+    drops each fold before asking for the next holds one fold's K at a time."""
+    for _, train_idx, eval_idx in folds.splits():
+        yield single_split(table, train_idx, eval_idx, levels, grid, config, pi_fn)
+
+
 def cross_fit(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid,
               config: NuisanceConfig = NuisanceConfig(), pi_fn=None) -> list:
-    """Fit nuisances per fold on the complement, tabulate on the held-out rows."""
-    return [single_split(table, train_idx, eval_idx, levels, grid, config, pi_fn)
-            for _, train_idx, eval_idx in folds.splits()]
+    """Every fold's nuisances at once: the list of ``fold_stream``."""
+    return list(fold_stream(table, folds, levels, grid, config, pi_fn))
 
 
 def _normalize_rows_to_density(eta, grid):

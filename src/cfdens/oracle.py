@@ -29,7 +29,8 @@ from .distances import DistanceSpec, divergence
 from .effects import effect_onestep
 from .errors import CfdensError, DataError
 from .models import CosineBasis, TruncatedSeries, g_on_grid, parse_model
-from .nuisance import NuisanceConfig, cross_fit, tabulate_nuisances
+# cross_fit is not called here; perfbench/tracing.py wraps this module's binding of it
+from .nuisance import NuisanceConfig, cross_fit, fold_stream, tabulate_nuisances  # noqa: F401
 from .projection import _damped_newton, moment, solve_onestep
 
 X_NODES = 24
@@ -350,9 +351,12 @@ class McResult:
 
 
 def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, levels):
+    """The rep's fold nuisances: fitted ones as a ``fold_stream``, the
+    closed-form ones as a one-fold list over every row."""
     mode = exp.nuisance_mode
-    if mode == "fitted":
-        return cross_fit(table, folds, levels, grid, exp.nuisance)
+    if mode in ("fitted", "true_pi_fitted_eta"):
+        return fold_stream(table, folds, levels, grid, exp.nuisance,
+                           pi_fn=dgp.pi_fn if mode == "true_pi_fitted_eta" else None)
     if mode in ("true", "wrong_pi_true_eta"):
         def pi_const(x, level):
             return _two_arm(np.full(len(x), 0.5), level)
@@ -360,8 +364,6 @@ def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, leve
         pi_fn = dgp.pi_fn if mode == "true" else pi_const
         return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
                                    pi_fn, dgp.eta_fn)]
-    if mode == "true_pi_fitted_eta":
-        return cross_fit(table, folds, levels, grid, exp.nuisance, pi_fn=dgp.pi_fn)
     raise DataError(f"unknown nuisance mode {mode!r}")
 
 
@@ -369,8 +371,10 @@ def mc_run(exp: Experiment) -> McResult:
     """Run the experiment.
 
     Per (n, rep): draw data, estimate, record (estimate, se, CI coverage of
-    the oracle target, runtime). A CfdensError or LinAlgError fails the rep;
-    any other exception propagates. Summaries aggregate bias / RMSE /
+    the oracle target, runtime). Effect reps read fitted folds as a stream,
+    one fold alive at a time; projection reps list them. A CfdensError or
+    LinAlgError fails the rep, also one raised by a fold fit mid-stream; any
+    other exception propagates. Summaries aggregate bias / RMSE /
     coverage per n. Identical descriptors give bit-identical oracles,
     summaries and records, apart from each record's wall-clock ``runtime``.
     """
@@ -404,7 +408,7 @@ def mc_run(exp: Experiment) -> McResult:
                 folds = make_folds(n, exp.k_folds, seed=exp.seed + 7919 * i_n + rep)
                 folds_nuis = _fold_nuisances(exp, dgp, table, folds, grid, levels)
                 if exp.estimator == "projection":
-                    est = solve_onestep(distance, model, table, folds_nuis, 1, grid)
+                    est = solve_onestep(distance, model, table, list(folds_nuis), 1, grid)
                     err = est.beta_hat - target
                     rec.update({
                         "estimate": est.beta_hat.tolist(),

@@ -14,7 +14,8 @@ centre them per fold and pseudo-risk summands add a constant per candidate.
 They contract the fold's factored eta_hat, so no (n_ev, G) array is built
 unless ``CondDensityModel.predict`` is called. ``onestep`` is the one fold
 loop: a single pass returns an estimate and, given the table, its pooled
-influence values; without the table it does no per-row work.
+influence values; without the table it does no per-row work. It reads a
+list or a stream of folds and holds none it has finished.
 
 The projection's estimating equation pools fold contributions: with
 per-fold plug-in moments m_hat_j and fold-level bias corrections, the
@@ -151,17 +152,26 @@ def onestep(folds_nuis, grid, terms, table=None):
     per-row work is done and influence is None; with it, influence stacks,
     fold by fold, the arm sum of the ``dr_scores``, each arm centred exactly
     at its fold mean.
+
+    ``folds_nuis`` may be any iterable, such as ``nuisance.fold_stream``: the
+    pass keeps each fold's size, plug-in and influence values, never the
+    fold, and pools the plug-ins in fold order once the folds are done.
     """
-    sizes = np.array([f.n_eval for f in folds_nuis], dtype=float)
-    estimate, influence = 0.0, []
-    for w, fold in zip(sizes / sizes.sum(), folds_nuis):
+    def fold_terms(fold):
         plug_in, arms = terms(fold)
         for level, h, p in arms:
             plug_in = plug_in + (fold.d_hat[level] - grid.weights * p) @ h
+        if table is None:
+            return fold.n_eval, plug_in, None
+        raw = [dr_scores(table, fold, level, h, grid) for level, h, _ in arms]
+        return fold.n_eval, plug_in, sum(r - r.mean(axis=0) for r in raw)
+
+    # map releases each fold once its terms are in, before it asks for the next
+    sizes, plug_ins, influence = zip(*map(fold_terms, folds_nuis))
+    sizes = np.array(sizes, dtype=float)
+    estimate = 0.0
+    for w, plug_in in zip(sizes / sizes.sum(), plug_ins):
         estimate = estimate + w * plug_in
-        if table is not None:
-            raw = [dr_scores(table, fold, level, h, grid) for level, h, _ in arms]
-            influence.append(sum(r - r.mean(axis=0) for r in raw))
     return estimate, None if table is None else np.concatenate(influence)
 
 
@@ -277,7 +287,7 @@ def certified_root(distance: DistanceSpec, model, folds_nuis, level, grid: EvalG
     must be within ACCEPT of 1 + ||equation at beta = 0||, or SolverError is
     raised. Nothing here builds the sandwich.
     """
-    require_levels(folds_nuis, (level,))
+    require_levels(folds_nuis[0], (level,))
 
     def equation(beta):
         return one_step_equation(distance, model, beta, folds_nuis, level, grid)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cfdens.data import ObservationTable
 from cfdens.effects import effect_fixed_candidate, effect_onestep
 from cfdens.errors import DataError
 from cfdens.models import CosineBasis, TruncatedSeries
-from cfdens.nuisance import tabulate_nuisances
+from cfdens.nuisance import FactoredEta, fold_stream, tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_effect
 from cfdens.projection import solve_onestep
 
@@ -199,6 +201,60 @@ class TestOneFoldLoop:
         else:
             effect_fixed_candidate(L2, table, fn, 1, np.ones(grid128.size), grid128)
         assert len(calls) == len(fn) == 3
+
+
+class TestFoldStream:
+    """The effects read ``fold_stream`` one fold at a time, with the list's numbers."""
+
+    N, K = 701, 3
+
+    @pytest.fixture(scope="class")
+    def sample(self, grid128):
+        table = get_dgp("confounded_shift").sample(self.N, np.random.default_rng(3))
+        g = random_density(grid128, np.random.default_rng(4))
+        g[:6] = 0.0
+        return table, make_folds(self.N, self.K, seed=2), g
+
+    @staticmethod
+    def estimate(entry, spec, table, folds_nuis, g, grid):
+        if entry == "effect_onestep":
+            return effect_onestep(spec, table, folds_nuis, grid, (1, 0))
+        return effect_fixed_candidate(spec, table, folds_nuis, 1, g, grid)
+
+    @pytest.mark.parametrize("entry", ["effect_onestep", "effect_fixed_candidate"])
+    def test_each_fold_is_released_before_the_next_is_fit(self, sample, entry, grid128):
+        # weak references to every yielded fold and its fitted densities: when
+        # the stream yields a fold, no earlier one may still be alive
+        table, folds, g = sample
+        refs = []
+
+        def watched(stream):
+            for fold in stream:
+                alive = sum(r() is not None for r in refs)
+                assert alive == 0, f"{alive} objects of earlier folds still alive"
+                assert all(isinstance(eta, FactoredEta) for eta in fold.eta.values())
+                refs.extend(weakref.ref(obj) for obj in [fold, *fold.eta.values()])
+                yield fold
+
+        stream = watched(fold_stream(table, folds, (0, 1), grid128))
+        self.estimate(entry, L2, table, stream, g, grid128)
+        assert len(refs) == 3 * self.K
+        assert all(r() is None for r in refs)
+
+    @pytest.mark.parametrize("dist", ["l2", "kl", "chisq", "hellinger", "tv:t=50"])
+    @pytest.mark.parametrize("entry", ["effect_onestep", "effect_fixed_candidate"])
+    def test_stream_matches_list_bit_for_bit(self, sample, entry, dist, grid128):
+        table, folds, g = sample
+        spec = parse_distance(dist)
+        fn = cross_fit(table, folds, (0, 1), grid128)
+        assert isinstance(fn, list) and len(fn) == self.K
+        got = self.estimate(entry, spec, table, fold_stream(table, folds, (0, 1), grid128),
+                            g, grid128)
+        for _ in range(2):      # the list can be read twice, with the same numbers
+            want = self.estimate(entry, spec, table, fn, g, grid128)
+            assert (got.psi_hat, got.se) == (want.psi_hat, want.se)
+            assert got.ci_wald == want.ci_wald
+            assert got.ci_conservative == want.ci_conservative
 
 
 class TestOnestepByHand:

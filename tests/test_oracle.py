@@ -187,6 +187,33 @@ class TestMcRun:
         with pytest.raises(ValueError, match="a bug"):
             mc_run(exp)
 
+    def test_a_fold_failing_mid_stream_fails_only_its_rep(self, monkeypatch):
+        # effect reps read the folds as a stream, so a fit of the second fold
+        # fails inside effect_onestep, after the first fold's terms are in
+        from cfdens import nuisance
+
+        exp = Experiment(name="smoke", dgp="cosine_bump", estimator="effect",
+                         n_values=(300,), reps=2, seed=1, grid_size=64)
+        fit = nuisance.single_split
+        raised = {}
+
+        def second_fold_fails(*args, **kwargs):
+            raised["calls"] += 1
+            if raised["calls"] == 2:        # rep 0's second fold
+                raise raised["exc"]
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(nuisance, "single_split", second_fold_fails)
+        raised.update(calls=0, exc=DataError("level 0 absent from the training rows"))
+        out = mc_run(exp)
+        assert raised["calls"] == 4
+        assert [r["failed"] for r in out.records] == [True, False]
+        assert out.records[0]["error_message"] == "level 0 absent from the training rows"
+        assert out.summary[300]["failures"] == 1 and out.summary[300]["reps"] == 1
+        raised.update(calls=0, exc=ValueError("a bug, not a data-dependent failure"))
+        with pytest.raises(ValueError, match="a bug"):
+            mc_run(exp)
+
     def test_negative_seed_is_data_error(self):
         exp = Experiment(name="neg", dgp="cosine_bump", estimator="effect",
                          n_values=(300,), reps=2, seed=-1, grid_size=64)
