@@ -25,8 +25,6 @@ from .models import (
     GaussianMixture,
     TruncatedSeries,
     clip_to_density,
-    g_eval,
-    g_grad,
     log_partition,
     parse_model,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "effect_onestep",
     "fit_cond_density",
     "from_raw",
-    "g_eval",
-    "g_grad",
     "load_csv",
     "log_partition",
     "make_folds",

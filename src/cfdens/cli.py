@@ -60,9 +60,22 @@ class RunConfig:
     quick: bool = False
 
 
+QUICK_GRID = 128
+
+
 def _validate(cfg: RunConfig):
-    """Collect every violated field before rejecting the run."""
+    """Collect every violated field before rejecting the run.
+
+    A model may have at most G - 2 coefficients, G the grid size after
+    ``--quick``: the cosine basis is orthonormal on the grid up to that size.
+    """
     bad = []
+    grid = min(cfg.grid, QUICK_GRID) if cfg.quick else cfg.grid
+
+    def check_size(field, model):
+        if cfg.grid >= 8 and model.beta_dim > grid - 2:
+            bad.append(f"{field}: {model.label} has {model.beta_dim} coefficients, more "
+                       f"than G - 2 = {grid - 2} on a grid of G = {grid} points")
     needs_data = cfg.command in ("fit-projection", "density-effect",
                                  "select-model", "aggregate")
     if needs_data:
@@ -100,7 +113,7 @@ def _validate(cfg: RunConfig):
     if cfg.command in ("fit-projection", "aggregate"):
         for text in ([cfg.model] if cfg.command == "fit-projection" else cfg.candidates):
             try:
-                parse_model(text)
+                check_size("model", parse_model(text))
             except CfdensError:
                 bad.append(f"model: cannot parse {text!r}")
     if cfg.command in ("fit-projection", "density-effect"):
@@ -121,6 +134,8 @@ def _validate(cfg: RunConfig):
                 bad.append("dims: required, e.g. --dims 1..8")
             elif min(cfg.dims) < 1:
                 bad.append(f"dims: series dimensions must be >= 1, got {text!r}")
+            else:
+                check_size("dims", TruncatedSeries(CosineBasis(max(cfg.dims))))
     if cfg.command == "aggregate" and not cfg.candidates:
         bad.append("candidates: required, e.g. --candidates series:d=2,series:d=4")
     if cfg.command == "simulate":
@@ -141,7 +156,7 @@ def _nuisance_config(cfg: RunConfig) -> NuisanceConfig:
 
 def _apply_quick(cfg: RunConfig) -> RunConfig:
     if cfg.quick:
-        cfg.grid = min(cfg.grid, 128)
+        cfg.grid = min(cfg.grid, QUICK_GRID)
         cfg.folds = 2
     return cfg
 

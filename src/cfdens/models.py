@@ -5,6 +5,10 @@ series with uniform base (identity link), an exponential family over the same
 basis (log link, normalized through its log-partition), and a Gaussian
 mixture with an unconstrained reparameterization so generic root finders can
 work on all of R^p.
+
+``tabulate`` is the one evaluation of a family: it gives g(.; beta) and its
+gradient in beta on the evaluation grid, from one basis table (and, for the
+exponential family, one log-partition), so callers make one call per beta.
 """
 
 from __future__ import annotations
@@ -156,11 +160,12 @@ def mixture_params(model: GaussianMixture, beta):
     return w, mu, sig
 
 
-def log_partition(model: ExponentialFamily, beta, grid: EvalGrid):
-    """Log-partition C(beta) and its gradient, by stabilized quadrature.
+def _exp_tilt(model: ExponentialFamily, beta, grid: EvalGrid):
+    """Basis table, log-partition C(beta), its gradient and g(.; beta) on the grid.
 
-    The gradient equals the basis mean under g(.; beta), computed from the
-    same quadrature so the normalization identity holds exactly on the grid.
+    C comes by stabilized quadrature, and its gradient is the basis mean under
+    g from the same quadrature, so the normalization identity holds exactly on
+    the grid.
     """
     beta = _check_beta(model, beta)
     bt = model.basis.eval(grid.points)          # (G, p)
@@ -174,6 +179,12 @@ def log_partition(model: ExponentialFamily, beta, grid: EvalGrid):
     dc = grid.integrate(bt * g[:, None])
     if not np.all(np.isfinite(dc)):
         raise _overflow(model, beta)
+    return bt, c, dc, g
+
+
+def log_partition(model: ExponentialFamily, beta, grid: EvalGrid):
+    """Log-partition C(beta) and its gradient, the basis mean under g(.; beta)."""
+    _, c, dc, _ = _exp_tilt(model, beta, grid)
     return float(c), dc
 
 
@@ -184,70 +195,37 @@ def _overflow(model, beta):
     )
 
 
-def g_eval(model, beta, y, grid: EvalGrid):
-    """Density value g(y; beta) at arbitrary y in [0,1].
+def tabulate(model, beta, grid: EvalGrid):
+    """g(.; beta) and its gradient in beta on the grid: shapes (G,) and (G, beta_dim).
 
-    Exponential-family normalization integrates over ``grid``; the other
-    families ignore it. TruncatedSeries output may be negative (see
-    ``clip_to_density``).
+    One evaluation of the family gives both: the series and the exponential
+    family read one basis table, the exponential family one log-partition, and
+    the mixture one set of component kernels. TruncatedSeries values may be
+    negative (see ``clip_to_density``).
     """
     beta = _check_beta(model, beta)
-    y = np.asarray(y, dtype=float)
     if isinstance(model, TruncatedSeries):
-        return 1.0 + model.basis.eval(y) @ beta
+        bt = model.basis.eval(grid.points)
+        return 1.0 + bt @ beta, bt
     if isinstance(model, ExponentialFamily):
-        c, _ = log_partition(model, beta, grid)
-        return np.exp(model.basis.eval(y) @ beta - c)
-    w, mu, sig = mixture_params(model, beta)
-    ycol = y[..., None]
-    z = (ycol - mu) / sig
-    return (w / (np.sqrt(2 * np.pi) * sig) * np.exp(-0.5 * z**2)).sum(axis=-1)
-
-
-def g_grad(model, beta, y, grid: EvalGrid):
-    """Gradient of g(y; beta) in beta, shape y.shape + (beta_dim,)."""
-    beta = _check_beta(model, beta)
-    y = np.asarray(y, dtype=float)
-    if isinstance(model, TruncatedSeries):
-        return model.basis.eval(y)
-    if isinstance(model, ExponentialFamily):
-        c, dc = log_partition(model, beta, grid)
-        bt = model.basis.eval(y)
-        g = np.exp(bt @ beta - c)
-        return g[..., None] * (bt - dc)
-    return _mixture_grad(model, beta, y)
-
-
-def _mixture_grad(model: GaussianMixture, beta, y):
+        bt, _, dc, g = _exp_tilt(model, beta, grid)
+        return g, g[:, None] * (bt - dc)
     k = model.k
     w, mu, sig = mixture_params(model, beta)
-    ycol = y[..., None]
-    z = (ycol - mu) / sig
-    comp = np.exp(-0.5 * z**2) / (np.sqrt(2 * np.pi) * sig)   # (..., k)
-    grad = np.empty(y.shape + (model.beta_dim,))
-    # means and scales via the chain rule through softplus
-    dmu = w * comp * z / sig
-    if k == 1:
-        dsig_raw = w * comp * ((z**2 - 1.0) / sig) * _sigmoid(beta[1:2])
-        grad[..., 0] = dmu[..., 0]
-        grad[..., 1] = dsig_raw[..., 0]
-        return grad
-    # free logits l_2..l_k with the first pinned at zero
+    z = (grid.points[:, None] - mu) / sig
+    e = np.exp(-0.5 * z**2)
+    g = (w / (np.sqrt(2 * np.pi) * sig) * e).sum(axis=-1)
+    comp = e / (np.sqrt(2 * np.pi) * sig)       # (G, k)
+    grad = np.empty((grid.size, model.beta_dim))
+    # free logits l_2..l_k with the first pinned at zero (none for k = 1)
     gval = (w * comp).sum(axis=-1)
     for j in range(1, k):
-        grad[..., j - 1] = w[j] * (comp[..., j] - gval)
-    grad[..., k - 1 : 2 * k - 1] = dmu
+        grad[:, j - 1] = w[j] * (comp[:, j] - gval)
+    # means and scales via the chain rule through softplus
+    grad[:, k - 1 : 2 * k - 1] = w * comp * z / sig
     raw = beta[2 * k - 1 :]
-    grad[..., 2 * k - 1 :] = w * comp * ((z**2 - 1.0) / sig) * _sigmoid(raw)
-    return grad
-
-
-def g_on_grid(model, beta, grid: EvalGrid):
-    return g_eval(model, beta, grid.points, grid)
-
-
-def g_grad_on_grid(model, beta, grid: EvalGrid):
-    return g_grad(model, beta, grid.points, grid)
+    grad[:, 2 * k - 1 :] = w * comp * ((z**2 - 1.0) / sig) * _sigmoid(raw)
+    return g, grad
 
 
 def clip_to_density(values, grid: EvalGrid):

@@ -28,7 +28,7 @@ from .data import EvalGrid, ObservationTable, make_folds, make_grid
 from .distances import DistanceSpec, divergence
 from .effects import effect_onestep
 from .errors import CfdensError, DataError
-from .models import CosineBasis, TruncatedSeries, g_on_grid, parse_model
+from .models import CosineBasis, TruncatedSeries, parse_model, tabulate
 # cross_fit is not called here; perfbench/tracing.py wraps this module's binding of it
 from .nuisance import NuisanceConfig, cross_fit, fold_stream, tabulate_nuisances  # noqa: F401
 from .projection import _damped_newton, moment, solve_onestep
@@ -284,7 +284,7 @@ def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
             moment_norm=float(np.linalg.norm(moment(distance, model, beta, p_a, grid))))
 
     def objective(beta):
-        return divergence(distance, p_a, g_on_grid(model, beta, grid), grid)
+        return divergence(distance, p_a, tabulate(model, beta, grid)[0], grid)
 
     rng = np.random.default_rng(0)
     minima = []

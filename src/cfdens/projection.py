@@ -27,10 +27,11 @@ which for the squared-L2 cosine series reduces to the closed-form
 doubly-robust mean of the basis, and for KL exponential families to moment
 matching of a beta-free doubly-robust target. Anything else goes through a
 damped Newton iteration with a finite-difference Jacobian. The moment
-condition (``_moment_condition``) tabulates g and dg/dbeta once per beta;
-every fold's plug-in moment and correction transform are read off that one
-tabulation and one ``reduced_factors`` call at the fold's marginal, for the
-equation, its influence values and the sandwich alike.
+condition (``_moment_condition``) makes one ``models.tabulate`` call per
+beta for g and dg/dbeta; every fold's plug-in moment and correction
+transform are read off that one tabulation and one ``reduced_factors`` call
+at the fold's marginal, for the equation, its influence values and the
+sandwich alike.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ from .models import (
     ExponentialFamily,
     GaussianMixture,
     TruncatedSeries,
+    _exp_tilt,
     clip_to_density,
-    g_grad_on_grid,
-    g_on_grid,
     log_partition,
+    tabulate,
 )
 from .nuisance import FoldNuisance, require_levels
 
@@ -87,7 +88,7 @@ class ProjectionEstimate:
 
 
 def _moment_condition(distance: DistanceSpec, model, beta, grid: EvalGrid):
-    """The moment condition at beta, from one tabulation of g and dg/dbeta.
+    """The moment condition at beta, from one ``tabulate`` of g and dg/dbeta.
 
     Returns one function of a marginal p on the grid. It returns
     ``(plug_in, correction)`` from a single ``reduced_factors`` call: the
@@ -95,8 +96,7 @@ def _moment_condition(distance: DistanceSpec, model, beta, grid: EvalGrid):
     dg/dbeta (f_dp + g f_dpdq)(p, g), shape (G, p), whose counterfactual mean
     corrects it (-2 dg/dbeta for l2, -dlog g/dbeta for KL; free of p in both).
     """
-    gv = g_on_grid(model, beta, grid)
-    gg = g_grad_on_grid(model, beta, grid)
+    gv, gg = tabulate(model, beta, grid)
 
     def at(p):
         fac, _, influence = reduced_factors(distance, p, gv)
@@ -358,7 +358,7 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
                                            level, grid)
     se = np.sqrt(np.maximum(np.diag(covariance), 0.0))
     wald = np.column_stack([beta_hat - Z95 * se, beta_hat + Z95 * se])
-    fitted = clip_to_density(g_on_grid(model, beta_hat, grid), grid)
+    fitted = clip_to_density(tabulate(model, beta_hat, grid)[0], grid)
     return ProjectionEstimate(
         beta_hat=beta_hat, covariance=covariance, wald_ci=wald, fitted_density=fitted,
         solver_report=report, n=sum(f.n_eval for f in folds_nuis))
@@ -366,9 +366,7 @@ def solve_onestep(distance: DistanceSpec, model, table: ObservationTable,
 
 def _kl_expfam_jacobian(model, beta, grid):
     """Basis covariance under g(.; beta): the Jacobian of the log-partition gradient."""
-    c, dc = log_partition(model, beta, grid)
-    bt = model.basis.eval(grid.points)
-    gv = np.exp(bt @ beta - c)                  # g(.; beta) on the grid
+    bt, _, dc, gv = _exp_tilt(model, beta, grid)
     second = grid.integrate(bt[:, :, None] * bt[:, None, :] * gv[:, None, None])
     return second - np.outer(dc, dc)
 

@@ -25,7 +25,7 @@ import numpy as np
 from .data import EvalGrid, FoldPlan, ObservationTable, make_folds
 from .distances import DistanceSpec
 from .errors import CfdensError, DataError
-from .models import ExponentialFamily, clip_to_density, g_on_grid
+from .models import ExponentialFamily, clip_to_density, tabulate
 from .nuisance import NuisanceConfig, cross_fit, single_split
 # solve_onestep is not called here; perfbench/tracing.py wraps this module's binding of it
 from .projection import certified_root, dr_scores, solve_onestep  # noqa: F401
@@ -72,7 +72,8 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
     density is g at its ``certified_root``, clipped to a density, so it is
     feasible whenever its root is. Fixed densities pass through. A
     CfdensError or LinAlgError, a non-finite density included, marks its
-    candidate failed with a warning; other exceptions propagate.
+    candidate failed with a warning; other exceptions propagate. If no
+    candidate is left, the DataError carries every candidate's reason.
     """
     folds_nuis = None
     dens = {}
@@ -90,7 +91,7 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
                                            (level,), grid, nuis_config)
                 distance = DistanceSpec("kl" if isinstance(cand, ExponentialFamily) else "l2")
                 beta_hat, _ = certified_root(distance, cand, folds_nuis, level, grid)
-                g = clip_to_density(g_on_grid(cand, beta_hat, grid), grid)
+                g = clip_to_density(tabulate(cand, beta_hat, grid)[0], grid)
             if not np.all(np.isfinite(g)):
                 raise DataError("candidate density is non-finite on the grid")
             dens[i] = g
@@ -98,7 +99,7 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
             failed[i] = True
             warnings.append(f"candidate {labels[i]} infeasible: {exc}")
     if not dens:
-        raise DataError("every candidate failed to fit")
+        raise DataError("every candidate failed to fit: " + "; ".join(warnings))
     return dens
 
 

@@ -20,8 +20,7 @@ from cfdens.models import (
     CosineBasis,
     ExponentialFamily,
     TruncatedSeries,
-    g_grad_on_grid,
-    g_on_grid,
+    tabulate,
 )
 from cfdens.nuisance import NuisanceConfig
 from cfdens.oracle import (
@@ -160,8 +159,7 @@ class TestAcceptance:
 
         model = TruncatedSeries(CosineBasis(2))
         beta_bar = np.array([0.2, -0.1])
-        gv = g_on_grid(model, beta_bar, grid)
-        gg = g_grad_on_grid(model, beta_bar, grid)
+        gv, gg = tabulate(model, beta_bar, grid)
         for spec in (DistanceSpec("kl"), DistanceSpec("hellinger")):
             mags = [np.linalg.norm(vonmises_remainder(
                 dgp, 1,

@@ -213,6 +213,29 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert [v.split(":")[0] for v in err["error"]["violations"]] == ["dims"]
 
+    @pytest.mark.parametrize("flags, field, label", [
+        (["fit-projection", "--model", "series:d=127"], "model", "series:d=127"),
+        (["aggregate", "--candidates", "series:d=2,expfam:d=127"], "model", "expfam:d=127"),
+        (["select-model", "--dims", "125..130"], "dims", "series:d=130"),
+    ], ids=["fit-projection", "aggregate", "select-model"])
+    def test_more_coefficients_than_grid_minus_two_is_config_error(self, capsys,
+                                                                   synthetic_csv, flags,
+                                                                   field, label):
+        # --quick caps the grid at G = 128; the cosine basis stays orthonormal to G - 2
+        code = main([flags[0], "--data", synthetic_csv, *BASE, "--quick", *flags[1:]])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ConfigError"
+        assert err["violations"] == [f"{field}: {label} has {label.split('=')[1]} "
+                                     "coefficients, more than G - 2 = 126 on a grid of "
+                                     "G = 128 points"]
+
+    def test_grid_minus_two_coefficients_fit(self, tmp_path, synthetic_csv):
+        code, report = run_json(tmp_path, ["fit-projection", "--data", synthetic_csv, *BASE,
+                                           "--model", "series:d=14", "--grid", "16",
+                                           "--folds", "2"])
+        assert code == 0 and len(report["results"]["beta"]) == 14
+
     @pytest.mark.parametrize("command", ["fit-projection", "density-effect"])
     @pytest.mark.parametrize("distance", ["tv:t=inf", "tv:kind=erf"])
     def test_bad_tv_distance_is_config_error(self, capsys, synthetic_csv, command, distance):

@@ -8,7 +8,7 @@ from cfdens.data import ObservationTable
 from cfdens.distances import reduced_factors
 from cfdens.effects import effect_curves
 from cfdens.errors import DistanceDomainError
-from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_grad_on_grid, g_on_grid
+from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, tabulate
 from cfdens.nuisance import single_split, tabulate_nuisances
 from cfdens.oracle import get_dgp, tensor_uniform_quad
 from cfdens.projection import _moment_condition, dr_scores, onestep
@@ -157,7 +157,7 @@ class TestMomentCorrectionCurve:
         beta = rng.normal(0, 0.4, 3)
         p_a = np.ones(grid.size)
         curve = correction_transform(DistanceSpec("l2"), model, beta, p_a, grid)
-        assert np.allclose(curve, -2.0 * g_grad_on_grid(model, beta, grid))
+        assert np.allclose(curve, -2.0 * tabulate(model, beta, grid)[1])
         p_b = 1.0 + 0.5 * np.sin(2 * np.pi * grid.points)
         curve_b = correction_transform(DistanceSpec("l2"), model, beta, p_b, grid)
         assert np.array_equal(curve, curve_b)  # bit-identical
@@ -167,8 +167,7 @@ class TestMomentCorrectionCurve:
         beta = rng.normal(0, 0.4, 3)
         p_a = np.ones(grid.size)
         curve = correction_transform(DistanceSpec("kl"), model, beta, p_a, grid)
-        gv = g_on_grid(model, beta, grid)
-        gg = g_grad_on_grid(model, beta, grid)
+        gv, gg = tabulate(model, beta, grid)
         assert np.allclose(curve, -gg / gv[:, None], atol=1e-12)
         p_b = 1.0 + 0.4 * np.cos(2 * np.pi * grid.points)
         curve_b = correction_transform(DistanceSpec("kl"), model, beta, p_b, grid)
@@ -181,8 +180,7 @@ class TestMomentCorrectionCurve:
         model = TruncatedSeries(CosineBasis(2))
         beta = np.array([0.2, -0.1])
         p_a = 1.0 + 0.4 * np.sqrt(2) * np.cos(np.pi * grid.points) * 0.5
-        gv = g_on_grid(model, beta, grid)
-        gg = g_grad_on_grid(model, beta, grid)
+        gv, gg = tabulate(model, beta, grid)
         curve = correction_transform(spec, model, beta, p_a, grid)
         h = 2e-6
         fd = (reduced_factors(spec, p_a + h, gv)[0]

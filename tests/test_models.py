@@ -9,14 +9,13 @@ from cfdens import (
     GaussianMixture,
     TruncatedSeries,
     clip_to_density,
-    g_eval,
-    g_grad,
     log_partition,
     make_grid,
     parse_model,
 )
-from cfdens.errors import ModelDomainError
-from cfdens.models import mixture_params
+from cfdens.errors import MagnitudeError, ModelDomainError
+from cfdens.models import mixture_params, tabulate
+from cfdens.projection import _kl_expfam_jacobian
 
 
 def inv_softplus(v):
@@ -36,13 +35,13 @@ class TestBasis:
 class TestSeries:
     def test_zero_beta_is_uniform(self, grid):
         model = TruncatedSeries(CosineBasis(4))
-        assert np.allclose(g_eval(model, np.zeros(4), grid.points, grid), 1.0)
+        assert np.allclose(tabulate(model, np.zeros(4), grid)[0], 1.0)
 
     def test_mass_one_for_any_beta(self, grid, rng):
         model = TruncatedSeries(CosineBasis(5))
         for _ in range(10):
             beta = rng.normal(0, 0.8, 5)
-            vals = g_eval(model, beta, grid.points, grid)
+            vals, _ = tabulate(model, beta, grid)
             assert abs(grid.integrate(vals) - 1.0) < 1e-8
 
 
@@ -52,7 +51,7 @@ class TestExponentialFamily:
         c, dc = log_partition(model, np.zeros(4), grid)
         assert abs(c) < 1e-12
         assert np.all(np.abs(dc) < 1e-10)
-        assert np.allclose(g_eval(model, np.zeros(4), grid.points, grid), 1.0)
+        assert np.allclose(tabulate(model, np.zeros(4), grid)[0], 1.0)
 
     def test_log_partition_gradient_matches_fd(self, grid):
         model = ExponentialFamily(CosineBasis(1))
@@ -63,12 +62,27 @@ class TestExponentialFamily:
               - log_partition(model, beta - h, grid)[0]) / (2 * h)
         assert abs(dc[0] - fd) < 1e-6
 
+    def test_kl_jacobian_matches_fd_of_log_partition_gradient(self, grid, rng):
+        model = ExponentialFamily(CosineBasis(3))
+        beta = rng.normal(0, 0.5, 3)
+        got = _kl_expfam_jacobian(model, beta, grid)
+        fd = np.empty((3, 3))
+        for k in range(3):
+            h = 1e-6 * (1 + abs(beta[k]))
+            bp, bm = beta.copy(), beta.copy()
+            bp[k] += h
+            bm[k] -= h
+            fd[:, k] = (log_partition(model, bp, grid)[1]
+                        - log_partition(model, bm, grid)[1]) / (2 * h)
+        assert np.allclose(got, fd, rtol=1e-6, atol=1e-8)
+        assert np.allclose(got, got.T, rtol=0, atol=1e-14)
+
     def test_gradient_identity_basis_mean(self, grid, rng):
         model = ExponentialFamily(CosineBasis(4))
         beta = rng.normal(0, 0.5, 4)
         _, dc = log_partition(model, beta, grid)
         tab = model.basis.eval(grid.points)
-        gv = g_eval(model, beta, grid.points, grid)
+        gv, _ = tabulate(model, beta, grid)
         assert np.allclose(dc, grid.integrate(tab * gv[:, None]), atol=1e-8)
 
     def test_reflection_symmetry(self, grid, rng):
@@ -84,16 +98,28 @@ class TestExponentialFamily:
         model = ExponentialFamily(CosineBasis(3))
         for _ in range(10):
             beta = rng.normal(0, 0.7, 3)
-            vals = g_eval(model, beta, grid.points, grid)
+            vals, _ = tabulate(model, beta, grid)
             assert abs(grid.integrate(vals) - 1.0) < 1e-8
+
+    def test_overflowing_beta_raises_magnitude_error(self, grid):
+        model = ExponentialFamily(CosineBasis(3))
+        beta = np.full(3, 1e308)
+        # the overflow itself warns on the way to the error
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(MagnitudeError, match="log-partition overflowed"):
+                log_partition(model, beta, grid)
+            with pytest.raises(MagnitudeError, match="log-partition overflowed"):
+                tabulate(model, beta, grid)
 
 
 class TestGaussianMixture:
-    def test_single_component_mode_value(self, grid):
+    def test_single_component_mode_value(self):
+        grid = make_grid(65)
+        assert grid.points[32] == 0.5
         model = GaussianMixture(1)
         beta = np.array([0.5, inv_softplus(0.1 - model.sigma_min)])
-        val = g_eval(model, beta, np.array([0.5]), grid)
-        assert val[0] == pytest.approx(1.0 / np.sqrt(2 * np.pi * 0.01), rel=1e-10)
+        val, _ = tabulate(model, beta, grid)
+        assert val[32] == pytest.approx(1.0 / np.sqrt(2 * np.pi * 0.01), rel=1e-10)
 
     def test_param_mapping(self, rng):
         model = GaussianMixture(3)
@@ -107,36 +133,42 @@ class TestGaussianMixture:
     def test_nonnegative_density(self, grid, rng):
         model = GaussianMixture(2)
         beta = rng.normal(0, 1.0, model.beta_dim)
-        assert np.all(g_eval(model, beta, grid.points, grid) >= 0)
+        assert np.all(tabulate(model, beta, grid)[0] >= 0)
+
+
+FAMILIES = [
+    TruncatedSeries(CosineBasis(3)),
+    ExponentialFamily(CosineBasis(3)),
+    GaussianMixture(1),
+    GaussianMixture(2),
+]
 
 
 class TestGradients:
-    @pytest.mark.parametrize("model", [
-        TruncatedSeries(CosineBasis(3)),
-        ExponentialFamily(CosineBasis(3)),
-        GaussianMixture(1),
-        GaussianMixture(2),
-    ], ids=lambda m: m.label)
-    def test_matches_finite_differences(self, model, grid, rng):
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.label)
+    def test_matches_finite_differences(self, model, grid128, rng):
         for _ in range(10):
             beta = rng.normal(0, 0.6, model.beta_dim)
-            y = rng.uniform(0.05, 0.95, 4)
-            got = g_grad(model, beta, y, grid)
+            gv, got = tabulate(model, beta, grid128)
+            assert gv.shape == (grid128.size,)
+            assert got.shape == (grid128.size, model.beta_dim)
             fd = np.empty_like(got)
             for k in range(model.beta_dim):
                 h = 1e-6 * (1 + abs(beta[k]))
                 bp, bm = beta.copy(), beta.copy()
                 bp[k] += h
                 bm[k] -= h
-                fd[:, k] = (g_eval(model, bp, y, grid) - g_eval(model, bm, y, grid)) / (2 * h)
+                fd[:, k] = (tabulate(model, bp, grid128)[0]
+                            - tabulate(model, bm, grid128)[0]) / (2 * h)
             assert np.all(np.abs(got - fd) <= 1e-6 * (1 + np.abs(got)))
 
-    def test_nonfinite_beta_rejected(self, grid):
-        model = TruncatedSeries(CosineBasis(2))
-        with pytest.raises(ModelDomainError):
-            g_eval(model, np.array([np.inf, 0.0]), grid.points, grid)
-        with pytest.raises(ModelDomainError):
-            g_grad(model, np.array([0.0, np.nan]), grid.points, grid)
+    @pytest.mark.parametrize("model", FAMILIES, ids=lambda m: m.label)
+    def test_nonfinite_beta_rejected(self, model, grid):
+        for bad in (np.inf, np.nan):
+            beta = np.zeros(model.beta_dim)
+            beta[-1] = bad
+            with pytest.raises(ModelDomainError, match="non-finite beta"):
+                tabulate(model, beta, grid)
 
 
 class TestClipToDensity:

@@ -8,7 +8,7 @@ from helpers import effect_population_bias, loglog_slope, vonmises_remainder
 
 from cfdens import DistanceSpec, divergence, effect_onestep, fit_cond_density, make_folds, make_grid
 from cfdens.errors import DataError, SolverError
-from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_grid
+from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, tabulate
 from cfdens.nuisance import FactoredEta, cross_fit, fold_nuisance
 from cfdens.oracle import (
     Experiment,
@@ -131,7 +131,7 @@ class TestOracleProjection:
         assert orc.method == "closed_form"
 
         def objective(beta):
-            return divergence(L2, p_a, g_on_grid(model, beta, grid), grid)
+            return divergence(L2, p_a, tabulate(model, beta, grid)[0], grid)
 
         res = minimize(objective, np.zeros(3), method="Nelder-Mead",
                        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 5000})
@@ -141,7 +141,7 @@ class TestOracleProjection:
         # build a design whose marginal is itself in the exponential family
         model = ExponentialFamily(CosineBasis(2))
         beta_gen = np.array([0.4, -0.2])
-        curve = g_on_grid(model, beta_gen, grid)
+        curve = tabulate(model, beta_gen, grid)[0]
 
         dgp = SyntheticDGP(
             name="expfam_truth", d=2, levels=(0, 1),

@@ -9,7 +9,7 @@ from helpers import generic_root, true_fold
 from cfdens import DistanceSpec, cross_fit, make_folds, models
 from cfdens.data import ObservationTable
 from cfdens.errors import InfeasibleMomentError, SolverError
-from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, g_on_grid
+from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, tabulate
 from cfdens.nuisance import tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_projection
 from cfdens.projection import (
@@ -43,7 +43,7 @@ class TestMoment:
     def test_kl_expfam_self_consistency(self, grid):
         model = ExponentialFamily(CosineBasis(3))
         beta_star = np.array([0.3, 0.0, 0.0])
-        p_a = g_on_grid(model, beta_star, grid)
+        p_a = tabulate(model, beta_star, grid)[0]
         m = moment(KL, model, beta_star, p_a, grid)
         assert np.all(np.abs(m) < 1e-8)
 
@@ -288,19 +288,17 @@ class TestMomentTabulation:
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        # count through every module binding of the two tabulators
-        calls = {}
-        for name in ("g_on_grid", "g_grad_on_grid"):
-            orig = getattr(models, name)
-            calls[name] = 0
+        # count through every module binding of the one model evaluation
+        calls = {"tabulate": 0}
+        orig = models.tabulate
 
-            def counted(*args, _name=name, _orig=orig, **kwargs):
-                calls[_name] += 1
-                return _orig(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls["tabulate"] += 1
+            return orig(*args, **kwargs)
 
-            for mod_name, module in list(sys.modules.items()):
-                if mod_name.split(".")[0] == "cfdens" and getattr(module, name, None) is orig:
-                    monkeypatch.setattr(module, name, counted)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "cfdens" and getattr(module, "tabulate", None) is orig:
+                monkeypatch.setattr(module, "tabulate", counted)
         return calls
 
     @pytest.fixture()
@@ -313,7 +311,7 @@ class TestMomentTabulation:
         model = TruncatedSeries(CosineBasis(3))
         one_step_equation(DistanceSpec("hellinger"), model, np.array([0.1, -0.05, 0.02]),
                           nuis, 1, grid128)
-        assert calls == {"g_on_grid": 1, "g_grad_on_grid": 1}
+        assert calls == {"tabulate": 1}
 
     def test_generic_sandwich_tabulates_two_p_plus_one_times(self, calls, folds, grid128):
         table, nuis = folds
@@ -321,4 +319,4 @@ class TestMomentTabulation:
         sandwich_cov(DistanceSpec("hellinger"), model, np.array([0.1, -0.05, 0.02]),
                      table, nuis, 1, grid128)
         # 2p for the central-difference plug-in Jacobian, 1 for the influence values
-        assert calls == {"g_on_grid": 7, "g_grad_on_grid": 7}
+        assert calls == {"tabulate": 7}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfdens import cross_fit, make_folds, make_grid
+from cfdens import cross_fit, from_raw, make_folds, make_grid
 from cfdens.distances import DistanceSpec
 from cfdens.effects import effect_fixed_candidate
 from cfdens.errors import DataError, RankError, SolverError
@@ -349,3 +349,28 @@ class TestAggregate:
         folds = make_folds(400, 2, seed=31)
         with pytest.raises(DataError, match=r"level 7 absent .*\[0, 1\]"):
             fit(table, folds, 7, [parse_model("series:d=2")], grid128)
+
+
+def three_level_table(n=300, seed=0):
+    """Levels {0, 1, 2} drawn with p = (0.45, 0.2, 0.35): level 1 is thin."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 2))
+    a = rng.choice(3, size=n, p=(0.45, 0.2, 0.35))
+    return from_raw(x, a, rng.normal(0.5 + 0.2 * x[:, 0] + 0.1 * a, 0.15))
+
+
+class TestEveryCandidateFailing:
+    @pytest.mark.parametrize("fit, labels", [
+        (select_model, ("series:d=1", "series:d=2", "series:d=3")),
+        (aggregate_linear, ("series:d=2", "expfam:d=2")),
+    ], ids=["select_model", "aggregate_linear"])
+    def test_error_names_every_candidate_and_its_reason(self, grid128, fit, labels):
+        # level 1 leaves fewer inner training rows than a conditional density needs
+        table = three_level_table()
+        with pytest.raises(DataError, match="every candidate failed to fit: ") as info:
+            fit(table, make_folds(table.n, 2, 0), 1, [parse_model(t) for t in labels],
+                grid128)
+        message = str(info.value)
+        for label in labels:
+            assert f"candidate {label} infeasible: conditional density at level 1: " in message
+        assert message.count("training rows, need >= 20") == len(labels)
