@@ -165,15 +165,20 @@ def _exp_tilt(model: ExponentialFamily, beta, grid: EvalGrid):
 
     C comes by stabilized quadrature, and its gradient is the basis mean under
     g from the same quadrature, so the normalization identity holds exactly on
-    the grid.
+    the grid. The exponent s = b . beta must have a finite range on the grid
+    (its spread is taken in Python floats, which overflow to inf without a
+    warning), else ``MagnitudeError``: then s - max(s) is finite and
+    exp(s - max(s)) is 1 at the max, so the quadrature is finite and
+    positive.
     """
     beta = _check_beta(model, beta)
     bt = model.basis.eval(grid.points)          # (G, p)
-    s = bt @ beta                                # (G,)
+    with np.errstate(over="ignore", invalid="ignore"):     # checked just below
+        s = bt @ beta                                      # (G,)
     m = s.max()
-    z = grid.integrate(np.exp(s - m))
-    if not np.isfinite(z) or z <= 0:
+    if not np.isfinite(float(m) - float(s.min())):
         raise _overflow(model, beta)
+    z = grid.integrate(np.exp(s - m))
     c = m + np.log(z)
     g = np.exp(s - c)
     dc = grid.integrate(bt * g[:, None])
@@ -190,7 +195,7 @@ def log_partition(model: ExponentialFamily, beta, grid: EvalGrid):
 
 def _overflow(model, beta):
     return MagnitudeError(
-        f"{model.label}: log-partition overflowed at |beta|={np.linalg.norm(beta):.3g}; "
+        f"{model.label}: log-partition overflowed at max |beta_j|={np.abs(beta).max():.3g}; "
         "try a smaller coefficient magnitude"
     )
 

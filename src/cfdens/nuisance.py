@@ -8,7 +8,9 @@ marginal p_hat and the doubly-robust grid measure d_hat, with d_hat @ h the
 mean of the raw doubly-robust summands of h (``fold_nuisance``). A fitted
 density keeps its outcome-kernel matrix K in float32 (m, G), the eval rows'
 covariates and their 1/mass (``FactoredEta``); no (n_ev, G) array is built
-unless ``CondDensityModel.predict`` is called. K is built ``_CHUNK`` rows at
+unless ``CondDensityModel.predict`` is called. Every product with K runs in
+float64 on full-width row blocks of about 512 KB (``_k_blocks``), so no
+float64 copy of K is ever made. K is built ``_CHUNK`` rows at
 a time straight into float32, skipping every entry whose value is already
 known: the main term beyond a band of about 15 bandwidths (float32 0) and
 each reflection beyond a staircase near its end of [0,1] (too small to move
@@ -33,10 +35,14 @@ nuisances enter through ``tabulate_nuisances``, the dense special case.
 ``fold_stream`` yields the folds one at a time, as they are fit, for a
 consumer that needs each fold only for its own terms (a density effect);
 ``cross_fit`` is its list, for the estimates that need every fold at once.
+The stream builds each level's K in one ``KStorage``, which a fold reuses
+once no array of the previous fold's K is alive, so a consumer that drops
+each fold fits every fold in the same pages.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,7 @@ from .data import EvalGrid, FoldPlan, ObservationTable
 from .errors import DataError, InsufficientDataError
 
 _CHUNK = 256           # rows per outcome-kernel block (``_kernel_outcome_matrix``)
+_BLOCK = 65536         # float64 values per block, 512 KB: one core's L2
 # Reach of a reflected outcome-kernel term, in bandwidths from its end of [0,1].
 # A term skipped beyond it is below exp(-18^2 / 2) = e^-162 ~ 6e-71 (before the
 # division by h sqrt(2 pi)). The smallest float64 sum that survives the cast of
@@ -87,7 +94,19 @@ class NuisanceConfig:
 def _block_rows(m):
     """Rows per block of float64 values against m training rows: about 512 KB,
     so a block stays in a core's L2 (covariate weights, k-NN distances)."""
-    return min(256, max(32, 65536 // m))
+    return min(256, max(32, _BLOCK // m))
+
+
+def _k_blocks(kmat):
+    """Yield (rows, K[rows]) over full-width row blocks of K of ``_BLOCK``
+    float64 values (about 512 KB). numpy casts the float32 operand of a
+    mixed-dtype product to a float64 temporary, so every product with K is
+    taken one block at a time: the cast then stays a block's size and in L2,
+    where a whole one would be twice K's size."""
+    step = max(1, _BLOCK // kmat.shape[1])
+    for lo in range(0, len(kmat), step):
+        rows = slice(lo, lo + step)
+        yield rows, kmat[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +297,33 @@ def _staircase(d, dt, reach, stair):
         i = j
 
 
-def _kernel_outcome_matrix(y_train, points, h):
+class KStorage:
+    """One level's K storage in a ``fold_stream``, reused by the next fold's
+    fit once no array built in it is alive.
+
+    ``take`` returns K as a view of the buffer through a memoryview. numpy
+    makes the base of any view the first array down its chain that owns its
+    data or whose base is not an array, so every view and sub-view of K keeps
+    that one array alive, and a weak reference to it dies with the last of
+    them. While it lives, ``take`` builds in a new buffer, so folds held at
+    once (``cross_fit``'s list) never share storage.
+    """
+
+    def __init__(self, size):
+        self._buffer = np.empty(size, dtype=np.float32)
+        self._base = lambda: None       # weak reference to the base of the last K taken
+
+    def take(self, m, G):
+        """A float32 (m, G) array for K: in the buffer when it is free and
+        large enough, else in a new buffer, which the storage then keeps."""
+        if self._base() is not None or m * G > self._buffer.size:
+            self._buffer = np.empty(max(m * G, self._buffer.size), dtype=np.float32)
+        base = np.frombuffer(memoryview(self._buffer), dtype=np.float32, count=m * G)
+        self._base = weakref.ref(base)
+        return base.reshape(m, G)
+
+
+def _kernel_outcome_matrix(y_train, points, h, out=None):
     """Gaussian kernel in the outcome, reflected at both ends of [0,1]: K, (m, G) float32.
 
     K[i, j] = phi_h(y_i - t_j) + phi_h(-y_i - t_j) + phi_h(2 - y_i - t_j), with
@@ -300,9 +345,13 @@ def _kernel_outcome_matrix(y_train, points, h):
     - the 2 - y reflection the same way with 1 - y and 1 - t.
     Every entry that is computed keeps the float64 operations and their
     order above, so K is bit-identical to the full three-term sum.
+
+    K is written into ``out`` (a ``KStorage.take`` array) when given, else
+    into a new array; either way it is zeroed first.
     """
     m, G = len(y_train), len(points)
-    out = np.zeros((m, G), dtype=np.float32)
+    out = np.empty((m, G), dtype=np.float32) if out is None else out
+    out.fill(0.0)
     norm = h * np.sqrt(2.0 * np.pi)
     reach = _REACH * h
     stair = _STAIR * h * h
@@ -347,8 +396,9 @@ class CondDensityModel:
     (``fit_cond_density`` sorts them; unsorted rows raise ``DataError``): the
     weight blocks are banded on that coordinate.
 
-    K is kept in float32 (``kmat``; the marginal's summed row in float64) and
-    every product with it runs in float64.
+    K is kept in float32 (``kmat``; the marginal's summed row in float64).
+    Every product with it runs in float64, one full-width row block of about
+    512 KB at a time (``_k_blocks``): numpy casts a block, never all of K.
     ``predict`` materialises (n, G) rows on request, as the dense view of
     ``FactoredEta``; the estimators only ever contract the factored form.
     """
@@ -407,20 +457,29 @@ class CondDensityModel:
         Nadaraya-Watson weights are only clipped at 0 here, in place, so a row
         with an empty window is all zero: it has zero mass, and the caller
         gives it its nearest-neighbour fallback from ``nearest_rows``.
+
+        Every block is written into one buffer, allocated once per pass, so a
+        block is valid only until the next one is yielded. A new array per
+        block (up to ``_block_rows(m)`` x m float64) is one the allocator may
+        return to the system on free and fault in afresh for the next block.
         """
         m = len(self.kmat)
         step = _block_rows(m)
+        buf = np.empty(min(step, len(xa)) * m)
         for lo in range(0, len(xa), step):
             rows = slice(lo, min(lo + step, len(xa)))
             cols = slice(0, m)
-            if self.regressor == "marginal":
-                yield rows, cols, np.ones((rows.stop - lo, m))
-                continue
             if self.regressor == "nadaraya_watson":
                 cols = slice(np.searchsorted(self._key, xa[lo, 0] - self._reach),
                              np.searchsorted(self._key, xa[rows.stop - 1, 0] + self._reach,
                                              side="right"))
-            w = xa[rows] @ self._train_aug[cols].T      # 1 - |x - x_j|^2 / b^2
+            shape = (rows.stop - lo, cols.stop - cols.start)
+            w = buf[:shape[0] * shape[1]].reshape(shape)
+            if self.regressor == "marginal":
+                w.fill(1.0)
+                yield rows, cols, w
+                continue
+            np.matmul(xa[rows], self._train_aug[cols].T, out=w)   # 1 - |x - x_j|^2 / b^2
             if self.regressor == "knn":
                 nbr = np.argpartition(w, m - self._k, axis=1)[:, m - self._k:]
                 w.fill(0.0)
@@ -483,8 +542,8 @@ class FactoredEta:
                        if model.regressor == "nadaraya_watson" else np.arange(len(xa)))
         self._xa = xa[self._order]
         row_weights = row_weights[self._order]
-        kmat = model.kmat.astype(float)
-        kw = kmat @ grid.weights                        # (m,) mass of each training kernel
+        # (m,) mass of each training kernel
+        kw = np.concatenate([k @ grid.weights for _, k in _k_blocks(model.kmat)])
         self.inv_mass = np.empty(len(xa))               # in the caller's row order
         acc = np.zeros((row_weights.shape[1], len(kw)))
         zero = np.zeros(len(xa), dtype=bool)            # zero mass, in the sorted order
@@ -505,12 +564,13 @@ class FactoredEta:
         self.inv_mass[idx] = inv = 1.0 / kw[nearest]
         np.add.at(acc.T, nearest, row_weights[zero] * inv[:, None])
         self._fallback = idx, nearest                   # (caller row, nearest training row)
-        self.row_sums = acc @ kmat
+        self.row_sums = sum(acc[:, rows] @ k for rows, k in _k_blocks(model.kmat))
 
     def contract(self, wh):
         """eta_hat @ wh for wh of shape (G,) or (G, k); with wh = w * h, the
         quadrature of h against each row, in the caller's row order."""
-        kwh = self.model.kmat @ np.asarray(wh, dtype=float)     # float64 product
+        wh = np.asarray(wh, dtype=float)
+        kwh = np.concatenate([k @ wh for _, k in _k_blocks(self.model.kmat)])
         out = np.empty((len(self._xa),) + kwh.shape[1:])
         for rows, cols, w in self.model.weight_blocks(self._xa):
             idx = self._order[rows]
@@ -536,8 +596,12 @@ class DenseEta:
 
 
 def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
-                     bandwidth="silverman", regressor="nadaraya_watson") -> CondDensityModel:
-    """Fit eta_hat_level by kernel-outcome regression on the level's rows."""
+                     bandwidth="silverman", regressor="nadaraya_watson",
+                     k_storage=None) -> CondDensityModel:
+    """Fit eta_hat_level by kernel-outcome regression on the level's rows.
+
+    K is built in ``k_storage`` (a ``KStorage``; ``fold_stream`` keeps one
+    per level) when given, else in a new array."""
     mask = train.a == level
     m = int(mask.sum())
     if m < 20:
@@ -554,7 +618,8 @@ def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
         # sorted by the band coordinate; K is built for the rows in this order
         order = np.argsort(x[:, 0], kind="stable")
         x, y = x[order], y[order]
-    kmat = _kernel_outcome_matrix(y, grid.points, h)
+    out = None if k_storage is None else k_storage.take(m, grid.size)
+    kmat = _kernel_outcome_matrix(y, grid.points, h, out)
     return CondDensityModel(level, x, kmat, regressor, h)
 
 
@@ -639,11 +704,13 @@ def fold_nuisance(table: ObservationTable, eval_idx, grid: EvalGrid, pi, tabulat
 
 def single_split(table: ObservationTable, train_idx, eval_idx, levels,
                  grid: EvalGrid, config: NuisanceConfig = NuisanceConfig(),
-                 pi_fn=None) -> FoldNuisance:
+                 pi_fn=None, k_storage=None) -> FoldNuisance:
     """Fit nuisances on the training rows and tabulate them on the eval rows.
 
     ``pi_fn(x, level) -> (n,)``, when given, replaces the fitted propensity
     with a closed-form one (the oracle's true-propensity mode).
+    ``k_storage`` maps each level to the ``KStorage`` its K is built in
+    (``fold_stream``'s); without it every K is a new array.
     """
     levels = tuple(levels)
     eval_idx = np.asarray(eval_idx)
@@ -664,7 +731,8 @@ def single_split(table: ObservationTable, train_idx, eval_idx, levels,
 
     def tabulate(lev, row_weights):
         model = fit_cond_density(train, lev, grid, bandwidth=config.bandwidth,
-                                 regressor=config.density)
+                                 regressor=config.density,
+                                 k_storage=None if k_storage is None else k_storage[lev])
         return FactoredEta(model, x, grid, row_weights)
 
     return fold_nuisance(table, eval_idx, grid, pi, tabulate, warn)
@@ -674,9 +742,19 @@ def fold_stream(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid
                 config: NuisanceConfig = NuisanceConfig(), pi_fn=None):
     """Yield each fold's nuisances, fit on its complement, as ``single_split``
     builds them. The stream keeps no fold it has yielded, so a consumer that
-    drops each fold before asking for the next holds one fold's K at a time."""
+    drops each fold before asking for the next holds one fold's K at a time.
+
+    Each level's K is built in one ``KStorage``, sized for the level's
+    largest training split, so such a consumer has every fold's K written
+    into the same pages; a fold still alive when the next is fit keeps its
+    own, and the next K goes to new storage.
+    """
+    levels = tuple(levels)
+    storage = {lev: KStorage(grid.size * max(np.count_nonzero(table.a[train_idx] == lev)
+                                             for _, train_idx, _ in folds.splits()))
+               for lev in levels}
     for _, train_idx, eval_idx in folds.splits():
-        yield single_split(table, train_idx, eval_idx, levels, grid, config, pi_fn)
+        yield single_split(table, train_idx, eval_idx, levels, grid, config, pi_fn, storage)
 
 
 def cross_fit(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid,

@@ -18,7 +18,7 @@ candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .data import EvalGrid, FoldPlan, ObservationTable, make_folds
 from .distances import DistanceSpec
 from .errors import CfdensError, DataError
 from .models import ExponentialFamily, clip_to_density, tabulate
-from .nuisance import NuisanceConfig, cross_fit, single_split
+# cross_fit is not called here; perfbench/tracing.py wraps this module's binding of it
+from .nuisance import NuisanceConfig, cross_fit, fold_stream, single_split  # noqa: F401
 # solve_onestep is not called here; perfbench/tracing.py wraps this module's binding of it
 from .projection import certified_root, dr_scores, solve_onestep  # noqa: F401
 
@@ -68,12 +69,15 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
     """{index: density} of the candidates not yet ``failed``, fit on ``train``.
 
     Model candidates of any dimension share one inner cross-fit of the
-    nuisances, run when the first of them needs it. A model candidate's
-    density is g at its ``certified_root``, clipped to a density, so it is
-    feasible whenever its root is. Fixed densities pass through. A
-    CfdensError or LinAlgError, a non-finite density included, marks its
-    candidate failed with a warning; other exceptions propagate. If no
-    candidate is left, the DataError carries every candidate's reason.
+    nuisances, run when the first of them needs it. A root reads only each
+    inner fold's p_hat, d_hat and size, so each fold's eta is dropped as the
+    fold comes off ``fold_stream``, and the stream builds every inner fold's
+    K in the same storage. A model candidate's density is g at its
+    ``certified_root``, clipped to a density, so it is feasible whenever its
+    root is. Fixed densities pass through. A CfdensError or LinAlgError, a
+    non-finite density included, marks its candidate failed with a warning;
+    other exceptions propagate. If no candidate is left, the DataError
+    carries every candidate's reason.
     """
     folds_nuis = None
     dens = {}
@@ -87,8 +91,10 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
                     raise DataError("fixed candidate density must be tabulated on the grid")
             else:
                 if folds_nuis is None:
-                    folds_nuis = cross_fit(train, make_folds(train.n, INNER_FOLDS, seed),
-                                           (level,), grid, nuis_config)
+                    # map drops each fold before the stream fits the next
+                    stream = fold_stream(train, make_folds(train.n, INNER_FOLDS, seed),
+                                         (level,), grid, nuis_config)
+                    folds_nuis = list(map(lambda fold: replace(fold, eta={}), stream))
                 distance = DistanceSpec("kl" if isinstance(cand, ExponentialFamily) else "l2")
                 beta_hat, _ = certified_root(distance, cand, folds_nuis, level, grid)
                 g = clip_to_density(tabulate(cand, beta_hat, grid)[0], grid)

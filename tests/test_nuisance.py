@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from cfdens import nuisance
 from cfdens.data import ObservationTable
 from cfdens.errors import DataError, InsufficientDataError
 from cfdens.nuisance import (
+    _BLOCK,
     _CHUNK,
     CondDensityModel,
     FactoredEta,
     _kernel_outcome_matrix,
+    fold_stream,
     fit_propensity_all,
     floor_probs,
     silverman_bandwidth,
@@ -272,6 +276,127 @@ class TestFactoredEta:
         assert np.allclose(model.predict(x, grid), ref, rtol=2e-15, atol=0.0)
 
 
+class TestKProducts:
+    """Every product with the float32 K runs one full-width row block of
+    ``_BLOCK`` float64 values at a time, against the whole cast at once."""
+
+    @staticmethod
+    def factored(model, x, grid, v, h):
+        eta = FactoredEta(model, x, grid, v)
+        return eta, eta.contract(grid.weights * h[:, 0]), eta.contract(grid.weights[:, None] * h)
+
+    @pytest.mark.parametrize("size", [64, 128, 512])
+    @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
+    def test_blocked_products_match_the_full_float64_product(self, regressor, size, rng,
+                                                             monkeypatch):
+        # kw enters inv_mass (and the fallback rows), row_sums is the
+        # accumulated v.T W K, contract both a (G,) and a (G, k) product. The
+        # reference takes each product in one float64 cast of all of K
+        grid = make_grid(size, "trapezoid")
+        table = get_dgp("confounded_shift").sample(2600, rng)
+        model = fit_cond_density(table, 1, grid, regressor=regressor)
+        m, step = len(model.kmat), _BLOCK // size
+        if regressor == "marginal":
+            assert model.kmat.shape == (1, size) and model.kmat.dtype == np.float64
+        else:
+            assert m > step and m % step, (m, step)     # several blocks, the last one short
+        x = np.vstack([rng.uniform(size=(500, 2)), [[40.0, -40.0]]])
+        v = rng.uniform(size=(len(x), 2))
+        h = np.column_stack([grid.points**2, np.cos(5 * grid.points), np.ones(size)])
+        eta, one, many = self.factored(model, x, grid, v, h)
+        monkeypatch.setattr(nuisance, "_k_blocks",
+                            lambda kmat: iter([(slice(None), kmat.astype(float))]))
+        ref, ref_one, ref_many = self.factored(model, x, grid, v, h)
+        assert np.allclose(eta.inv_mass, ref.inv_mass, rtol=1e-14, atol=0.0)
+        assert np.allclose(eta.row_sums, ref.row_sums, rtol=1e-14, atol=0.0)
+        assert np.allclose(one, ref_one, rtol=1e-14, atol=0.0)
+        assert np.allclose(many, ref_many, rtol=1e-14, atol=0.0)
+
+    def test_no_float64_copy_of_k(self, rng, grid):
+        # building the factored form and contracting it allocate less than
+        # K's own size: a float64 copy of K would be twice that
+        table = get_dgp("confounded_shift").sample(7000, rng)
+        model = fit_cond_density(table.rows(np.arange(6000)), 1, grid)
+        kbytes = model.kmat.nbytes
+        assert kbytes > 4 * _BLOCK * 8
+        x, v = table.x[6000:], np.full((1000, 2), 1e-3)
+        wh = grid.weights[:, None] * np.column_stack([grid.points, grid.points**2])
+        tracemalloc.start()
+        try:
+            FactoredEta(model, x, grid, v).contract(wh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < kbytes, (peak, kbytes)
+
+
+class TestKStorage:
+    """A fold stream builds each level's K in one storage while no array of
+    the last one is alive, and in new storage otherwise."""
+
+    N, K = 1500, 4
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        table = get_dgp("confounded_shift").sample(self.N, np.random.default_rng(11))
+        return table, make_folds(self.N, self.K, seed=6)
+
+    @staticmethod
+    def address(fold, lev):
+        return fold.eta[lev].model.kmat.__array_interface__["data"][0]
+
+    def test_a_stream_dropping_each_fold_reuses_one_buffer_per_level(self, sample, grid128):
+        table, folds = sample
+        seen = []
+
+        def spy(fold):          # map drops the fold before it asks for the next
+            seen.append({lev: self.address(fold, lev) for lev in (0, 1)})
+
+        for _ in map(spy, fold_stream(table, folds, (0, 1), grid128)):
+            pass
+        assert len(seen) == self.K
+        assert all(s == seen[0] for s in seen)
+        assert seen[0][0] != seen[0][1]
+
+    def test_a_live_subview_keeps_its_storage(self, sample, grid128):
+        table, folds = sample
+        kept = []
+
+        def spy(fold):          # keep a view of a view of level 1's K, nothing else
+            kept.append(fold.eta[1].model.kmat[5:][:, 3:].T)
+            return self.address(fold, 0), self.address(fold, 1)
+
+        seen = list(map(spy, fold_stream(table, folds, (0, 1), grid128)))
+        assert len({s[0] for s in seen}) == 1
+        assert len({s[1] for s in seen}) == self.K
+        for i, view in enumerate(kept):
+            assert not any(np.shares_memory(view, other) for other in kept[i + 1:])
+
+    def test_cross_fit_folds_share_no_storage(self, sample, grid128):
+        table, folds = sample
+        fn = cross_fit(table, folds, (0, 1), grid128)
+        kmats = [fold.eta[lev].model.kmat for fold in fn for lev in (0, 1)]
+        for i, a in enumerate(kmats):
+            assert not any(np.shares_memory(a, b) for b in kmats[i + 1:])
+
+    def test_a_kept_fold_equals_a_fresh_fit(self, sample, grid128):
+        # every fold of the list is compared once all of them have been fit
+        table, folds = sample
+        kept = list(fold_stream(table, folds, (0, 1), grid128))
+        wh = grid128.weights[:, None] * np.column_stack([grid128.points, grid128.points**3])
+        for fold, (_, train_idx, eval_idx) in zip(kept, folds.splits()):
+            fresh = single_split(table, train_idx, eval_idx, (0, 1), grid128)
+            for lev in (0, 1):
+                got, want = fold.eta[lev], fresh.eta[lev]
+                assert np.array_equal(got.model.kmat.view(np.uint32),
+                                      want.model.kmat.view(np.uint32))
+                assert np.array_equal(got.inv_mass, want.inv_mass)
+                assert np.array_equal(got.row_sums, want.row_sums)
+                assert np.array_equal(got.contract(wh), want.contract(wh))
+                assert np.array_equal(fold.p_hat[lev], fresh.p_hat[lev])
+                assert np.array_equal(fold.d_hat[lev], fresh.d_hat[lev])
+
+
 class TestCovariateWeights:
     @staticmethod
     def far_rows(rng, grid128, constant=0):
@@ -312,13 +437,14 @@ class TestCovariateWeights:
         onehot[np.arange(len(rows)), nearest] = 1.0
         assert np.array_equal(w_ref[pos], onehot)
         # the blocks contract multiplies, as they stand once it has used them
+        # (copied then: the next block is written into the same buffer)
         got = []
         blocks = model.weight_blocks
 
         def spy(xa_):
             for rows_, cols, w in blocks(xa_):
-                got.append((rows_, cols, w))
                 yield rows_, cols, w
+                got.append((rows_, cols, w.copy()))
 
         monkeypatch.setattr(model, "weight_blocks", spy)
         eta.contract(grid128.weights)

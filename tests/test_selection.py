@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from cfdens.distances import DistanceSpec
 from cfdens.effects import effect_fixed_candidate
 from cfdens.errors import DataError, RankError, SolverError
 from cfdens.models import CosineBasis, TruncatedSeries, parse_model
-from cfdens.nuisance import NuisanceConfig
+from cfdens.nuisance import NuisanceConfig, fold_stream
 from cfdens.oracle import get_dgp
 from cfdens.projection import certified_root, dr_scores
 from cfdens.selection import _gram_schmidt, aggregate_linear, select_model
@@ -374,3 +376,49 @@ class TestEveryCandidateFailing:
         for label in labels:
             assert f"candidate {label} infeasible: conditional density at level 1: " in message
         assert message.count("training rows, need >= 20") == len(labels)
+
+
+class TestInnerFoldStream:
+    """The candidates' inner folds come off ``fold_stream`` and keep no eta."""
+
+    @pytest.mark.parametrize("fit", [select_model, aggregate_linear],
+                             ids=["select_model", "aggregate_linear"])
+    def test_inner_folds_hold_no_k(self, fit, monkeypatch, grid128):
+        # weak references to every inner fold's fitted densities: each must be
+        # dead when the stream yields the next inner fold and whenever a root
+        # is solved, so the stream builds both inner folds of a role in one K
+        # storage; the numbers are those of the inner cross-fit's list
+        table = get_dgp("cosine_bump").sample(1200, np.random.default_rng(2))
+        folds = make_folds(1200, 2, seed=8)
+        cands = [TruncatedSeries(CosineBasis(1)), TruncatedSeries(CosineBasis(3)),
+                 parse_model("expfam:d=2")]
+        monkeypatch.setattr("cfdens.selection.fold_stream",
+                            lambda *args: iter(cross_fit(*args)))
+        want = fit(table, folds, 1, cands, grid128)
+        refs, addresses = [], []
+
+        def watched(*args):
+            def record(fold):
+                assert all(r() is None for r in refs), "an earlier inner fold's eta is alive"
+                refs.extend(weakref.ref(eta) for eta in fold.eta.values())
+                addresses.append(fold.eta[1].model.kmat.__array_interface__["data"][0])
+                return fold
+
+            return map(record, fold_stream(*args))
+
+        def root(*args):
+            assert all(r() is None for r in refs), "a root is solved with an inner eta alive"
+            return certified_root(*args)
+
+        monkeypatch.setattr("cfdens.selection.fold_stream", watched)
+        monkeypatch.setattr("cfdens.selection.certified_root", root)
+        got = fit(table, folds, 1, cands, grid128)
+        assert len(refs) == 2 * folds.k_folds          # two inner folds per role
+        assert all(r() is None for r in refs)
+        assert addresses[0::2] == addresses[1::2]
+        if fit is select_model:
+            assert np.array_equal(got.risks, want.risks)
+            assert np.array_equal(got.ses, want.ses)
+        else:
+            assert np.array_equal(got.weights, want.weights)
+            assert np.array_equal(got.density, want.density)
