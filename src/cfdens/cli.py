@@ -76,9 +76,7 @@ def _validate(cfg: RunConfig):
         if cfg.grid >= 8 and model.beta_dim > grid - 2:
             bad.append(f"{field}: {model.label} has {model.beta_dim} coefficients, more "
                        f"than G - 2 = {grid - 2} on a grid of G = {grid} points")
-    needs_data = cfg.command in ("fit-projection", "density-effect",
-                                 "select-model", "aggregate")
-    if needs_data:
+    if cfg.command != "simulate":
         if not cfg.data:
             bad.append("data: input CSV path required")
         elif not os.path.exists(cfg.data):

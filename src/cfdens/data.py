@@ -286,6 +286,20 @@ class EvalGrid:
                 + np.bincount(j + 1, coef * t, minlength=self.size))
 
 
+def check_candidate(g, grid: EvalGrid):
+    """A fixed candidate density g as a float array on the grid.
+
+    ``DataError`` unless g has the grid's shape and every entry is finite.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.shape != grid.points.shape:
+        raise DataError("candidate density must be tabulated on the grid")
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise DataError(f"candidate density is non-finite at grid index {bad[0]}")
+    return g
+
+
 def make_grid(size, rule="trapezoid") -> EvalGrid:
     """Build the shared evaluation grid on [0,1].
 

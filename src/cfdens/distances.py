@@ -49,23 +49,25 @@ class DistanceSpec:
 
 
 def parse_distance(text) -> DistanceSpec:
-    """Parse CLI distance strings: l2 | kl | chisq | hellinger | tv[:t=50]."""
+    """Parse CLI distance strings: l2 | kl | chisq | hellinger | tv[:t=50].
+
+    Split as ``models.parse_model`` splits ``name:key=value``: the name is one
+    of ``KINDS`` exactly, and only tv takes an option, its one ``t=<number>``.
+    """
     text = text.strip().lower()
-    if text.startswith("tv"):
-        t = 50.0
-        if ":" in text:
-            for part in text.split(":", 1)[1].split(","):
-                key, _, val = part.partition("=")
-                if key != "t":
-                    raise DistanceDomainError(f"unknown tv option {part!r}")
-                try:
-                    t = float(val)
-                except ValueError:
-                    raise DistanceDomainError(f"tv option t={val!r} is not a number") from None
-        return DistanceSpec("tv", tv_t=t)
-    if text in KINDS:
-        return DistanceSpec(text)
-    raise DistanceDomainError(f"unknown distance {text!r}")
+    name, colon, arg = text.partition(":")
+    if name not in KINDS or (colon and name != "tv"):
+        raise DistanceDomainError(f"unknown distance {text!r}")
+    if not colon:
+        return DistanceSpec(name)
+    key, _, val = arg.partition("=")
+    if key != "t":
+        raise DistanceDomainError(f"unknown tv option {arg!r}")
+    try:
+        t = float(val)
+    except ValueError:
+        raise DistanceDomainError(f"tv option t={val!r} is not a number") from None
+    return DistanceSpec("tv", tv_t=t)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EvalGrid, ObservationTable
+from .data import EvalGrid, ObservationTable, check_candidate
 from .distances import DistanceSpec, divergence, reduced_factors
 from .errors import DataError
 from .nuisance import require_levels
@@ -82,15 +82,9 @@ def effect_fixed_candidate(distance: DistanceSpec, table: ObservationTable,
     fixed-candidate transform net of its plug-in counterpart (``_effect``
     with no arm for g); for l2 this is the displayed closed form with
     transform 2 (p_hat - g). A g off the grid's shape or with a non-finite
-    entry is a ``DataError``.
+    entry is a ``DataError`` (``data.check_candidate``).
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != grid.points.shape:
-        raise DataError("candidate density must be tabulated on the grid")
-    bad = np.flatnonzero(~np.isfinite(g))
-    if bad.size:
-        raise DataError(f"candidate density is non-finite at grid index {bad[0]}")
-    return _effect(distance, table, folds_nuis, grid, (level,), g)
+    return _effect(distance, table, folds_nuis, grid, (level,), check_candidate(g, grid))
 
 
 def effect_curves(distance: DistanceSpec, p1, p0):

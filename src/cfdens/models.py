@@ -79,10 +79,10 @@ class ExponentialFamily:
 class GaussianMixture:
     """Mixture of k normals restricted to [0,1].
 
-    Unconstrained parameterization: for k >= 2 the first mixing logit is
-    pinned at 0 (softmax over [0, l_2..l_k]), means are free, and scales go
-    through a shifted softplus with floor ``sigma_min``. For k = 1 there is
-    no mixing degree of freedom, so beta = (mean, raw_scale). Component mass
+    Unconstrained parameterization: the first mixing logit is pinned at 0
+    (softmax over [0, l_2..l_k]), means are free, and scales go through a
+    shifted softplus with floor ``sigma_min``, so beta = (l_2..l_k, means,
+    raw scales); for k = 1 that is (mean, raw_scale). Component mass
     outside [0,1] is not renormalized here; fitted densities pass through
     ``clip_to_density`` downstream.
     """
@@ -96,7 +96,7 @@ class GaussianMixture:
 
     @property
     def beta_dim(self):
-        return 2 if self.k == 1 else 3 * self.k - 1
+        return 3 * self.k - 1
 
     @property
     def label(self):
@@ -146,17 +146,12 @@ def mixture_params(model: GaussianMixture, beta):
     """
     beta = _check_beta(model, beta)
     k = model.k
-    if k == 1:
-        w = np.array([1.0])
-        mu = beta[:1]
-        sig = model.sigma_min + _softplus(beta[1:2])
-    else:
-        logits = np.concatenate([[0.0], beta[: k - 1]])
-        shifted = logits - logits.max()
-        w = np.exp(shifted)
-        w = w / w.sum()
-        mu = beta[k - 1 : 2 * k - 1]
-        sig = model.sigma_min + _softplus(beta[2 * k - 1 :])
+    logits = np.concatenate([[0.0], beta[: k - 1]])
+    shifted = logits - logits.max()
+    w = np.exp(shifted)
+    w = w / w.sum()
+    mu = beta[k - 1 : 2 * k - 1]
+    sig = model.sigma_min + _softplus(beta[2 * k - 1 :])
     return w, mu, sig
 
 

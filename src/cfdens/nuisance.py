@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import EvalGrid, FoldPlan, ObservationTable
+from .data import MISSING_LEVEL, EvalGrid, FoldPlan, ObservationTable
 from .errors import DataError, InsufficientDataError
 
 _CHUNK = 256           # rows per outcome-kernel block (``_kernel_outcome_matrix``)
@@ -681,7 +681,14 @@ def fold_nuisance(table: ObservationTable, eval_idx, grid: EvalGrid, pi, tabulat
     Every propensity must lie in (0, 1]: fitted ones always do, and an
     injected one (``pi_fn``) that is not finite or outside raises
     ``DataError`` naming the level and the first such table row.
+    ``MISSING_LEVEL`` labels the rows whose outcome is unobserved, so it is
+    no target level: asking for it raises ``DataError`` before any level is
+    tabulated. (A fitted propensity keeps it as a column, since the other
+    levels' weights need it.)
     """
+    if MISSING_LEVEL in pi:
+        raise DataError(f"level {MISSING_LEVEL} marks rows with an unobserved outcome "
+                        "and cannot be a target level")
     eval_idx = np.asarray(eval_idx)
     n_ev = len(eval_idx)
     a, y = table.a[eval_idx], table.y[eval_idx]

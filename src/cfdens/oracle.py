@@ -4,7 +4,10 @@ The DGPs carry closed-form propensities and conditional densities on [0,1],
 so population targets (projection coefficients, density effects) can be
 computed by quadrature and Nelder-Mead / root-finding, independently of the
 estimation path they validate. The Monte-Carlo runner is a pure function of
-its descriptor: per-rep RNG streams derive from (seed, n index, rep).
+its descriptor: per-rep RNG streams derive from (seed, n index, rep). A
+rep's fitted nuisances come from ``nuisance.fold_stream`` for an effect,
+whose folds are dropped one by one, and from ``nuisance.cross_fit`` for a
+projection, whose sandwich reads every fold.
 
 Two constants fix the oracles' effort. Every mean over the covariates
 X ~ U([0,1]^d), such as a design's marginal E_X[eta(.|X)], is the tensor
@@ -29,8 +32,7 @@ from .distances import DistanceSpec, divergence
 from .effects import effect_onestep
 from .errors import CfdensError, DataError
 from .models import CosineBasis, TruncatedSeries, parse_model, tabulate
-# cross_fit is not called here; perfbench/tracing.py wraps this module's binding of it
-from .nuisance import NuisanceConfig, cross_fit, fold_stream, tabulate_nuisances  # noqa: F401
+from .nuisance import NuisanceConfig, cross_fit, fold_stream, tabulate_nuisances
 from .projection import _damped_newton, moment, solve_onestep
 
 X_NODES = 24
@@ -351,12 +353,14 @@ class McResult:
 
 
 def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, levels):
-    """The rep's fold nuisances: fitted ones as a ``fold_stream``, the
+    """The rep's fold nuisances: fitted ones as a ``fold_stream`` for an
+    effect rep and as ``cross_fit``'s list for a projection rep, the
     closed-form ones as a one-fold list over every row."""
     mode = exp.nuisance_mode
     if mode in ("fitted", "true_pi_fitted_eta"):
-        return fold_stream(table, folds, levels, grid, exp.nuisance,
-                           pi_fn=dgp.pi_fn if mode == "true_pi_fitted_eta" else None)
+        fit = fold_stream if exp.estimator == "effect" else cross_fit
+        return fit(table, folds, levels, grid, exp.nuisance,
+                   pi_fn=dgp.pi_fn if mode == "true_pi_fitted_eta" else None)
     if mode in ("true", "wrong_pi_true_eta"):
         def pi_const(x, level):
             return _two_arm(np.full(len(x), 0.5), level)
@@ -372,9 +376,10 @@ def mc_run(exp: Experiment) -> McResult:
 
     Per (n, rep): draw data, estimate, record (estimate, se, CI coverage of
     the oracle target, runtime). Effect reps read fitted folds as a stream,
-    one fold alive at a time; projection reps list them. A CfdensError or
-    LinAlgError fails the rep, also one raised by a fold fit mid-stream; any
-    other exception propagates. Summaries aggregate bias / RMSE /
+    one fold alive at a time; projection reps read ``cross_fit``'s list, as
+    the sandwich needs every fold at once. A CfdensError or LinAlgError
+    fails the rep, also one raised by a fold fit mid-stream; any other
+    exception propagates. Summaries aggregate bias / RMSE /
     coverage per n. Identical descriptors give bit-identical oracles,
     summaries and records, apart from each record's wall-clock ``runtime``.
     """
@@ -408,7 +413,7 @@ def mc_run(exp: Experiment) -> McResult:
                 folds = make_folds(n, exp.k_folds, seed=exp.seed + 7919 * i_n + rep)
                 folds_nuis = _fold_nuisances(exp, dgp, table, folds, grid, levels)
                 if exp.estimator == "projection":
-                    est = solve_onestep(distance, model, table, list(folds_nuis), 1, grid)
+                    est = solve_onestep(distance, model, table, folds_nuis, 1, grid)
                     err = est.beta_hat - target
                     rec.update({
                         "estimate": est.beta_hat.tolist(),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import EvalGrid, FoldPlan, ObservationTable, make_folds
+from .data import EvalGrid, FoldPlan, ObservationTable, check_candidate, make_folds
 from .distances import DistanceSpec
 from .errors import CfdensError, DataError
 from .models import ExponentialFamily, clip_to_density, tabulate
@@ -60,6 +60,9 @@ class AggregateEstimate:
 
 
 def _labels(candidates):
+    """Each candidate's label; ``DataError`` for an empty list."""
+    if len(candidates) < 1:
+        raise DataError("need at least one candidate")
     return [c.label if hasattr(c, "label") else f"fixed[{i}]"
             for i, c in enumerate(candidates)]
 
@@ -74,7 +77,8 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
     fold comes off ``fold_stream``, and the stream builds every inner fold's
     K in the same storage. A model candidate's density is g at its
     ``certified_root``, clipped to a density, so it is feasible whenever its
-    root is. Fixed densities pass through. A CfdensError or LinAlgError, a
+    root is. Fixed densities pass through. Every density is checked by
+    ``data.check_candidate``. A CfdensError or LinAlgError, a mis-shaped or
     non-finite density included, marks its candidate failed with a warning;
     other exceptions propagate. If no candidate is left, the DataError
     carries every candidate's reason.
@@ -85,11 +89,8 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
         if failed[i]:
             continue
         try:
-            if isinstance(cand, np.ndarray):
-                g = np.asarray(cand, dtype=float)
-                if g.shape != grid.points.shape:
-                    raise DataError("fixed candidate density must be tabulated on the grid")
-            else:
+            g = cand
+            if not isinstance(cand, np.ndarray):
                 if folds_nuis is None:
                     # map drops each fold before the stream fits the next
                     stream = fold_stream(train, make_folds(train.n, INNER_FOLDS, seed),
@@ -98,9 +99,7 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
                 distance = DistanceSpec("kl" if isinstance(cand, ExponentialFamily) else "l2")
                 beta_hat, _ = certified_root(distance, cand, folds_nuis, level, grid)
                 g = clip_to_density(tabulate(cand, beta_hat, grid)[0], grid)
-            if not np.all(np.isfinite(g)):
-                raise DataError("candidate density is non-finite on the grid")
-            dens[i] = g
+            dens[i] = check_candidate(g, grid)
         except (CfdensError, np.linalg.LinAlgError) as exc:  # data-dependent failure
             failed[i] = True
             warnings.append(f"candidate {labels[i]} infeasible: {exc}")
@@ -128,8 +127,6 @@ def select_model(table: ObservationTable, folds: FoldPlan, level, candidates,
     break to the earlier (smaller-dimension) candidate. Infeasible
     candidates get risk inf.
     """
-    if len(candidates) < 1:
-        raise DataError("need at least one candidate")
     labels = _labels(candidates)
     k = len(candidates)
     failed = [False] * k
@@ -194,10 +191,8 @@ def aggregate_linear(table: ObservationTable, folds: FoldPlan, level, candidates
     divergences are undefined for general linear combinations, so aggregation
     is squared-L2 only.
     """
-    kcount = len(candidates)
-    if kcount < 1:
-        raise DataError("need at least one candidate")
     labels = _labels(candidates)
+    kcount = len(candidates)
     failed = [False] * kcount
     warnings = []
     roles = []      # per role: (candidate curves by index, held-out d_hat)

@@ -245,6 +245,15 @@ class TestErrors:
         assert err["type"] == "ConfigError"
         assert [v.split(":")[0] for v in err["violations"]] == ["distance"]
 
+    @pytest.mark.parametrize("distance", ["tvl2", "tvx", "tv2", "l2:x", "tv:t=5,t=7"])
+    def test_distance_off_the_grammar_is_config_error(self, capsys, synthetic_csv, distance):
+        # a kind is one of the five names exactly, and only tv takes t=<number>
+        code = main(["density-effect", "--data", synthetic_csv, *BASE, "--distance", distance,
+                     "--quick"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["violations"] == [f"distance: cannot parse {distance!r}"]
+
     def test_singular_moment_derivative_is_solver_error(self, capsys, csv600):
         code = main(["fit-projection", "--data", csv600, *BASE, "--model", "gmm:k=4",
                      "--distance", "kl", "--quick", "--seed", "4"])
@@ -379,6 +388,76 @@ class TestErrors:
             "--missing-code", "-999", "--quick", "--seed", "1"])
         assert code == 0
         assert report["results"]["n"] == 120
+
+
+@pytest.fixture(scope="module")
+def csv_with_na(tmp_path_factory):
+    """600 confounded_shift rows (seed 0) with 30% of the outcomes NA."""
+    path = write_sample_csv(tmp_path_factory.mktemp("cli") / "na.csv", 600, 0)
+    rows = path.read_text().splitlines()
+    miss = np.random.default_rng(0).uniform(size=len(rows) - 1) < 0.3
+    path.write_text("\n".join([rows[0]] + [",".join(row.split(",")[:3] + ["NA"]) if m else row
+                                            for row, m in zip(rows[1:], miss)]) + "\n")
+    return str(path)
+
+
+class TestMissingLevel:
+    """--missing-code labels rows with an unobserved outcome -1: never a target."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-projection", "--level", "-1"],
+        ["density-effect", "--level1", "-1", "--level0", "0"],
+        ["select-model", "--level", "-1", "--dims", "1..3"]])
+    def test_target_level_minus_one_is_data_error(self, capsys, csv_with_na, argv):
+        code = main([*argv, "--data", csv_with_na, *BASE, "--quick", "--missing-code", "NA"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "DataError"
+        assert err["message"].startswith("level -1 marks rows with an unobserved outcome")
+
+    def test_observed_levels_still_run(self, tmp_path, csv_with_na):
+        code, report = run_json(tmp_path, ["density-effect", "--data", csv_with_na, *BASE,
+                                           "--quick", "--missing-code", "NA"])
+        assert code == 0 and report["results"]["n"] == 600
+
+
+class TestCliContracts:
+    @pytest.mark.parametrize("argv,violation", [
+        (["fit-projection", *BASE], "data: input CSV path required"),
+        (["aggregate", "--data", "{data}", *BASE],
+         "candidates: required, e.g. --candidates series:d=2,series:d=4"),
+        (["density-effect", "--data", "{data}", *BASE, "--bandwidth", "wide"],
+         "bandwidth: expected 'silverman' or a number, got 'wide'")])
+    def test_missing_or_unreadable_flag_is_config_error(self, capsys, synthetic_csv, argv,
+                                                        violation):
+        code = main([a.replace("{data}", synthetic_csv) for a in argv])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["violations"] == [violation]
+
+    def test_reps_that_is_not_a_number_is_config_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--experiment", "effect-null", "--reps", "many"])
+        assert info.value.code == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert "expected an integer >= 2, got 'many'" in err["message"]
+
+    def test_report_goes_to_stdout_without_out(self, capsys, synthetic_csv):
+        code = main(["density-effect", "--data", synthetic_csv, *BASE, "--quick"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["command"] == "density-effect" and report["config"]["out"] == ""
+
+    def test_aggregate_writes_its_density_csv(self, tmp_path, synthetic_csv):
+        dens_csv = tmp_path / "agg.csv"
+        code, report = run_json(tmp_path, [
+            "aggregate", "--data", synthetic_csv, *BASE, "--candidates",
+            "series:d=1,series:d=2", "--quick", "--csv-out", str(dens_csv)])
+        assert code == 0
+        with open(dens_csv) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["y_unit", "y_original", "density_unit", "density_original"]
+        assert [float(r[2]) for r in rows[1:]] == pytest.approx(
+            [g for _, g in report["results"]["density_grid_unit"]], rel=1e-11)
 
 
 # per subcommand: flags with a list of values that each make the run invalid;

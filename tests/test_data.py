@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from helpers import load_csv_reference
 
 from cfdens import from_raw, load_csv, make_folds, make_grid
-from cfdens.data import MISSING_LEVEL, EvalGrid, ObservationTable
+from cfdens.data import MISSING_LEVEL, EvalGrid, FoldPlan, ObservationTable, check_candidate
 from cfdens.errors import (
     CfdensError,
     DataError,
     DegenerateOutcomeError,
+    EmptyDataError,
     FoldError,
     GridError,
     ParseError,
@@ -323,7 +324,7 @@ class TestTableInvariants:
     def test_rows_subset(self):
         t = from_raw(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], [1.0, 2.0, 3.0, 4.0])
         sub = t.rows([1, 3])
-        assert sub.n == 2
+        assert sub.n == 2 and sub.d == 2
         assert list(sub.a) == [1, 1]
         assert sub.rescale_params == t.rescale_params
 
@@ -339,3 +340,81 @@ class TestTableInvariants:
         orig = t.density_to_original(dens)
         # mass is preserved after mapping to the 20-unit-wide original scale
         assert np.allclose(orig * 20.0, dens)
+
+
+def _empty_file(path):
+    path.write_text("")
+    return str(path)
+
+
+def _table(x=((0.1,), (0.2,)), a=(0, 1), y=(0.3, 0.4), rescale=(0.0, 1.0)):
+    return ObservationTable(np.array(x, dtype=float), np.array(a), np.array(y, dtype=float),
+                            rescale)
+
+
+# (error type, message fragment, a call that breaks one input contract)
+DATA_CONTRACTS = {
+    "x not 2-d": (DataError, "covariates must be a 2-d matrix",
+                  lambda tmp: _table(x=(0.1, 0.2))),
+    "no rows": (EmptyDataError, "need n >= 1 rows",
+                lambda tmp: ObservationTable(np.empty((0, 1)), np.empty(0, dtype=int),
+                                             np.empty(0), (0.0, 1.0))),
+    "length mismatch": (DataError, "length must match covariate rows",
+                        lambda tmp: _table(y=(0.3, 0.4, 0.5))),
+    "non-finite outcome": (DataError, "non-finite outcome value",
+                           lambda tmp: _table(y=(0.3, np.nan))),
+    "outcome off [0, 1]": (DataError, "outcomes must lie in [0,1]",
+                           lambda tmp: _table(y=(0.3, 1.5))),
+    "degenerate range": (DegenerateOutcomeError, "degenerate outcome range",
+                         lambda tmp: _table(rescale=(1.0, 1.0))),
+    "no observed outcome": (DegenerateOutcomeError, "no observed outcomes",
+                            lambda tmp: from_raw(np.ones((2, 1)), [0, 1], [1.0, 2.0],
+                                                 observed=[False, False])),
+    "non-finite observed outcome": (DataError, "non-finite outcome among observed rows",
+                                    lambda tmp: from_raw(np.ones((3, 1)), [0, 1, 1],
+                                                         [1.0, np.inf, 2.0])),
+    "empty csv": (EmptyDataError, "no header row",
+                  lambda tmp: load_csv(_empty_file(tmp / "e.csv"), ["x"], "a", "y")),
+    "grid shapes": (GridError, "must be 1-d and matched",
+                    lambda tmp: EvalGrid(np.array([0.0, 1.0]), np.array([1.0]))),
+    "grid order": (GridError, "strictly increasing",
+                   lambda tmp: EvalGrid(np.array([0.5, 0.2]), np.array([0.5, 0.5]))),
+    "grid off [0, 1]": (GridError, "must lie in [0, 1]",
+                        lambda tmp: EvalGrid(np.array([0.5, 1.5]), np.array([0.5, 0.5]))),
+    "grid weights": (GridError, "strictly positive",
+                     lambda tmp: EvalGrid(np.array([0.2, 0.5]), np.array([1.5, -0.5]))),
+    "grid mass": (GridError, "integrate the constant 1 to 1",
+                  lambda tmp: EvalGrid(np.array([0.2, 0.5]), np.array([0.5, 0.4]))),
+    "grid rule": (GridError, "unknown grid rule: 'simpson'",
+                  lambda tmp: make_grid(16, "simpson")),
+    "fold assignment": (FoldError, "assignment length must equal n",
+                        lambda tmp: FoldPlan(n=4, k_folds=2, assignment=np.array([0, 1, 0]),
+                                             seed=0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_CONTRACTS))
+def test_data_input_contracts(case, tmp_path):
+    error, fragment, call = DATA_CONTRACTS[case]
+    with pytest.raises(error, match=re.escape(fragment)):
+        call(tmp_path)
+
+
+class TestCheckCandidate:
+    """One check of a fixed candidate density, shared by effects and selection."""
+
+    def test_passes_a_finite_density_through_as_floats(self, grid128):
+        g = np.arange(grid128.size)
+        out = check_candidate(g, grid128)
+        assert out.dtype == float and np.array_equal(out, g)
+
+    @pytest.mark.parametrize("size,bad,message", [
+        (127, None, "candidate density must be tabulated on the grid"),
+        (128, 7, "candidate density is non-finite at grid index 7")])
+    def test_rejects_shape_and_non_finite_entries(self, grid128, size, bad, message):
+        g = np.ones(size)
+        if bad is not None:
+            g[bad] = np.nan
+            g[bad + 3] = np.inf
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            check_candidate(g, grid128)

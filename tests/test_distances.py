@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,28 @@ class TestParse:
             parse_distance("tv:t=inf")
         with pytest.raises(DistanceDomainError, match="kind=erf"):
             parse_distance("tv:kind=erf")
+
+    @pytest.mark.parametrize("text,message", [
+        ("tvx", "unknown distance 'tvx'"),
+        ("tv2", "unknown distance 'tv2'"),
+        ("tvl2", "unknown distance 'tvl2'"),
+        ("l2:x", "unknown distance 'l2:x'"),
+        ("kl:t=5", "unknown distance 'kl:t=5'"),
+        ("tv:", "unknown tv option ''"),
+        ("tv:t=5,t=7", "tv option t='5,t=7' is not a number"),
+        ("tv:t=abc", "tv option t='abc' is not a number"),
+    ])
+    def test_one_grammar_name_colon_key_value(self, text, message):
+        # a kind is one of the five names exactly; only tv takes one t=<number>
+        with pytest.raises(DistanceDomainError, match=f"^{re.escape(message)}$"):
+            parse_distance(text)
+
+    @pytest.mark.parametrize("text,label", [
+        ("l2", "l2"), ("kl", "kl"), ("chisq", "chisq"), ("hellinger", "hellinger"),
+        ("tv", "tv:t=50"), ("tv:t=75", "tv:t=75"), (" TV:T=0.5 ", "tv:t=0.5")])
+    def test_every_kind_parses(self, text, label):
+        assert parse_distance(text).label == label
+
+    def test_unknown_kind_in_the_spec(self):
+        with pytest.raises(DistanceDomainError, match="^unknown distance kind 'x'$"):
+            DistanceSpec("x")

@@ -131,6 +131,15 @@ class TestGaussianMixture:
         assert np.all(sig >= model.sigma_min)
         assert np.array_equal(mu, beta[model.k - 1:2 * model.k - 1])   # component order
 
+    def test_one_component_is_the_general_layout_at_k_1(self, rng):
+        # (no free logit, mean, raw scale): the layout of every k, read at k = 1
+        model = GaussianMixture(1)
+        assert model.beta_dim == 3 * model.k - 1 == 2
+        for beta in rng.normal(0.0, 3.0, size=(200, 2)):
+            w, mu, sig = mixture_params(model, beta)
+            assert np.array_equal(w, [1.0]) and np.array_equal(mu, beta[:1])
+            assert np.array_equal(sig, model.sigma_min + np.logaddexp(0.0, beta[1:]))
+
     def test_nonnegative_density(self, grid, rng):
         model = GaussianMixture(2)
         beta = rng.normal(0, 1.0, model.beta_dim)
@@ -211,3 +220,18 @@ class TestParseModel:
         for text in ("series", "series:d=x", "poly:d=3", "gmm:k="):
             with pytest.raises(ModelDomainError):
                 parse_model(text)
+
+
+MODEL_CONTRACTS = {
+    "empty basis": ("basis dimension must be >= 1", lambda: CosineBasis(0)),
+    "empty mixture": ("mixture needs at least one component", lambda: GaussianMixture(0)),
+    "beta length": ("gmm:k=2: beta has length 4, expected 5",
+                    lambda: mixture_params(GaussianMixture(2), np.zeros(4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_CONTRACTS))
+def test_model_input_contracts(case):
+    fragment, call = MODEL_CONTRACTS[case]
+    with pytest.raises(ModelDomainError, match=fragment):
+        call()

@@ -5,15 +5,16 @@ import pytest
 
 from helpers import kernel_outcome_reference, predict_reference, weight_blocks_reference
 
-from cfdens import NuisanceConfig, cross_fit, fit_cond_density, make_folds, make_grid
+from cfdens import NuisanceConfig, cross_fit, fit_cond_density, from_raw, make_folds, make_grid
 from cfdens import nuisance
-from cfdens.data import ObservationTable
+from cfdens.data import MISSING_LEVEL, ObservationTable
 from cfdens.errors import DataError, InsufficientDataError
 from cfdens.nuisance import (
     _BLOCK,
     _CHUNK,
     CondDensityModel,
     FactoredEta,
+    _fit_multinomial_logistic,
     _kernel_outcome_matrix,
     fold_stream,
     fit_propensity_all,
@@ -668,3 +669,94 @@ class TestMseBound:
         lhs = sq_err.mean(axis=0)
         rhs = (1 + 2.0 / n) * int_mse.mean(axis=0) + 2.0 * c_const[idx] / n
         assert np.all(lhs <= 1.10 * rhs)
+
+
+def collinear_table(eps, seed, n=400):
+    """Two covariates that record one quantity at a scale of 1000, the second
+    off by at most eps, and a treatment independent of both."""
+    rng = np.random.default_rng(seed)
+    x1 = rng.uniform(size=n) * 1000.0
+    a = (rng.uniform(size=n) < 0.5).astype(int)
+    x = np.column_stack([x1, x1 + eps * rng.uniform(size=n)])
+    return ObservationTable(x, a, np.full(n, 0.5), (0.0, 1.0))
+
+
+class TestLogisticExits:
+    """The Newton-IRLS propensity fit stops early on collinear covariates and
+    says so through ``PropensityModel.warn``; its predictions stay valid."""
+
+    def test_singular_hessian_keeps_the_start(self):
+        # identical columns at this scale absorb the 1e-10 ridge: the first
+        # solve raises LinAlgError, so the fit keeps beta = 0
+        table = collinear_table(0.0, seed=0)
+        predict_raw, converged = _fit_multinomial_logistic(table.x, table.a, (0, 1))
+        assert not converged
+        assert np.array_equal(predict_raw(table.x), np.full((table.n, 2), 0.5))
+        assert fit_propensity_all(table).warn
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_step_halving_runs_out(self, seed):
+        # columns 1e-7 apart: the Newton steps are halved, and one is halved 30
+        # times without raising the likelihood, which ends the fit
+        table = collinear_table(1e-7, seed)
+        predict_raw, converged = _fit_multinomial_logistic(table.x, table.a, (0, 1))
+        assert not converged
+        model = fit_propensity_all(table)
+        assert model.warn
+        probs = model.predict(table.x)
+        assert np.all(np.isfinite(probs)) and np.allclose(probs.sum(axis=1), 1.0)
+        assert probs.min() >= 0.01
+
+
+class TestMissingLevel:
+    """MISSING_LEVEL labels rows whose outcome is unobserved: no target level."""
+
+    @pytest.mark.parametrize("path", ["single_split", "fold_stream", "cross_fit",
+                                      "tabulate_nuisances"])
+    def test_is_data_error_before_any_level_is_tabulated(self, grid128, monkeypatch, path):
+        dgp = get_dgp("confounded_shift")
+        full = dgp.sample(400, np.random.default_rng(0))
+        observed = np.random.default_rng(1).uniform(size=full.n) > 0.3
+        table = from_raw(full.x, full.a, full.y, observed)
+        assert MISSING_LEVEL in table.levels()
+        folds = make_folds(table.n, 2, seed=0)
+        fits = []
+        monkeypatch.setattr(nuisance, "fit_cond_density",
+                            lambda *args, **kw: fits.append(args) or None)
+        levels = (1, MISSING_LEVEL)
+        calls = {
+            "single_split": lambda: single_split(table, np.arange(200), np.arange(200, 400),
+                                                 levels, grid128),
+            "fold_stream": lambda: next(fold_stream(table, folds, levels, grid128)),
+            "cross_fit": lambda: cross_fit(table, folds, levels, grid128),
+            "tabulate_nuisances": lambda: tabulate_nuisances(
+                table, np.arange(table.n), levels, grid128, dgp.pi_fn, dgp.eta_fn),
+        }
+        with pytest.raises(DataError, match=f"^level {MISSING_LEVEL} marks rows with an "
+                                            "unobserved outcome"):
+            calls[path]()
+        assert fits == []
+
+    def test_other_levels_keep_its_propensity_column(self, grid128):
+        full = get_dgp("confounded_shift").sample(400, np.random.default_rng(0))
+        table = from_raw(full.x, full.a, full.y,
+                         np.random.default_rng(1).uniform(size=full.n) > 0.3)
+        fold = single_split(table, np.arange(200), np.arange(200, 400), (1, 0), grid128)
+        assert np.all(fold.pi[1] + fold.pi[0] < 1.0)
+
+
+NUISANCE_CONTRACTS = {
+    "propensity method": ("unknown propensity method 'probit'",
+                          lambda table, grid: fit_propensity_all(table, method="probit")),
+    "density regressor": ("unknown conditional-density regressor 'forest'",
+                          lambda table, grid: fit_cond_density(table, 1, grid,
+                                                               regressor="forest")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUISANCE_CONTRACTS))
+def test_nuisance_input_contracts(case, grid128):
+    table = get_dgp("confounded_shift").sample(200, np.random.default_rng(0))
+    fragment, call = NUISANCE_CONTRACTS[case]
+    with pytest.raises(DataError, match=f"^{fragment}$"):
+        call(table, grid128)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from helpers import effect_population_bias, loglog_slope, vonmises_remainder
 
 from cfdens import DistanceSpec, divergence, effect_onestep, fit_cond_density, make_folds, make_grid
 from cfdens.errors import DataError, SolverError
-from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, tabulate
+from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, parse_model, tabulate
 from cfdens.nuisance import FactoredEta, cross_fit, fold_nuisance
 from cfdens.oracle import (
     Experiment,
     _fold_nuisances,
     SyntheticDGP,
+    cosine_series_dgp,
     dgp_library,
     get_dgp,
     mc_run,
@@ -161,7 +163,75 @@ class TestOracleProjection:
             assert np.max(np.abs(orc.beta_star)) < 1e-6
 
 
+class TestOracleWarnings:
+    """The Nelder-Mead oracle's two warnings, each on a shipped design."""
+
+    def test_starts_that_disagree_flag_multimodality(self):
+        # gmm:k=2 on the bimodal design: two starts find the two-mode fit, three
+        # a one-mode one, 0.2 higher in squared-L2 distance
+        orc = oracle_projection(get_dgp("bimodal_mixture"), 1, parse_model("gmm:k=2"), L2,
+                                make_grid(64))
+        assert orc.warnings == ["starts disagree beyond 1e-3 in achieved divergence; "
+                                "possible multimodality"]
+        assert orc.method == "nelder_mead+moment_root"
+
+    def test_unpolished_minimum_reports_its_moment_residual(self):
+        # series:d=4 under tv: the Newton polish of the Nelder-Mead minimum
+        # stalls, so the minimum is reported with its moment residual
+        orc = oracle_projection(get_dgp("bimodal_mixture"), 1, parse_model("series:d=4"),
+                                DistanceSpec("tv"), make_grid(64))
+        assert orc.method == "nelder_mead" and orc.moment_norm >= 1e-6
+        assert orc.warnings == [f"moment residual {orc.moment_norm:.2e} above 1e-6 after polish"]
+        assert np.array_equal(orc.beta_star, orc.nm_beta)
+
+
+ORACLE_CONTRACTS = {
+    "series too large": ("series coefficients too large for a positive density",
+                         lambda: cosine_series_dgp([0.5, 0.3])),
+    "unknown design": ("unknown DGP 'nope'; have ['bimodal_mixture', ",
+                       lambda: get_dgp("nope")),
+    "one rep": ("need reps >= 2", lambda: mc_run(Experiment(name="x", reps=1))),
+    "unknown estimator": ("unknown estimator 'density'",
+                          lambda: mc_run(Experiment(name="x", reps=2, estimator="density",
+                                                    grid_size=64))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CONTRACTS))
+def test_oracle_input_contracts(case):
+    fragment, call = ORACLE_CONTRACTS[case]
+    with pytest.raises(DataError, match=f"^{re.escape(fragment)}"):
+        call()
+
+
 class TestMcRun:
+    def test_unknown_nuisance_mode_fails_every_rep(self):
+        # the mode is read per rep, inside the rep's failure boundary
+        exp = Experiment(name="x", dgp="cosine_bump", estimator="effect", n_values=(300,),
+                         reps=2, grid_size=64, nuisance_mode="oracle")
+        out = mc_run(exp)
+        assert [r["error_message"] for r in out.records] == ["unknown nuisance mode 'oracle'"] * 2
+        assert out.summary[300] == {"reps": 0, "failures": 2}
+
+    @pytest.mark.parametrize("estimator,fit", [("projection", "cross_fit"),
+                                               ("effect", "fold_stream")])
+    def test_projection_reps_list_the_folds_and_effect_reps_stream_them(
+            self, monkeypatch, estimator, fit):
+        # one nuisance entry point per rep: cross_fit's list for a projection,
+        # fold_stream for an effect; either way each fold is fit once
+        from cfdens import oracle
+
+        calls = []
+        for name in ("cross_fit", "fold_stream"):
+            orig = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda *a, _n=name, _f=orig, **kw:
+                                calls.append(_n) or _f(*a, **kw))
+        exp = Experiment(name="x", dgp="cosine_bump", estimator=estimator, n_values=(300,),
+                         reps=2, seed=1, model="series:d=2", grid_size=64)
+        out = mc_run(exp)
+        assert calls == [fit, fit]
+        assert not any(r["failed"] for r in out.records)
+
     def test_shape_and_failure_free_smoke(self):
         exp = Experiment(name="smoke", dgp="cosine_bump", estimator="projection",
                          n_values=(300,), reps=2, seed=1, model="series:d=2",

@@ -6,13 +6,14 @@ import pytest
 
 from helpers import generic_root, true_fold
 
-from cfdens import DistanceSpec, cross_fit, make_folds, models
+from cfdens import DistanceSpec, cross_fit, make_folds, make_grid, models
 from cfdens.data import ObservationTable
 from cfdens.errors import InfeasibleMomentError, SolverError
 from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, tabulate
 from cfdens.nuisance import tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_projection
 from cfdens.projection import (
+    _damped_newton,
     certified_root,
     dr_scores,
     moment,
@@ -320,3 +321,56 @@ class TestMomentTabulation:
                      table, nuis, 1, grid128)
         # 2p for the central-difference plug-in Jacobian, 1 for the influence values
         assert calls == {"tabulate": 7}
+
+
+class TestSolverExits:
+    """Each way a solve ends short of a certified root, or warns, on real inputs."""
+
+    def test_certificate_rejects_an_unsolved_closed_form(self):
+        # 31 cosines on a 32-point grid are not orthonormal under its quadrature,
+        # so the closed-form l2 coefficients leave the pooled equation unsolved
+        grid = make_grid(32)
+        table = get_dgp("confounded_shift").sample(1500, np.random.default_rng(0))
+        fn = cross_fit(table, make_folds(1500, 2, 0), (1,), grid)
+        with pytest.raises(SolverError) as info:
+            certified_root(L2, TruncatedSeries(CosineBasis(31)), fn, 1, grid)
+        assert type(info.value) is SolverError
+        assert re.fullmatch(r"estimating equation not solved: residual 6\.960e-03 exceeds "
+                            r"1\.0e-08 x 1\.941e\+00", str(info.value))
+        assert info.value.residual_history == [pytest.approx(6.960e-03, rel=1e-3)]
+
+    def test_moment_target_outside_the_attainable_means(self, grid128):
+        # treated outcomes near 0, where b_1 = sqrt(2), against a conditional
+        # density near 1 and a propensity of 0.1: the doubly-robust mean of b_1
+        # is far above sqrt(2), which no exponential family attains
+        rng = np.random.default_rng(0)
+        n = 200
+        table = ObservationTable(rng.uniform(size=(n, 1)), np.arange(n) % 2,
+                                 0.05 * rng.uniform(size=n), (0.0, 1.0))
+        fn = [tabulate_nuisances(
+            table, np.arange(n), (1,), grid128, lambda x, lev: np.full(len(x), 0.1),
+            lambda x, lev, pts: np.tile(np.exp(-0.5 * ((pts - 0.95) / 0.03) ** 2), (len(x), 1)))]
+        with pytest.raises(InfeasibleMomentError,
+                           match=r"^moment-matching target \[.*\] outside the attainable "
+                                 r"mean set$"):
+            certified_root(KL, ExponentialFamily(CosineBasis(2)), fn, 1, grid128)
+
+    def test_newton_stops_when_no_halving_lowers_the_norm(self):
+        # b^2 + 1 has no root: one step goes from b = 1 to near its minimum at
+        # 0, and there every halving of the next, far too long step raises the
+        # norm, so the search ends with the norm it had, well before max_iter
+        beta, fval, iterations, history = _damped_newton(
+            lambda b: np.array([b[0] ** 2 + 1.0]), [1.0], tol=1e-12)
+        assert abs(beta[0]) < 1e-4 and fval[0] == pytest.approx(1.0, abs=1e-8)
+        assert iterations == 2 and len(history) == 3 and history[-1] == history[-2]
+
+    def test_sandwich_warns_of_an_ill_conditioned_derivative(self, grid128):
+        # kl x expfam:d=3: V is the basis covariance under g(beta), analytic
+        # in beta; at beta = (60, 0, 0) g sits near 0 and cond(V) is about 3e9
+        table = get_dgp("confounded_shift").sample(400, np.random.default_rng(0))
+        fn = cross_fit(table, make_folds(400, 2, 0), (1,), grid128)
+        cov, warn = sandwich_cov(KL, ExponentialFamily(CosineBasis(3)), np.array([60.0, 0, 0]),
+                                 table, fn, 1, grid128)
+        match = re.fullmatch(r"ill-conditioned moment derivative \(cond=(.*)\)", warn)
+        assert match and 1e8 < float(match.group(1)) < 1e12
+        assert np.all(np.isfinite(cov))

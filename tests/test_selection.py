@@ -422,3 +422,39 @@ class TestInnerFoldStream:
         else:
             assert np.array_equal(got.weights, want.weights)
             assert np.array_equal(got.density, want.density)
+
+
+class TestFixedCandidateCheck:
+    """Selection checks every candidate density as the fixed-candidate
+    distance does (``data.check_candidate``), in the same words."""
+
+    @pytest.mark.parametrize("entry", ["select", "aggregate"])
+    def test_misshaped_and_nonfinite_densities_are_infeasible(self, grid128, entry):
+        table = get_dgp("cosine_bump").sample(600, np.random.default_rng(3))
+        folds = make_folds(table.n, 2, seed=6)
+        g = bump_density(grid128)
+        g_nan = g.copy()
+        g_nan[5] = np.nan
+        cands = [g, g_nan, g[:-1], bump_density(grid128, -0.3)]
+        run = select_model if entry == "select" else aggregate_linear
+        out = run(table, folds, 1, cands, grid128)
+        assert out.infeasible == ["fixed[1]", "fixed[2]"]
+        assert out.warnings == [
+            "candidate fixed[1] infeasible: candidate density is non-finite at grid index 5",
+            "candidate fixed[2] infeasible: candidate density must be tabulated on the grid"]
+        fn = cross_fit(table, folds, (1,), grid128)
+        for bad in (g_nan, g[:-1]):
+            with pytest.raises(DataError) as info:
+                effect_fixed_candidate(DistanceSpec("l2"), table, fn, 1, bad, grid128)
+            assert str(info.value) in " ".join(out.warnings)
+
+
+@pytest.mark.parametrize("entry,candidates,message", [
+    ("select", [], "need at least one candidate"),
+    ("aggregate", [], "need at least one candidate"),
+    ("aggregate", [np.zeros(128)], "candidate set spans no direction")])
+def test_selection_input_contracts(grid128, entry, candidates, message):
+    table = get_dgp("cosine_bump").sample(400, np.random.default_rng(0))
+    run = select_model if entry == "select" else aggregate_linear
+    with pytest.raises(DataError, match=f"^{message}$"):
+        run(table, make_folds(table.n, 2, seed=0), 1, candidates, grid128)
