@@ -9,7 +9,7 @@ carries the inverse map back to original units.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,10 +216,16 @@ def _is_number(text):
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Quadrature rule on [0,1]: strictly increasing points, positive weights."""
+    """Quadrature rule on [0,1]: strictly increasing points, positive weights.
+
+    ``_basis_tables`` memoizes the read-only cosine basis table of each
+    dimension on the points (``models.CosineBasis.on_grid``); it takes no
+    part in comparison or repr.
+    """
 
     points: np.ndarray
     weights: np.ndarray
+    _basis_tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))

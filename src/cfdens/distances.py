@@ -98,6 +98,11 @@ def abs_smooth_d2(y, t):
 # ---------------------------------------------------------------------------
 # density-level helpers: clamp, then evaluate
 
+def _grid_index(mask):
+    """Last-axis (grid) index of the first set entry of mask, in C order."""
+    return int(np.nonzero(np.atleast_1d(mask))[-1][0])
+
+
 def clamp_densities(spec, p, q):
     """Validate and clamp a (target, approximant) density pair to the floors.
 
@@ -105,17 +110,19 @@ def clamp_densities(spec, p, q):
     approximant q may come from a signed model family (the identity-link
     series goes negative for some coefficients), so anything below the floor
     is treated as the floor; the ratio-based discrepancies then act as a
-    smooth barrier against the invalid region.
+    smooth barrier against the invalid region. Either may be a stack of grid
+    tabulations (..., G); an error names the grid index of the first bad
+    entry, so a stack reports what its first bad row would alone.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     for name, arr in (("p", p), ("q", q)):
         if not np.all(np.isfinite(arr)):
-            idx = int(np.flatnonzero(~np.isfinite(arr))[0])
+            idx = _grid_index(~np.isfinite(arr))
             raise DistanceDomainError(f"{spec.label}: non-finite {name} at grid index {idx}")
     if np.any(p < -1e-12):
-        idx = int(np.flatnonzero(p < -1e-12)[0])
-        raise DistanceDomainError(f"{spec.label}: negative p at grid index {idx}")
+        raise DistanceDomainError(f"{spec.label}: negative p at grid index "
+                                  f"{_grid_index(p < -1e-12)}")
     p = np.maximum(p, P_FLOOR if spec.kind in ("kl", "hellinger") else 0.0)
     return p, np.maximum(q, Q_FLOOR)
 

@@ -9,6 +9,7 @@ work on all of R^p.
 ``tabulate`` is the one evaluation of a family: it gives g(.; beta) and its
 gradient in beta on the evaluation grid, from one basis table (and, for the
 exponential family, one log-partition), so callers make one call per beta.
+The basis table itself is built once per grid (``CosineBasis.on_grid``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import EvalGrid
+from .data import EvalGrid, _freeze
 from .errors import MagnitudeError, ModelDomainError
 
 SQRT2 = np.sqrt(2.0)
@@ -43,6 +44,13 @@ class CosineBasis:
         y = np.asarray(y, dtype=float)
         j = np.arange(1, self.dim + 1)
         return SQRT2 * np.cos(np.pi * np.multiply.outer(y, j))
+
+    def on_grid(self, grid: EvalGrid):
+        """``eval(grid.points)``, read-only, built once per grid and dimension."""
+        table = grid._basis_tables.get(self.dim)
+        if table is None:
+            table = grid._basis_tables[self.dim] = _freeze(self.eval(grid.points))
+        return table
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,7 @@ def _exp_tilt(model: ExponentialFamily, beta, grid: EvalGrid):
     positive.
     """
     beta = _check_beta(model, beta)
-    bt = model.basis.eval(grid.points)          # (G, p)
+    bt = model.basis.on_grid(grid)              # (G, p)
     with np.errstate(over="ignore", invalid="ignore"):     # checked just below
         s = bt @ beta                                      # (G,)
     m = s.max()
@@ -205,7 +213,7 @@ def tabulate(model, beta, grid: EvalGrid):
     """
     beta = _check_beta(model, beta)
     if isinstance(model, TruncatedSeries):
-        bt = model.basis.eval(grid.points)
+        bt = model.basis.on_grid(grid)
         return 1.0 + bt @ beta, bt
     if isinstance(model, ExponentialFamily):
         bt, _, dc, g = _exp_tilt(model, beta, grid)

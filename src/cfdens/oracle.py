@@ -37,6 +37,7 @@ from .projection import _damped_newton, moment, solve_onestep
 
 X_NODES = 24
 NM_STARTS = 5
+NUISANCE_MODES = ("fitted", "true", "wrong_pi_true_eta", "true_pi_fitted_eta")
 
 # ---------------------------------------------------------------------------
 # truncated-normal building blocks (support [0,1], vectorized in the mean)
@@ -279,8 +280,7 @@ def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
         p_a = dgp.marginal(level, grid)
     p_a = np.asarray(p_a, dtype=float)
     if distance.kind == "l2" and isinstance(model, TruncatedSeries):
-        basis_tab = model.basis.eval(grid.points)
-        beta = grid.integrate(basis_tab * p_a[:, None])
+        beta = grid.integrate(model.basis.on_grid(grid) * p_a[:, None])
         return OracleResult(
             beta_star=beta, method="closed_form",
             moment_norm=float(np.linalg.norm(moment(distance, model, beta, p_a, grid))))
@@ -342,7 +342,7 @@ class Experiment:
     k_folds: int = 2
     grid_size: int = 128
     nuisance: NuisanceConfig = NuisanceConfig()
-    nuisance_mode: str = "fitted"        # fitted | true | wrong_pi_true_eta | true_pi_fitted_eta
+    nuisance_mode: str = "fitted"        # one of NUISANCE_MODES
 
 
 @dataclass
@@ -355,20 +355,19 @@ class McResult:
 def _fold_nuisances(exp: Experiment, dgp: SyntheticDGP, table, folds, grid, levels):
     """The rep's fold nuisances: fitted ones as a ``fold_stream`` for an
     effect rep and as ``cross_fit``'s list for a projection rep, the
-    closed-form ones as a one-fold list over every row."""
+    closed-form ones as a one-fold list over every row. ``mc_run`` has
+    checked that the mode is one of ``NUISANCE_MODES``."""
     mode = exp.nuisance_mode
     if mode in ("fitted", "true_pi_fitted_eta"):
         fit = fold_stream if exp.estimator == "effect" else cross_fit
         return fit(table, folds, levels, grid, exp.nuisance,
                    pi_fn=dgp.pi_fn if mode == "true_pi_fitted_eta" else None)
-    if mode in ("true", "wrong_pi_true_eta"):
-        def pi_const(x, level):
-            return _two_arm(np.full(len(x), 0.5), level)
 
-        pi_fn = dgp.pi_fn if mode == "true" else pi_const
-        return [tabulate_nuisances(table, np.arange(table.n), levels, grid,
-                                   pi_fn, dgp.eta_fn)]
-    raise DataError(f"unknown nuisance mode {mode!r}")
+    def pi_const(x, level):
+        return _two_arm(np.full(len(x), 0.5), level)
+
+    pi_fn = dgp.pi_fn if mode == "true" else pi_const
+    return [tabulate_nuisances(table, np.arange(table.n), levels, grid, pi_fn, dgp.eta_fn)]
 
 
 def mc_run(exp: Experiment) -> McResult:
@@ -387,6 +386,8 @@ def mc_run(exp: Experiment) -> McResult:
         raise DataError("need reps >= 2")
     if exp.seed < 0:
         raise DataError(f"need seed >= 0, got {exp.seed}")
+    if exp.nuisance_mode not in NUISANCE_MODES:
+        raise DataError(f"unknown nuisance mode {exp.nuisance_mode!r}")
     dgp = get_dgp(exp.dgp)
     grid = make_grid(exp.grid_size, "trapezoid")
     distance = DistanceSpec("l2")

@@ -31,7 +31,11 @@ condition (``_moment_condition``) makes one ``models.tabulate`` call per
 beta for g and dg/dbeta; every fold's plug-in moment and correction
 transform are read off that one tabulation and one ``reduced_factors`` call
 at the fold's marginal, for the equation, its influence values and the
-sandwich alike.
+sandwich alike. It also takes a (k, p) stack of betas, tabulated row by row
+and factored in one ``reduced_factors`` call per fold, so each
+finite-difference Jacobian (forward in the Newton iteration, central in the
+sandwich's plug-in derivative) is one pass over the folds for all its points,
+bit-identical to evaluating them one at a time.
 """
 
 from __future__ import annotations
@@ -95,17 +99,27 @@ def _moment_condition(distance: DistanceSpec, model, beta, grid: EvalGrid):
     quadrature of dg/dbeta (f + g f_dq)(p, g), and the outcome transform
     dg/dbeta (f_dp + g f_dpdq)(p, g), shape (G, p), whose counterfactual mean
     corrects it (-2 dg/dbeta for l2, -dlog g/dbeta for KL; free of p in both).
+
+    beta may be a stack (k, p): each row is tabulated on its own, the factors
+    come from one call on the (k, G) stack of g, and both results gain a
+    leading k axis, each row bit-identical to its own unstacked evaluation.
     """
-    gv, gg = tabulate(model, beta, grid)
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim == 1:
+        gv, gg = tabulate(model, beta, grid)
+    else:
+        gv, gg = map(np.stack, zip(*(tabulate(model, b, grid) for b in beta)))
 
     def at(p):
         fac, _, influence = reduced_factors(distance, p, gv)
-        return grid.integrate(gg * fac[:, None]), gg * influence[:, None]
+        return grid.weights @ (gg * fac[..., None]), gg * influence[..., None]
     return at
 
 
 def moment(distance: DistanceSpec, model, beta, p_a, grid: EvalGrid):
-    """Population moment m(beta): quadrature of dg/dbeta (f + g f_dq)(p_a, g)."""
+    """Population moment m(beta): quadrature of dg/dbeta (f + g f_dq)(p_a, g).
+
+    beta (p,) or a stack (k, p); returns (p,) or (k, p)."""
     return _moment_condition(distance, model, beta, grid)(p_a)[0]
 
 
@@ -191,7 +205,9 @@ def one_step_equation(distance, model, beta, folds_nuis, level, grid):
 
     Per fold, the correction is the mean doubly-robust summand of the
     correction transform minus its plug-in counterpart (quadrature against
-    that fold's marginal), read off the fold's grid measure d_hat.
+    that fold's marginal), read off the fold's grid measure d_hat. beta may be
+    a stack (k, p), which returns the (k, p) values of its rows in one pass
+    over the folds.
     """
     return onestep(folds_nuis, grid, _moment_terms(distance, model, beta, level, grid))[0]
 
@@ -226,10 +242,22 @@ def default_start(model, folds_nuis, level, grid):
     return np.concatenate([np.zeros(k - 1), quantiles, np.full(k, scale)])
 
 
+def _forward_jacobian(func, beta, fval):
+    """Forward-difference Jacobian of func at beta, where func(beta) = fval.
+
+    Column k is (func(beta + h_k e_k) - fval) / h_k with h_k = FD_STEP (1 + |beta_k|),
+    and all p perturbed points go to func in one (p, p) stack, one per row.
+    """
+    steps = FD_STEP * (1.0 + np.abs(beta))
+    return ((func(beta + np.diag(steps)) - fval) / steps[:, None]).T
+
+
 def _damped_newton(func, beta0, tol, max_iter=100, jac=None, guard=None):
     """Step-halving Newton from beta0 until ||func|| <= tol (absolute), or until no
     halving lowers ||func||. Returns (beta, func(beta), iterations, norm history).
-    ``guard(beta, iteration, history)`` sees every accepted step and may raise."""
+    ``guard(beta, iteration, history)`` sees every accepted step and may raise.
+    Without ``jac`` the Jacobian is ``_forward_jacobian``'s, so func must accept
+    a (k, p) stack of betas as well as one beta."""
     beta = np.array(beta0, dtype=float)
     fval = func(beta)
     history = [float(np.linalg.norm(fval))]
@@ -238,15 +266,7 @@ def _damped_newton(func, beta0, tol, max_iter=100, jac=None, guard=None):
         norm = np.linalg.norm(fval)
         if norm <= tol:
             break
-        if jac is not None:
-            j = jac(beta)
-        else:
-            j = np.empty((len(fval), len(beta)))
-            for k in range(len(beta)):
-                h = FD_STEP * (1.0 + abs(beta[k]))
-                bp = beta.copy()
-                bp[k] += h
-                j[:, k] = (func(bp) - fval) / h
+        j = jac(beta) if jac is not None else _forward_jacobian(func, beta, fval)
         try:
             step = np.linalg.solve(j, -fval)
         except np.linalg.LinAlgError:
@@ -298,7 +318,7 @@ def certified_root(distance: DistanceSpec, model, folds_nuis, level, grid: EvalG
     resid, iters, history = None, 0, None
     if route != "generic_damped_newton":
         # both closed routes reduce to the one-step mean of the basis
-        basis_tab = model.basis.eval(grid.points)
+        basis_tab = model.basis.on_grid(grid)
         target = onestep(folds_nuis, grid, lambda fold: (0.0, [(level, basis_tab, 0.0)]))[0]
     if route == "closed_form_l2_series":
         beta_hat = target
@@ -376,7 +396,7 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid):
 
     Analytic for the two special routes (2 I for l2 + orthonormal series;
     the basis covariance under g for KL + exponential family), central finite
-    differences otherwise.
+    differences otherwise, from one pooled-moment pass over the 2p points.
     """
     p = model.beta_dim
     route = _special_route(distance, model)
@@ -385,18 +405,11 @@ def _plugin_jacobian(distance, model, beta, folds_nuis, level, grid):
     if route == "moment_matching_kl_expfam":
         return _kl_expfam_jacobian(model, beta, grid)
 
-    def pooled_m(b):
-        at = _moment_condition(distance, model, b, grid)
-        return onestep(folds_nuis, grid, lambda fold: (at(fold.p_hat[level])[0], []))[0]
-
-    jac = np.empty((p, p))
-    for k in range(p):
-        h = 1e-6 * (1.0 + abs(beta[k]))
-        bp, bm = np.array(beta, float), np.array(beta, float)
-        bp[k] += h
-        bm[k] -= h
-        jac[:, k] = (pooled_m(bp) - pooled_m(bm)) / (2.0 * h)
-    return jac
+    steps = 1e-6 * (1.0 + np.abs(beta))
+    at = _moment_condition(distance, model, np.concatenate([beta + np.diag(steps),
+                                                            beta - np.diag(steps)]), grid)
+    m = onestep(folds_nuis, grid, lambda fold: (at(fold.p_hat[level])[0], []))[0]
+    return ((m[:p] - m[p:]) / (2.0 * steps[:, None])).T
 
 
 def sandwich_cov(distance: DistanceSpec, model, beta_hat, table, folds_nuis,

@@ -1,6 +1,7 @@
 """Shared test oracles: the raw discrepancy table, the full outcome-kernel
 matrix, the full-width row-max covariate weights, the dense conditional-density
-rows, the generic-route projection root, the direct closed form of the
+rows, the generic-route projection root, the one-point-at-a-time
+finite-difference Jacobians, the direct closed form of the
 squared-L2 effect, the one-step distance by hand, finite-difference checks,
 small builders, the row-by-row CSV loader and the quadrature harness for
 second-order remainders."""
@@ -16,8 +17,8 @@ from cfdens.effects import EffectEstimate, _finalize, effect_curves
 from cfdens.errors import DataError, EmptyDataError, ParseError, SchemaError
 from cfdens.nuisance import _normalize_rows_to_density, tabulate_nuisances
 from cfdens.oracle import X_NODES, SyntheticDGP, tensor_uniform_quad
-from cfdens.projection import (ACCEPT, _damped_newton, default_start, dr_scores,
-                               one_step_equation)
+from cfdens.projection import (ACCEPT, FD_STEP, _damped_newton, _moment_condition,
+                               default_start, dr_scores, one_step_equation, onestep)
 
 # ---------------------------------------------------------------------------
 # raw discrepancy table: f(p, q) and its partials, composed from first
@@ -160,6 +161,39 @@ def generic_root(distance, model, folds_nuis, level, grid):
         equation, default_start(model, folds_nuis, level, grid), tol=1e-11 * scale)
     assert np.linalg.norm(resid) <= ACCEPT * scale
     return beta
+
+
+def forward_jacobian_reference(func, beta, fval):
+    """The generic Newton's forward-difference Jacobian, one column and one
+    call of func per coefficient: the reference for the stacked
+    ``projection._forward_jacobian``, which must match it bit for bit."""
+    beta = np.asarray(beta, dtype=float)
+    j = np.empty((len(fval), len(beta)))
+    for k in range(len(beta)):
+        h = FD_STEP * (1.0 + abs(beta[k]))
+        bp = beta.copy()
+        bp[k] += h
+        j[:, k] = (func(bp) - fval) / h
+    return j
+
+
+def plugin_jacobian_reference(distance, model, beta, folds_nuis, level, grid):
+    """Central differences of the pooled plug-in moment, two pooled passes per
+    coefficient: the reference for the stacked generic branch of
+    ``projection._plugin_jacobian``, which must match it bit for bit."""
+    def pooled_m(b):
+        at = _moment_condition(distance, model, b, grid)
+        return onestep(folds_nuis, grid, lambda fold: (at(fold.p_hat[level])[0], []))[0]
+
+    p = model.beta_dim
+    jac = np.empty((p, p))
+    for k in range(p):
+        h = 1e-6 * (1.0 + abs(beta[k]))
+        bp, bm = np.array(beta, float), np.array(beta, float)
+        bp[k] += h
+        bm[k] -= h
+        jac[:, k] = (pooled_m(bp) - pooled_m(bm)) / (2.0 * h)
+    return jac
 
 
 def effect_l2_direct(table: ObservationTable, folds_nuis, grid: EvalGrid,

@@ -206,7 +206,7 @@ class TestErrors:
         assert f"treatment label {float(cell)!r} at row 3" in err["message"]
         assert "traceback" not in err and "Traceback" not in stderr
 
-    @pytest.mark.parametrize("dims", ["a..3", "0..3"])
+    @pytest.mark.parametrize("dims", ["a..3", "0..3", ""])
     def test_bad_dims_is_config_error(self, capsys, synthetic_csv, dims):
         code = main(["select-model", "--data", synthetic_csv, *BASE, "--dims", dims])
         assert code == 2
@@ -511,7 +511,7 @@ def module_csv(tmp_path_factory):
     return write_sample_csv(tmp_path_factory.mktemp("cli") / "synthetic.csv", 200, 42)
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=invalid_argv())
 def test_invalid_config_exits_2_or_3_with_json(argv, module_csv):

@@ -148,7 +148,7 @@ def _load(loader, path, x_cols, code):
 
 
 class TestLoadCsvMatchesReference:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=csv_files())
     def test_tables_and_errors_match_the_row_loop(self, case, tmp_path_factory):
         text, x_cols, code = case
@@ -277,7 +277,7 @@ class TestFolds:
         with pytest.raises(FoldError, match="seed must be >= 0, got -1"):
             make_folds(10, 2, seed=-1)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(n=st.integers(4, 400), k=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
     def test_balance_and_determinism(self, n, k, seed):
         if n < k:
@@ -292,7 +292,7 @@ class TestFolds:
 
 
 class TestRescaleRoundTrip:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=40))
     def test_round_trip(self, ys):
         ys = np.asarray(ys)

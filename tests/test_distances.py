@@ -198,6 +198,19 @@ class TestReducedFactors:
         with pytest.raises(DistanceDomainError, match=f"^{kind}: {bad} at grid index 5$"):
             reduced_factors(DistanceSpec(kind), p, q)
 
+    @pytest.mark.parametrize("kind", ["kl", "chisq", "hellinger"])
+    def test_a_stacked_q_names_the_grid_index_of_its_first_bad_row(self, kind):
+        # a (k, G) stack of approximants reports what its first bad row does alone
+        p, q = np.ones(9), np.ones((3, 9))
+        q[1, 5] = np.nan
+        q[2, 2] = np.inf
+        errors = []
+        for approximant in (q, q[1]):
+            with pytest.raises(DistanceDomainError) as info:
+                reduced_factors(DistanceSpec(kind), p, approximant)
+            errors.append(str(info.value))
+        assert errors == [f"{kind}: non-finite q at grid index 5"] * 2
+
 
 class TestParse:
     def test_round_trip(self):

@@ -32,6 +32,30 @@ class TestBasis:
         assert np.allclose(gram, np.eye(6), atol=1e-8)
 
 
+class TestBasisTable:
+    def test_built_once_per_grid_and_dimension(self, monkeypatch):
+        builds = []
+        build = CosineBasis.eval
+
+        def counted(basis, y):
+            builds.append(basis.dim)
+            return build(basis, y)
+
+        monkeypatch.setattr(CosineBasis, "eval", counted)
+        grid = make_grid(64)
+        for model in (TruncatedSeries(CosineBasis(3)), ExponentialFamily(CosineBasis(3)),
+                      TruncatedSeries(CosineBasis(4))):
+            for beta in (np.zeros(model.beta_dim), np.full(model.beta_dim, 0.1)):
+                tabulate(model, beta, grid)
+        assert builds == [3, 4]
+        table = CosineBasis(3).on_grid(grid)
+        assert table is CosineBasis(3).on_grid(grid) and not table.flags.writeable
+        assert np.array_equal(table, build(CosineBasis(3), grid.points))
+        assert "_basis_tables" not in repr(grid)
+        CosineBasis(3).on_grid(make_grid(64))     # an equal grid keeps its own table
+        assert builds == [3, 4, 3]
+
+
 class TestSeries:
     def test_zero_beta_is_uniform(self, grid):
         model = TruncatedSeries(CosineBasis(4))
@@ -197,7 +221,7 @@ class TestClipToDensity:
         with pytest.raises(ModelDomainError):
             clip_to_density(np.zeros(grid.size), grid)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     @given(st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=5))
     def test_output_is_density(self, coefs):
         grid = make_grid(128)

@@ -205,13 +205,18 @@ def test_oracle_input_contracts(case):
 
 
 class TestMcRun:
-    def test_unknown_nuisance_mode_fails_every_rep(self):
-        # the mode is read per rep, inside the rep's failure boundary
+    def test_unknown_nuisance_mode_raises_once(self, monkeypatch):
+        # a configuration error, checked before any rep: no rep reaches its nuisances
+        from cfdens import oracle
+
+        def no_rep(*args):
+            raise AssertionError("a rep ran")
+
+        monkeypatch.setattr(oracle, "_fold_nuisances", no_rep)
         exp = Experiment(name="x", dgp="cosine_bump", estimator="effect", n_values=(300,),
                          reps=2, grid_size=64, nuisance_mode="oracle")
-        out = mc_run(exp)
-        assert [r["error_message"] for r in out.records] == ["unknown nuisance mode 'oracle'"] * 2
-        assert out.summary[300] == {"reps": 0, "failures": 2}
+        with pytest.raises(DataError, match=r"^unknown nuisance mode 'oracle'$"):
+            mc_run(exp)
 
     @pytest.mark.parametrize("estimator,fit", [("projection", "cross_fit"),
                                                ("effect", "fold_stream")])

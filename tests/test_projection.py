@@ -4,16 +4,22 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import generic_root, true_fold
+from helpers import (forward_jacobian_reference, generic_root, plugin_jacobian_reference,
+                     true_fold)
 
 from cfdens import DistanceSpec, cross_fit, make_folds, make_grid, models
 from cfdens.data import ObservationTable
 from cfdens.errors import InfeasibleMomentError, SolverError
-from cfdens.models import CosineBasis, ExponentialFamily, TruncatedSeries, tabulate
+from cfdens.distances import KINDS
+from cfdens.models import (CosineBasis, ExponentialFamily, GaussianMixture, TruncatedSeries,
+                           tabulate)
 from cfdens.nuisance import tabulate_nuisances
 from cfdens.oracle import get_dgp, oracle_projection
 from cfdens.projection import (
     _damped_newton,
+    _forward_jacobian,
+    _plugin_jacobian,
+    _special_route,
     certified_root,
     dr_scores,
     moment,
@@ -321,6 +327,75 @@ class TestMomentTabulation:
                      table, nuis, 1, grid128)
         # 2p for the central-difference plug-in Jacobian, 1 for the influence values
         assert calls == {"tabulate": 7}
+
+
+class TestStackedEvaluation:
+    """A (k, p) stack of betas gives, row for row, the bits of k single calls,
+    and every finite-difference Jacobian is one stacked call."""
+
+    FAMILIES = {
+        "series:d=3": (TruncatedSeries(CosineBasis(3)), [0.1, -0.05, 0.02]),
+        "expfam:d=3": (ExponentialFamily(CosineBasis(3)), [0.3, -0.2, 0.1]),
+        "gmm:k=2": (GaussianMixture(2), [0.2, 0.3, 0.7, -2.0, -2.5]),
+    }
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        table = get_dgp("confounded_shift").sample(400, np.random.default_rng(5))
+        folds = make_folds(400, 5, seed=3)
+        return {size: (grid, cross_fit(table, folds, (1,), grid))
+                for size, grid in ((128, make_grid(128)), (512, make_grid(512)))}
+
+    def stack(self, family):
+        model, beta = self.FAMILIES[family]
+        rng = np.random.default_rng(1)
+        return model, np.vstack([beta, beta + 0.05 * rng.normal(size=(3, len(beta)))])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("size", [128, 512])
+    def test_stack_equals_its_row_calls(self, fitted, size, family, kind):
+        grid, nuis = fitted[size]
+        model, betas = self.stack(family)
+        spec = DistanceSpec(kind)
+        got = one_step_equation(spec, model, betas, nuis, 1, grid)
+        rows = [one_step_equation(spec, model, b, nuis, 1, grid) for b in betas]
+        assert got.shape == betas.shape and np.array_equal(got, np.stack(rows))
+        p_a = nuis[0].p_hat[1]
+        got = moment(spec, model, betas, p_a, grid)
+        assert np.array_equal(got, np.stack([moment(spec, model, b, p_a, grid) for b in betas]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_jacobians_match_their_per_column_loops(self, fitted, family, kind):
+        grid, nuis = fitted[128]
+        model, betas = self.stack(family)
+        spec = DistanceSpec(kind)
+
+        def equation(beta):
+            return one_step_equation(spec, model, beta, nuis, 1, grid)
+
+        fval = equation(betas[1])
+        assert np.array_equal(_forward_jacobian(equation, betas[1], fval),
+                              forward_jacobian_reference(equation, betas[1], fval))
+        if _special_route(spec, model) is None:
+            assert np.array_equal(_plugin_jacobian(spec, model, betas[1], nuis, 1, grid),
+                                  plugin_jacobian_reference(spec, model, betas[1], nuis, 1, grid))
+
+    def test_one_newton_iteration_makes_two_equation_calls(self, fitted):
+        # one stacked call for the Jacobian and one for the full step, which
+        # the line search accepts: the l2 x series equation is linear in beta
+        grid, nuis = fitted[128]
+        model = TruncatedSeries(CosineBasis(3))
+        shapes = []
+
+        def equation(beta):
+            shapes.append(np.shape(beta))
+            return one_step_equation(L2, model, beta, nuis, 1, grid)
+
+        _, _, iterations, history = _damped_newton(equation, np.zeros(3), tol=0.0, max_iter=1)
+        assert iterations == 1 and history[1] < history[0]
+        assert shapes == [(3,), (3, 3), (3,)]
 
 
 class TestSolverExits:
