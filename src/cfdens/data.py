@@ -254,7 +254,7 @@ class EvalGrid:
         integrate along axis 0.
         """
         values = np.asarray(values)
-        return np.tensordot(self.weights, values, axes=(0, 0))
+        return (self.weights @ values.reshape(len(values), -1)).reshape(values.shape[1:])
 
     def _bracket(self, at):
         """Left node j and fraction t of linear interpolation at ``at``.

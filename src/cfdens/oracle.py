@@ -16,6 +16,14 @@ for the shipped d = 2 designs), exact to rounding for their smooth eta. The
 Nelder-Mead projection oracle starts from ``NM_STARTS`` points (zero, then
 jittered from seed 0). The second-order remainder harness that backs the
 test suite uses the same rule and lives with the tests.
+
+scipy is imported inside the functions that call it: ``ndtr``/``ndtri`` in
+the truncated normals, ``expit`` in the logistic propensities and
+``minimize`` in the Nelder-Mead projection oracle. The estimators are pure
+numpy, and ``cfdens/__init__`` imports this module, so a module-level import
+would load scipy into every CLI command, at about 0.5 s and 50 MB of start-up
+each. Building a design loads nothing from scipy; ``cosine_bump`` never
+does. ``tests/test_imports.py`` guards this in fresh interpreters.
 """
 
 from __future__ import annotations
@@ -24,8 +32,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import expit, ndtr, ndtri
 
 from .data import EvalGrid, ObservationTable, make_folds, make_grid
 from .distances import DistanceSpec, divergence
@@ -45,6 +51,8 @@ NUISANCE_MODES = ("fitted", "true", "wrong_pi_true_eta", "true_pi_fitted_eta")
 
 def truncnorm_pdf(points, mu, sigma):
     """Density of N(mu, sigma^2) truncated to [0,1]; mu may be (n,), points (G,)."""
+    from scipy.special import ndtr
+
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     z = (points[None, :] - mu[:, None]) / sigma
     mass = ndtr((1.0 - mu) / sigma) - ndtr((0.0 - mu) / sigma)
@@ -53,6 +61,8 @@ def truncnorm_pdf(points, mu, sigma):
 
 
 def truncnorm_sample(mu, sigma, rng):
+    from scipy.special import ndtr, ndtri
+
     mu = np.asarray(mu, dtype=float)
     lo = ndtr((0.0 - mu) / sigma)
     hi = ndtr((1.0 - mu) / sigma)
@@ -130,6 +140,13 @@ class SyntheticDGP:
         return w @ self.eta_fn(x, level, grid.points)
 
 
+def _expit(z):
+    """Logistic function, for the designs' closed-form propensities."""
+    from scipy.special import expit
+
+    return expit(z)
+
+
 def _two_arm(p1, level):
     """Propensity of ``level`` in a two-arm design with P(A = 1 | x) = p1."""
     return p1 if level == 1 else 1.0 - p1
@@ -170,7 +187,7 @@ def _mixture_dgp():
         return w, lo, hi
 
     def pi_fn(x, level):
-        return _two_arm(expit(0.4 * (x[:, 0] - 0.5)), level)
+        return _two_arm(_expit(0.4 * (x[:, 0] - 0.5)), level)
 
     def eta_fn(x, level, points):
         w, lo, hi = comp_means(x, level)
@@ -237,9 +254,9 @@ def dgp_library():
         "randomized_shift": _tn_dgp("randomized_shift", 0.40, 0.15, 0.10, 0.25,
                                     lambda x: np.full(len(x), 0.5)),
         "confounded_shift": _tn_dgp("confounded_shift", 0.40, 0.18, 0.12, 0.27,
-                                    lambda x: expit(x[:, 0] - x[:, 1] + 0.2)),
+                                    lambda x: _expit(x[:, 0] - x[:, 1] + 0.2)),
         "null_equal": _tn_dgp("null_equal", 0.45, 0.0, 0.12, 0.26,
-                              lambda x: expit(0.5 * (x[:, 0] - x[:, 1]))),
+                              lambda x: _expit(0.5 * (x[:, 0] - x[:, 1]))),
         "bimodal_mixture": _mixture_dgp(),
         "cosine_bump": cosine_series_dgp([0.5], name="cosine_bump"),
     }
@@ -284,6 +301,8 @@ def oracle_projection(dgp: SyntheticDGP, level, model, distance: DistanceSpec,
         return OracleResult(
             beta_star=beta, method="closed_form",
             moment_norm=float(np.linalg.norm(moment(distance, model, beta, p_a, grid))))
+
+    from scipy.optimize import minimize
 
     def objective(beta):
         return divergence(distance, p_a, tabulate(model, beta, grid)[0], grid)

@@ -1,10 +1,10 @@
 """Shared test oracles: the raw discrepancy table, the full outcome-kernel
-matrix, the full-width row-max covariate weights, the dense conditional-density
-rows, the generic-route projection root, the one-point-at-a-time
-finite-difference Jacobians, the direct closed form of the
-squared-L2 effect, the one-step distance by hand, finite-difference checks,
-small builders, the row-by-row CSV loader and the quadrature harness for
-second-order remainders."""
+matrix, the full-width row-max covariate weights, the axis-max logistic level
+probabilities, the dense conditional-density rows, the generic-route
+projection root, the one-point-at-a-time finite-difference Jacobians, the
+direct closed form of the squared-L2 effect, the one-step distance by hand,
+finite-difference checks, small builders, the row-by-row CSV loader and the
+quadrature harness for second-order remainders."""
 
 import csv
 
@@ -128,6 +128,16 @@ def weight_blocks_reference(model, xa):
         np.maximum(w, 0.0, out=w)
         w[empty, nearest] = 1.0
         yield rows, slice(0, m), w
+
+
+def softmax_first_pinned_reference(z, coef):
+    """Level probabilities (n, L) of the scores z @ coef.T with the first
+    level's score pinned at 0, shifted by the row max taken along axis 1: the
+    reference ``nuisance._softmax_first_pinned`` must match bit for bit."""
+    full = np.column_stack([np.zeros(len(z)), z @ coef.T])
+    full -= full.max(axis=1, keepdims=True)
+    e = np.exp(full)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def predict_reference(model, x, grid):

@@ -210,6 +210,20 @@ class TestGrid:
             exact = 1.0 / (k + 1)
             assert abs(grid.integrate(grid.points**k) - exact) < 1e-10
 
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+    @pytest.mark.parametrize("trailing", [(), (8,), (5, 3)])
+    def test_integrate_matches_tensordot(self, rule, trailing):
+        # bit for bit, in value and shape: a 1-d input gives a 0-d array
+        rng = np.random.default_rng(len(trailing))
+        for size in (8, 64, 513, 1100):
+            grid = make_grid(size, rule)
+            for _ in range(10):
+                values = rng.normal(size=(size, *trailing)) * 10.0 ** rng.uniform(-3, 3)
+                got = grid.integrate(values)
+                want = np.tensordot(grid.weights, values, axes=(0, 0))
+                assert isinstance(got, np.ndarray) and got.shape == trailing
+                assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("points", [[-0.1, 0.5, 1.0], [0.0, 0.5, 1.2], [0.0, np.nan, 1.0]])
     def test_points_outside_unit_interval_rejected(self, points):
         with pytest.raises(GridError, match=r"\[0, 1\]"):

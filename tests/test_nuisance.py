@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import kernel_outcome_reference, predict_reference, weight_blocks_reference
+from helpers import (kernel_outcome_reference, predict_reference,
+                     softmax_first_pinned_reference, weight_blocks_reference)
 
 from cfdens import NuisanceConfig, cross_fit, fit_cond_density, from_raw, make_folds, make_grid
 from cfdens import nuisance
@@ -16,6 +17,7 @@ from cfdens.nuisance import (
     FactoredEta,
     _fit_multinomial_logistic,
     _kernel_outcome_matrix,
+    _softmax_first_pinned,
     fold_stream,
     fit_propensity_all,
     floor_probs,
@@ -62,6 +64,16 @@ class TestPropensity:
         test_x = rng.uniform(size=(200, 2))
         preds = model.predict(test_x)[:, model.levels.index(1)]
         assert preds.min() > 0.45 and preds.max() < 0.55
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("levels", range(2, 10))
+    def test_level_probabilities_match_the_axis_max_reference(self, levels, scale):
+        rng = np.random.default_rng(100 * levels + int(10 * scale))
+        z = np.column_stack([np.ones(3000), rng.uniform(size=(3000, 2))])
+        coef = scale * rng.normal(size=(levels - 1, 3))
+        probs = _softmax_first_pinned(z, coef)
+        assert probs.shape == (3000, levels)
+        assert np.array_equal(probs, softmax_first_pinned_reference(z, coef))
 
     def test_knn_randomized(self, rng):
         table = uniform_table(4000, rng)
