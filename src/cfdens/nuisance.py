@@ -5,29 +5,37 @@ so the learners here are swappable. Per fold and level it holds the clipped
 propensities, the conditional density on the eval rows as an operator whose
 ``contract(w * h)`` gives the quadrature of h against every row, the plug-in
 marginal p_hat and the doubly-robust grid measure d_hat, with d_hat @ h the
-mean of the raw doubly-robust summands of h (``fold_nuisance``). A fitted
-density keeps its outcome-kernel matrix K in float32 (m, G), the eval rows'
-covariates and their 1/mass (``FactoredEta``); no (n_ev, G) array is built
-unless ``CondDensityModel.predict`` is called. Every product with K runs in
-float64 on full-width row blocks of about 512 KB (``_k_blocks``), so no
-float64 copy of K is ever made. K is built ``_CHUNK`` rows at
-a time straight into float32, skipping every entry whose value is already
-known: the main term beyond a band of about 15 bandwidths (float32 0) and
-each reflection beyond a staircase near its end of [0,1] (too small to move
-a bit); it equals the full three-term float64 sum rounded to float32, bit for
-bit. The covariate weights are clipped Epanechnikov windows, built in blocks of
+mean of the raw doubly-robust summands of h (``fold_nuisance``).
+
+A fitted density is eta_hat(. | x) = W(x) K / mass(x), held as the model and
+the eval rows' covariates and 1/mass (``FactoredEta``); no (n_ev, G) array is
+built unless ``CondDensityModel.predict`` is called. K, the training outcomes'
+reflected Gaussian kernels on the grid, is no (m, G) matrix either: it is the
+operator K = B Phi. Phi (S, G) float64 is the kernel between S outcome nodes
+and the grid points. B (m, S) holds, per training outcome, the 8-point
+Lagrange weights of its place on a lattice of step h_y / 16: binning, as in
+Silverman (1982) and Wand (1994), but of order 8 where linear binning is of
+order 2, so each entry of B Phi is within about 3e-11 of the kernel's peak of
+the exact kernel. S is about 16 range(y) / h_y + 8, a few hundred nodes
+against thousands of training rows, so each product with K (each training
+kernel's mass, ``contract``'s K (w h), the row sums acc K) costs O(m + S G)
+instead of O(m G). Where the lattice would have at least m nodes (a tiny
+h_y), the nodes are the training outcomes themselves and B only picks each
+row's own node: K is then the exact kernel in float64. Every product with
+Phi runs on full-width row blocks of about 512 KB (``_k_blocks``).
+
+The covariate weights are clipped Epanechnikov windows, built in blocks of
 about 512 KB of float64 (one core's L2). Nadaraya-Watson training rows are
 sorted by their first covariate at fit and ``FactoredEta`` sorts its eval rows
 the same way, so each block multiplies only the training rows whose first
 coordinate lies within the window's reach of the block's; every entry skipped
-is 0 after the clip. Only the rows of zero mass are searched for empty
+is 0 after the clip. Only the rows without usable mass are searched for empty
 windows, one GEMM against every training row for those rows alone, and such a
-row falls back to its nearest training row. An eval row left with no kernel
-mass raises ``DataError`` in ``FactoredEta``, and so in ``predict``, its dense
-view;
-``tabulate_nuisances`` raises one for an injected row without finite, positive
-mass. Shipped learners are multinomial logistic
-regression and k-NN for the propensity, and Nadaraya-Watson / k-NN /
+row falls back to its nearest training row. An eval row whose mass is 0, or so
+small that 1/mass overflows, raises ``DataError`` in ``FactoredEta``, and so
+in ``predict``, its dense view; ``tabulate_nuisances`` raises one for an
+injected row without finite, positive mass. Shipped learners are multinomial
+logistic regression and k-NN for the propensity, and Nadaraya-Watson / k-NN /
 marginal-only kernel regressions of a Gaussian-kernel-transformed outcome
 for the conditional density. Analytic or deliberately misspecified
 nuisances enter through ``tabulate_nuisances``, the dense special case.
@@ -35,15 +43,11 @@ nuisances enter through ``tabulate_nuisances``, the dense special case.
 ``fold_stream`` yields the folds one at a time, as they are fit, for a
 consumer that needs each fold only for its own terms (a density effect);
 ``cross_fit`` is its list, for the estimates that need every fold at once.
-The stream builds each level's K in one ``KStorage``, which a fold reuses
-once no array of the previous fold's K is alive, so a consumer that drops
-each fold fits every fold in the same pages.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,35 +55,14 @@ import numpy as np
 from .data import MISSING_LEVEL, EvalGrid, FoldPlan, ObservationTable
 from .errors import DataError, InsufficientDataError
 
-_CHUNK = 256           # rows per outcome-kernel block (``_kernel_outcome_matrix``)
 _BLOCK = 65536         # float64 values per block, 512 KB: one core's L2
-# Reach of a reflected outcome-kernel term, in bandwidths from its end of [0,1].
-# A term skipped beyond it is below exp(-18^2 / 2) = e^-162 ~ 6e-71 (before the
-# division by h sqrt(2 pi)). The smallest float64 sum that survives the cast of
-# K to float32 is 2^-150 h sqrt(2 pi), and half an ulp of any sum at least that
-# large is at least 2^-204 h sqrt(2 pi) ~ 1e-67 for h >= 1e-6: adding a skipped
-# term leaves such a sum unchanged, and a smaller sum casts to 0 either way. So
-# K is bit-identical to the one with both reflections evaluated everywhere.
-#
-# Inside that reach the reflections form a staircase. For y, t in [0, 1] the
-# -y term over the main term is exp(-((y+t)^2 - (y-t)^2) / 2h^2) = exp(-2yt/h^2).
-# Where yt >= _STAIR h^2 (= 20 h^2) that ratio is below e^-40 < 2^-54, under
-# half an ulp of the float64 main term (e^-37.4 leaves room for the rounding of
-# both exponents), so adding the term leaves the sum as it is; the 2 - y term
-# is the same with (1-y)(1-t). The builder stops each step of _STEP sorted rows
-# at the column where t reaches min(R, _STAIR h^2 / y_min) (``_staircase``).
-#
-# The main term is banded. Both reflections are at most the main term on
-# [0, 1]^2, so where the main term is below e^-2 2^-150 min(1, h sqrt(2 pi))
-# the three-term sum divided by h sqrt(2 pi) is below 0.41 * 2^-150 and casts
-# to float32 0, as the zeros K starts from. That holds at |y - t| >= B with
-#   B = h sqrt(2 (150 ln 2 + ln+(1 / (h sqrt(2 pi))) + 2))   (~14.6 h),
-# so each row block is evaluated only on the columns within B of its y range.
-# At small h that skips most of the entries with |y - t| > 37.6 h, whose exp is
-# subnormal and on numpy's slow path.
-_REACH = 18.0
-_STAIR = 20.0           # the staircase's yt / h^2 bound
-_STEP = 32              # sorted rows per staircase step
+_LATTICE = 16          # outcome lattice nodes per bandwidth h_y
+_STENCIL = np.arange(-3, 5)     # a lattice cell's 8 Lagrange nodes, from its left node
+# the Lagrange basis denominators prod_{b != a} (a - b) over the stencil offsets a
+_DENOM = np.array([np.prod(a - _STENCIL[_STENCIL != a]) for a in _STENCIL], dtype=float)
+# exp(-z^2 / 2) rounds to 0 in float64 beyond z = 38.61 (e^-745.1 is half the
+# smallest subnormal), so a kernel term skipped at |z| >= _TAIL is an exact 0
+_TAIL = 38.7
 LOGIT_TOL = 1e-8        # gradient norm at which the logistic Newton fit stops
 LOGIT_MAX_ITER = 100
 
@@ -98,16 +81,18 @@ def _block_rows(m):
     return min(256, max(32, _BLOCK // m))
 
 
-def _k_blocks(kmat):
-    """Yield (rows, K[rows]) over full-width row blocks of K of ``_BLOCK``
-    float64 values (about 512 KB). numpy casts the float32 operand of a
-    mixed-dtype product to a float64 temporary, so every product with K is
-    taken one block at a time: the cast then stays a block's size and in L2,
-    where a whole one would be twice K's size."""
-    step = max(1, _BLOCK // kmat.shape[1])
-    for lo in range(0, len(kmat), step):
+def _k_blocks(phi):
+    """Yield (rows, Phi[rows]) over full-width row blocks of the outcome
+    kernel Phi of at most ``_BLOCK`` float64 values (about 512 KB), in which
+    Phi is built and every product with it is taken. A block stays in L2 and
+    its products stay on one thread. Taken with the whole Phi instead, they
+    start OpenBLAS's threads: on a 2-core x86-64 Xeon (OpenBLAS 0.3.31) the
+    sweep-2k benchmark then used 0.47 s of CPU time for 0.25 s of wall time,
+    against 0.24 s of each in blocks."""
+    step = max(1, _BLOCK // phi.shape[1])
+    for lo in range(0, len(phi), step):
         rows = slice(lo, lo + step)
-        yield rows, kmat[rows]
+        yield rows, phi[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -262,123 +247,74 @@ def silverman_bandwidth(y):
     return max(0.9 * spread * m ** (-0.2), 1e-3)
 
 
-def _gauss(yy, points, h, buf):
-    """exp(-z^2 / 2) for z = (yy_i - t_j) / h clipped at +-38, (len(yy), len(points)),
-    written into the front of the flat float64 buffer ``buf``. Both yy and
-    points are monotone, so the largest |yy_i - t_j| is at a corner; where it
-    is at most 37 h the clip cannot change a bit and is skipped."""
-    z = buf[:len(yy) * len(points)].reshape(len(yy), len(points))
-    np.subtract.outer(yy, points, out=z)
-    z /= h
-    if z.size and max(abs(yy[0] - points[0]), abs(yy[0] - points[-1]),
-                      abs(yy[-1] - points[0]), abs(yy[-1] - points[-1])) > 37.0 * h:
-        np.clip(z, -38.0, 38.0, out=z)
-    np.square(z, out=z)
-    z *= -0.5
-    return np.exp(z, out=z)
+def _lagrange_weights(frac):
+    """(n, 8) weights of the 8-point Lagrange interpolant at the fractions
+    ``frac`` in [0, 1) of a lattice cell, on the nodes at offsets ``_STENCIL``
+    from the cell's left node: the products of (frac - b) over the other
+    offsets b, as prefix times suffix products, over ``_DENOM``. Each row
+    sums to 1 and reproduces every polynomial of degree up to 7."""
+    d = frac[:, None] - _STENCIL
+    pre = np.ones_like(d)
+    suf = np.ones_like(d)
+    np.cumprod(d[:, :-1], axis=1, out=pre[:, 1:])
+    np.cumprod(d[:, :0:-1], axis=1, out=suf[:, -2::-1])
+    return pre * suf / _DENOM
 
 
-def _staircase(d, dt, reach, stair):
-    """Yield (start, stop, cols) over the rows at sorted distances d < R from
-    one end of [0, 1], in steps of ``_STEP`` rows: the reflection at that end
-    is needed only on the grid points at sorted distances dt[:cols] < min(R,
-    ``_STAIR`` h^2 / d_start) from it. A step whose stop is within ``_STEP``
-    columns of the stop of the group before it joins that group, as a numpy
-    call costs about as much as the few extra entries."""
-    starts = np.arange(0, len(d), _STEP)
-    near = d[starts]
-    cut = np.full(len(starts), reach)
-    far = near * reach > stair
-    cut[far] = stair / near[far]
-    cols = np.searchsorted(dt, cut)
-    i = 0
-    while i < len(starts):
-        j = i + 1
-        while j < len(starts) and cols[i] - cols[j] <= _STEP:
-            j += 1
-        yield starts[i], starts[j] if j < len(starts) else len(d), cols[i]
-        i = j
+def _outcome_kernel(nodes, points, h):
+    """Gaussian kernel in the outcome, reflected at both ends of [0,1], between
+    sorted outcome nodes u and the grid points t: Phi, (S, G) float64.
 
-
-class KStorage:
-    """One level's K storage in a ``fold_stream``, reused by the next fold's
-    fit once no array built in it is alive.
-
-    ``take`` returns K as a view of the buffer through a memoryview. numpy
-    makes the base of any view the first array down its chain that owns its
-    data or whose base is not an array, so every view and sub-view of K keeps
-    that one array alive, and a weak reference to it dies with the last of
-    them. While it lives, ``take`` builds in a new buffer, so folds held at
-    once (``cross_fit``'s list) never share storage.
+    Phi[s, j] = phi_h(u_s - t_j) + phi_h(-u_s - t_j) + phi_h(2 - u_s - t_j),
+    with phi_h the N(0, h^2) density, summed in that order. Reflection removes
+    the first-order boundary deficit of the plain kernel; without it the
+    fitted marginals lose mass near the endpoints and the quadratic term in
+    the effect estimators picks up a visible bias. Nothing is clipped, so an
+    entry may be subnormal. Each term of a ``_k_blocks`` row block is
+    evaluated only on the grid points within ``_TAIL`` h of its centres in
+    the block: every term skipped is an exact 0, and its exp would take
+    numpy's slow path for a result below the smallest normal float64.
     """
+    phi = np.zeros((len(nodes), len(points)))
+    buf = np.empty(max(_BLOCK, len(points)))          # every term's z, in place
+    for rows, block in _k_blocks(phi):
+        u = nodes[rows]
+        for c in (u, -u, 2.0 - u):
+            lo, hi = np.searchsorted(points, [c.min() - _TAIL * h, c.max() + _TAIL * h])
+            z = buf[:len(c) * (hi - lo)].reshape(len(c), hi - lo)
+            np.subtract.outer(c, points[lo:hi], out=z)
+            z /= h
+            np.square(z, out=z)
+            z *= -0.5
+            block[:, lo:hi] += np.exp(z, out=z)
+    phi /= h * np.sqrt(2.0 * np.pi)
+    return phi
 
-    def __init__(self, size):
-        self._buffer = np.empty(size, dtype=np.float32)
-        self._base = lambda: None       # weak reference to the base of the last K taken
 
-    def take(self, m, G):
-        """A float32 (m, G) array for K: in the buffer when it is free and
-        large enough, else in a new buffer, which the storage then keeps."""
-        if self._base() is not None or m * G > self._buffer.size:
-            self._buffer = np.empty(max(m * G, self._buffer.size), dtype=np.float32)
-        base = np.frombuffer(memoryview(self._buffer), dtype=np.float32, count=m * G)
-        self._base = weakref.ref(base)
-        return base.reshape(m, G)
+def _outcome_operator(y, points, h):
+    """The outcome kernel of the training outcomes y on the grid points as
+    K = B Phi: (cell, weights, Phi), with row i of B the ``weights[i]`` on
+    the nodes cell[i], cell[i] + 1, ... of Phi (``_outcome_kernel``).
 
-
-def _kernel_outcome_matrix(y_train, points, h, out=None):
-    """Gaussian kernel in the outcome, reflected at both ends of [0,1]: K, (m, G) float32.
-
-    K[i, j] = phi_h(y_i - t_j) + phi_h(-y_i - t_j) + phi_h(2 - y_i - t_j), with
-    phi_h the N(0, h^2) density, summed in that order in float64 and rounded
-    once to float32. Reflection removes the first-order boundary deficit of
-    the plain kernel; without it the fitted marginals lose mass near the
-    endpoints and the quadratic term in the effect estimators picks up a
-    visible bias.
-
-    Rows are built ``_CHUNK`` at a time in the order of sorted y, so each
-    float64 block stays in cache and is cast into its rows of K, which
-    starts as zeros. Since y and t lie in [0, 1], three kinds of entry are
-    known before they are computed (derivations at ``_REACH``):
-    - the main term is evaluated only on the band of columns within B
-      (~14.6 h) of the block's y range; beyond it every entry is float32 0;
-    - the -y reflection only where y < R and t < min(R, 20 h^2 / y_min),
-      with R = ``_REACH`` h and y_min the smallest y of each ``_STEP``-row
-      step: a staircase, beyond which adding the term changes no bit;
-    - the 2 - y reflection the same way with 1 - y and 1 - t.
-    Every entry that is computed keeps the float64 operations and their
-    order above, so K is bit-identical to the full three-term sum.
-
-    K is written into ``out`` (a ``KStorage.take`` array) when given, else
-    into a new array; either way it is zeroed first.
+    The nodes are a lattice of step h / ``_LATTICE`` from 3 steps below
+    min(y) to at least 4 steps above max(y), and row i the 8-point Lagrange
+    weights (``_lagrange_weights``) of y_i in its lattice cell. Where that
+    lattice would have at least m = len(y) nodes, the nodes are the sorted
+    outcomes themselves and row i of B is 1 on y_i's node: B Phi is then the
+    exact kernel, in float64.
     """
-    m, G = len(y_train), len(points)
-    out = np.empty((m, G), dtype=np.float32) if out is None else out
-    out.fill(0.0)
-    norm = h * np.sqrt(2.0 * np.pi)
-    reach = _REACH * h
-    stair = _STAIR * h * h
-    band = h * np.sqrt(2.0 * (150.0 * np.log(2.0) + max(0.0, -np.log(norm)) + 2.0))
-    order = np.argsort(y_train)
-    block = np.empty(min(m, _CHUNK) * G)
-    scratch = np.empty_like(block)
-    for lo in range(0, m, _CHUNK):
-        rows = order[lo:lo + _CHUNK]
-        y = y_train[rows]                                       # sorted
-        c0 = np.searchsorted(points, y[0] - band)               # t[:c0] < y_0 - B
-        c1 = np.searchsorted(points, y[-1] + band, side="right")  # t[c1:] > y_max + B
-        t = points[c0:c1]
-        k = _gauss(y, t, h, block)
-        near0 = np.searchsorted(y, reach)                       # y[:near0] < R
-        for s, e, c in _staircase(y[:near0], t, reach, stair):
-            k[s:e, :c] += _gauss(-y[s:e], t[:c], h, scratch)
-        top = np.searchsorted(y, 1.0 - reach, side="right")     # y[top:] > 1 - R
-        for s, e, c in _staircase(1.0 - y[top:][::-1], 1.0 - t[::-1], reach, stair):
-            r = slice(len(y) - e, len(y) - s)
-            k[r, len(t) - c:] += _gauss(2.0 - y[r], t[len(t) - c:], h, scratch)
-        k /= norm
-        out[rows, c0:c1] = k
-    return out
+    step = h / _LATTICE
+    low = y.min()
+    cells = int(np.ceil((y.max() - low) / step))
+    if cells + len(_STENCIL) >= len(y):
+        order = np.argsort(y, kind="stable")
+        cell = np.empty(len(y), dtype=np.intp)
+        cell[order] = np.arange(len(y))
+        return cell, np.ones((len(y), 1)), _outcome_kernel(y[order], points, h)
+    pos = (y - low) / step
+    cell = np.floor(pos).astype(np.intp)
+    nodes = low + step * np.arange(_STENCIL[0], cells + _STENCIL[-1] + 1)
+    return cell, _lagrange_weights(pos - cell), _outcome_kernel(nodes, points, h)
 
 
 class CondDensityModel:
@@ -399,14 +335,15 @@ class CondDensityModel:
     (``fit_cond_density`` sorts them; unsorted rows raise ``DataError``): the
     weight blocks are banded on that coordinate.
 
-    K is kept in float32 (``kmat``; the marginal's summed row in float64).
-    Every product with it runs in float64, one full-width row block of about
-    512 KB at a time (``_k_blocks``): numpy casts a block, never all of K.
-    ``predict`` materialises (n, G) rows on request, as the dense view of
-    ``FactoredEta``; the estimators only ever contract the factored form.
+    K is held as the operator B Phi of ``_outcome_operator``, built from the
+    training outcomes y_train on the grid points: ``phi`` (S, G) float64
+    and B's rows, and K enters only through ``k_dot`` (K v) and ``dot_k``
+    (acc K). ``predict`` materialises (n, G) rows on request, as the dense
+    view of ``FactoredEta``; the estimators only ever contract the factored
+    form.
     """
 
-    def __init__(self, level, x_train, k_matrix, regressor, h_y):
+    def __init__(self, level, x_train, y_train, points, regressor, h_y):
         self.level = int(level)
         self.h_y = float(h_y)
         self.regressor = regressor
@@ -434,10 +371,34 @@ class CondDensityModel:
         if regressor == "nadaraya_watson" and np.any(self._key[1:] < self._key[:-1]):
             raise DataError("Nadaraya-Watson training rows must be sorted by their "
                             "first covariate")
-        self.kmat = k_matrix.astype(np.float32, copy=False)
+        self._cell, self._weights, self.phi = _outcome_operator(y_train, points, h_y)
         if regressor == "marginal":
-            # uniform covariate weights: K collapses to the sum of its rows
-            self.kmat = self.kmat.sum(axis=0, keepdims=True, dtype=float)
+            # uniform covariate weights: K collapses to the sum of its rows,
+            # one node with weight 1
+            self.phi = self.dot_k(np.ones((1, m)))
+            self._cell, self._weights = np.zeros(1, dtype=np.intp), np.ones((1, 1))
+
+    @property
+    def m(self):
+        """Rows of K: the training rows, or 1 for the marginal regressor."""
+        return len(self._cell)
+
+    def k_dot(self, v):
+        """K v = B (Phi v) for v of shape (G,) or (G, k): (m,) or (m, k)."""
+        pv = np.concatenate([p @ v for _, p in _k_blocks(self.phi)])
+        width = self._weights.shape[1]
+        window = np.lib.stride_tricks.sliding_window_view(pv, width, axis=0)[self._cell]
+        return np.einsum("iw,i...w->i...", self._weights, window)
+
+    def dot_k(self, acc):
+        """acc K = (acc B) Phi for acc of shape (k, m): (k, G), with acc B
+        from one ``bincount`` over the (row of acc, node) pairs."""
+        k, s = len(acc), len(self.phi)
+        nodes = self._cell[:, None] + np.arange(self._weights.shape[1])
+        acc_b = np.bincount((s * np.arange(k)[:, None, None] + nodes).ravel(),
+                            (acc[:, :, None] * self._weights).ravel(),
+                            minlength=k * s).reshape(k, s)
+        return sum(acc_b[:, rows] @ p for rows, p in _k_blocks(self.phi))
 
     def covariates(self, x):
         """Standardized covariates of the rows of x, augmented to [2x/b^2, 1 - |x|^2/b^2, 1]."""
@@ -466,7 +427,7 @@ class CondDensityModel:
         block (up to ``_block_rows(m)`` x m float64) is one the allocator may
         return to the system on free and fault in afresh for the next block.
         """
-        m = len(self.kmat)
+        m = self.m
         step = _block_rows(m)
         buf = np.empty(min(step, len(xa)) * m)
         for lo in range(0, len(xa), step):
@@ -515,10 +476,21 @@ class CondDensityModel:
         return FactoredEta(self, x, grid, np.empty((len(x), 0))).contract(np.eye(grid.size))
 
 
+def _inverse_mass(mass):
+    """(1/mass, bad) for an array of masses: ``bad`` marks a mass that is not
+    positive or so small that its inverse overflows (a subnormal one), and
+    1/mass is set to 0 there."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / mass
+    bad = ~((inv > 0.0) & (inv < np.inf))
+    inv[bad] = 0.0
+    return inv, bad
+
+
 class FactoredEta:
     """eta_hat on a fold's eval rows as diag(1/mass) W K, never materialised.
 
-    Keeps the fitted model (K in float32 and the training covariates), the
+    Keeps the fitted model (K as B Phi and the training covariates), the
     eval rows' augmented covariates and their 1/mass. For Nadaraya-Watson the
     eval rows are held sorted by their first covariate, so the
     ``CondDensityModel.weight_blocks`` are banded; ``inv_mass`` and the rows
@@ -527,15 +499,15 @@ class FactoredEta:
     weights v (n_ev, k) given at construction, accumulated in the same pass
     that finds 1/mass.
 
-    That pass also collects the rows of zero mass. Of these,
-    ``CondDensityModel.nearest_rows`` names the rows with an empty window and
-    the nearest training row of each: such a row is one-hot on it, so its
-    mass is that training kernel's mass and its term of ``row_sums`` one
-    scaled row of K. The (caller row, nearest training row) pairs are
-    stored, and ``contract`` writes each such row from its nearest row's
-    product after the banded blocks. An eval row still without mass (every
-    training kernel it weights is 0 on the grid, as at a tiny h_y) raises
-    ``DataError``.
+    That pass also collects the rows whose mass is 0 or whose 1/mass is not
+    finite (``_inverse_mass``). Of these, ``CondDensityModel.nearest_rows``
+    names the rows with an empty window and the nearest training row of each:
+    such a row is one-hot on it, so its mass is that training kernel's mass
+    and its term of ``row_sums`` one scaled row of K. The (caller row, nearest
+    training row) pairs are stored, and ``contract`` writes each such row from
+    its nearest row's product after the banded blocks. Any other such row, or
+    a fallback to a training kernel without usable mass (as at a tiny h_y),
+    raises ``DataError``.
     """
 
     def __init__(self, model: CondDensityModel, x, grid: EvalGrid, row_weights):
@@ -545,35 +517,32 @@ class FactoredEta:
                        if model.regressor == "nadaraya_watson" else np.arange(len(xa)))
         self._xa = xa[self._order]
         row_weights = row_weights[self._order]
-        # (m,) mass of each training kernel
-        kw = np.concatenate([k @ grid.weights for _, k in _k_blocks(model.kmat)])
+        kw = model.k_dot(grid.weights)                  # (m,) mass of each training kernel
         self.inv_mass = np.empty(len(xa))               # in the caller's row order
         acc = np.zeros((row_weights.shape[1], len(kw)))
-        zero = np.zeros(len(xa), dtype=bool)            # zero mass, in the sorted order
+        bad = np.zeros(len(xa), dtype=bool)             # in the sorted order
         for rows, cols, w in model.weight_blocks(self._xa):
-            mass = w @ kw[cols]
-            zero[rows] = ~(mass > 0.0)
-            mass[zero[rows]] = np.inf                   # 1/mass 0: no term until the fallback
-            self.inv_mass[self._order[rows]] = inv = 1.0 / mass
+            inv, bad[rows] = _inverse_mass(w @ kw[cols])  # 1/mass 0: no term until the fallback
+            self.inv_mass[self._order[rows]] = inv
             acc[:, cols] += (row_weights[rows] * inv[:, None]).T @ w
-        zero = np.flatnonzero(zero)
-        empty, nearest = model.nearest_rows(self._xa[zero])
-        if len(empty) < len(zero) or not np.all(kw[nearest] > 0.0):
+        bad = np.flatnonzero(bad)
+        empty, nearest = model.nearest_rows(self._xa[bad])
+        inv, unusable = _inverse_mass(kw[nearest])
+        if len(empty) < len(bad) or unusable.any():
             raise DataError(
                 f"level {model.level}: an evaluation row has no kernel mass on the "
-                f"{grid.size}-point grid at outcome bandwidth h_y={model.h_y:g}; "
-                f"use a larger bandwidth or a finer grid")
-        idx = self._order[zero]
-        self.inv_mass[idx] = inv = 1.0 / kw[nearest]
-        np.add.at(acc.T, nearest, row_weights[zero] * inv[:, None])
+                f"{grid.size}-point grid at outcome bandwidth h_y={model.h_y:g}, or one "
+                f"too small to invert; use a larger bandwidth or a finer grid")
+        idx = self._order[bad]
+        self.inv_mass[idx] = inv
+        np.add.at(acc.T, nearest, row_weights[bad] * inv[:, None])
         self._fallback = idx, nearest                   # (caller row, nearest training row)
-        self.row_sums = sum(acc[:, rows] @ k for rows, k in _k_blocks(model.kmat))
+        self.row_sums = model.dot_k(acc)
 
     def contract(self, wh):
         """eta_hat @ wh for wh of shape (G,) or (G, k); with wh = w * h, the
         quadrature of h against each row, in the caller's row order."""
-        wh = np.asarray(wh, dtype=float)
-        kwh = np.concatenate([k @ wh for _, k in _k_blocks(self.model.kmat)])
+        kwh = self.model.k_dot(np.asarray(wh, dtype=float))
         out = np.empty((len(self._xa),) + kwh.shape[1:])
         for rows, cols, w in self.model.weight_blocks(self._xa):
             idx = self._order[rows]
@@ -599,12 +568,8 @@ class DenseEta:
 
 
 def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
-                     bandwidth="silverman", regressor="nadaraya_watson",
-                     k_storage=None) -> CondDensityModel:
-    """Fit eta_hat_level by kernel-outcome regression on the level's rows.
-
-    K is built in ``k_storage`` (a ``KStorage``; ``fold_stream`` keeps one
-    per level) when given, else in a new array."""
+                     bandwidth="silverman", regressor="nadaraya_watson") -> CondDensityModel:
+    """Fit eta_hat_level by kernel-outcome regression on the level's rows."""
     mask = train.a == level
     m = int(mask.sum())
     if m < 20:
@@ -618,12 +583,10 @@ def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
     if not (0.0 < h < np.inf):  # nan fails too
         raise DataError(f"bandwidth must be positive and finite, got {h}")
     if regressor == "nadaraya_watson":
-        # sorted by the band coordinate; K is built for the rows in this order
+        # sorted by the band coordinate; B's rows follow this order
         order = np.argsort(x[:, 0], kind="stable")
         x, y = x[order], y[order]
-    out = None if k_storage is None else k_storage.take(m, grid.size)
-    kmat = _kernel_outcome_matrix(y, grid.points, h, out)
-    return CondDensityModel(level, x, kmat, regressor, h)
+    return CondDensityModel(level, x, y, grid.points, regressor, h)
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +598,8 @@ class FoldNuisance:
 
     pi[level]:    (n_ev,) clipped propensities
     eta[level]:   conditional densities on the eval rows, each row unit mass:
-                  ``FactoredEta`` (fitted: K in float32 (m, G), the eval rows'
-                  covariates and 1/mass) or ``DenseEta`` (closed form);
+                  ``FactoredEta`` (fitted: K as the operator B Phi, the eval
+                  rows' covariates and 1/mass) or ``DenseEta`` (closed form);
                   ``eta[level].contract(w * h)`` is the quadrature of h
                   against every row. No (n_ev, G) array is built for fitted
                   nuisances.
@@ -714,13 +677,11 @@ def fold_nuisance(table: ObservationTable, eval_idx, grid: EvalGrid, pi, tabulat
 
 def single_split(table: ObservationTable, train_idx, eval_idx, levels,
                  grid: EvalGrid, config: NuisanceConfig = NuisanceConfig(),
-                 pi_fn=None, k_storage=None) -> FoldNuisance:
+                 pi_fn=None) -> FoldNuisance:
     """Fit nuisances on the training rows and tabulate them on the eval rows.
 
     ``pi_fn(x, level) -> (n,)``, when given, replaces the fitted propensity
     with a closed-form one (the oracle's true-propensity mode).
-    ``k_storage`` maps each level to the ``KStorage`` its K is built in
-    (``fold_stream``'s); without it every K is a new array.
     """
     levels = tuple(levels)
     eval_idx = np.asarray(eval_idx)
@@ -741,8 +702,7 @@ def single_split(table: ObservationTable, train_idx, eval_idx, levels,
 
     def tabulate(lev, row_weights):
         model = fit_cond_density(train, lev, grid, bandwidth=config.bandwidth,
-                                 regressor=config.density,
-                                 k_storage=None if k_storage is None else k_storage[lev])
+                                 regressor=config.density)
         return FactoredEta(model, x, grid, row_weights)
 
     return fold_nuisance(table, eval_idx, grid, pi, tabulate, warn)
@@ -752,19 +712,10 @@ def fold_stream(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid
                 config: NuisanceConfig = NuisanceConfig(), pi_fn=None):
     """Yield each fold's nuisances, fit on its complement, as ``single_split``
     builds them. The stream keeps no fold it has yielded, so a consumer that
-    drops each fold before asking for the next holds one fold's K at a time.
-
-    Each level's K is built in one ``KStorage``, sized for the level's
-    largest training split, so such a consumer has every fold's K written
-    into the same pages; a fold still alive when the next is fit keeps its
-    own, and the next K goes to new storage.
-    """
-    levels = tuple(levels)
-    storage = {lev: KStorage(grid.size * max(np.count_nonzero(table.a[train_idx] == lev)
-                                             for _, train_idx, _ in folds.splits()))
-               for lev in levels}
+    drops each fold before asking for the next holds one fold's nuisances at
+    a time."""
     for _, train_idx, eval_idx in folds.splits():
-        yield single_split(table, train_idx, eval_idx, levels, grid, config, pi_fn, storage)
+        yield single_split(table, train_idx, eval_idx, levels, grid, config, pi_fn)
 
 
 def cross_fit(table: ObservationTable, folds: FoldPlan, levels, grid: EvalGrid,

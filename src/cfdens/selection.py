@@ -74,8 +74,7 @@ def _fit_candidates(train, grid, level, nuis_config, seed, candidates, labels, f
     Model candidates of any dimension share one inner cross-fit of the
     nuisances, run when the first of them needs it. A root reads only each
     inner fold's p_hat, d_hat and size, so each fold's eta is dropped as the
-    fold comes off ``fold_stream``, and the stream builds every inner fold's
-    K in the same storage. A model candidate's density is g at its
+    fold comes off ``fold_stream``. A model candidate's density is g at its
     ``certified_root``, clipped to a density, so it is feasible whenever its
     root is. Fixed densities pass through. Every density is checked by
     ``data.check_candidate``. A CfdensError or LinAlgError, a mis-shaped or

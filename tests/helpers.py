@@ -1,10 +1,11 @@
-"""Shared test oracles: the raw discrepancy table, the full outcome-kernel
-matrix, the full-width row-max covariate weights, the axis-max logistic level
-probabilities, the dense conditional-density rows, the generic-route
-projection root, the one-point-at-a-time finite-difference Jacobians, the
-direct closed form of the squared-L2 effect, the one-step distance by hand,
-finite-difference checks, small builders, the row-by-row CSV loader and the
-quadrature harness for second-order remainders."""
+"""Shared test oracles: the raw discrepancy table, the exact float64 outcome
+kernel, the dense form of a model's outcome-kernel operator, the full-width
+row-max covariate weights, the axis-max logistic level probabilities, the
+dense conditional-density rows, the generic-route projection root, the
+one-point-at-a-time finite-difference Jacobians, the direct closed form of
+the squared-L2 effect, the one-step distance by hand, finite-difference
+checks, small builders, the row-by-row CSV loader and the quadrature harness
+for second-order remainders."""
 
 import csv
 
@@ -93,21 +94,30 @@ def f21(spec, p, q):
 
 
 def kernel_outcome_reference(y_train, points, h):
-    """Reflected Gaussian outcome kernel with all three terms (y, -y, 2 - y)
-    evaluated on the full (m, G) grid in float64: the reference the banded,
-    row-blocked ``nuisance._kernel_outcome_matrix`` must match once rounded
-    to float32."""
+    """The exact reflected Gaussian outcome kernel, (m, G) float64: all three
+    terms (y, -y, 2 - y) on every (y_i, t_j), in that order, with nothing
+    clipped or skipped. The reference the operator B Phi of
+    ``nuisance._outcome_operator`` approximates, and equals where its nodes
+    are the outcomes themselves."""
     out = np.zeros((len(y_train), len(points)))
     z = np.empty_like(out)
     for yy in (y_train, -y_train, 2.0 - y_train):
         np.subtract.outer(yy, points, out=z)
         z /= h
-        np.clip(z, -38.0, 38.0, out=z)
         np.square(z, out=z)
         z *= -0.5
         out += np.exp(z, out=z)
     out /= h * np.sqrt(2.0 * np.pi)
     return out
+
+
+def dense_operator(model):
+    """A fitted model's K = B Phi as one dense (m, G) matrix, row i the sum
+    of B's weights on row i times the rows of Phi they weight, taken whole:
+    the reference the blocked products ``CondDensityModel.k_dot`` and
+    ``dot_k`` must match to rounding."""
+    nodes = model._cell[:, None] + np.arange(model._weights.shape[1])
+    return np.einsum("iw,iwg->ig", model._weights, model.phi[nodes])
 
 
 def weight_blocks_reference(model, xa):
@@ -118,7 +128,7 @@ def weight_blocks_reference(model, xa):
     windows are found by a pass over its row maxima, and such a row gets
     weight 1 on its nearest training row. The reference the banded blocks
     that ``FactoredEta`` feeds to ``contract`` must match."""
-    m = len(model.kmat)
+    m = model.m
     step = min(256, max(32, 65536 // m))
     for lo in range(0, len(xa), step):
         rows = slice(lo, min(lo + step, len(xa)))
@@ -140,22 +150,27 @@ def softmax_first_pinned_reference(z, coef):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_reference(model, x, grid):
-    """eta_hat on the rows of x in their given order, materialised block by
-    block: each block's rows are W K in float64, with W from
-    ``weight_blocks_reference`` for Nadaraya-Watson (full width, no band) and
-    from the model's own unbanded ``weight_blocks`` for k-NN and marginal;
-    every row is then scaled to unit mass under the grid quadrature (a row
-    with no mass raises ``DataError``). The reference ``FactoredEta`` and its
-    dense view ``CondDensityModel.predict`` are checked against."""
-    kmat = model.kmat.astype(float)
+def weighted_kernel_rows(model, x, kmat):
+    """W K on the rows of x in their given order, for a dense (m, G) K,
+    block by block in float64: W from ``weight_blocks_reference`` for
+    Nadaraya-Watson (full width, no band) and from the model's own unbanded
+    ``weight_blocks`` for k-NN and marginal."""
     xa = model.covariates(x)
     blocks = (weight_blocks_reference(model, xa) if model.regressor == "nadaraya_watson"
               else model.weight_blocks(xa))
     out = np.empty((len(xa), kmat.shape[1]))
     for rows, cols, w in blocks:
         out[rows] = w @ kmat[cols]
-    return _normalize_rows_to_density(out, grid)
+    return out
+
+
+def predict_reference(model, x, grid):
+    """eta_hat on the rows of x in their given order, materialised: the rows
+    ``weighted_kernel_rows`` forms from the model's ``dense_operator``, each
+    scaled to unit mass under the grid quadrature (a row with no mass raises
+    ``DataError``). The reference ``FactoredEta`` and its dense view
+    ``CondDensityModel.predict`` are checked against."""
+    return _normalize_rows_to_density(weighted_kernel_rows(model, x, dense_operator(model)), grid)
 
 
 def generic_root(distance, model, folds_nuis, level, grid):

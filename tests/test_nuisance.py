@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from helpers import (kernel_outcome_reference, predict_reference,
-                     softmax_first_pinned_reference, weight_blocks_reference)
+from helpers import (dense_operator, kernel_outcome_reference, predict_reference,
+                     softmax_first_pinned_reference, weight_blocks_reference,
+                     weighted_kernel_rows)
 
 from cfdens import NuisanceConfig, cross_fit, fit_cond_density, from_raw, make_folds, make_grid
 from cfdens import nuisance
@@ -12,11 +11,12 @@ from cfdens.data import MISSING_LEVEL, ObservationTable
 from cfdens.errors import DataError, InsufficientDataError
 from cfdens.nuisance import (
     _BLOCK,
-    _CHUNK,
+    _STENCIL,
     CondDensityModel,
     FactoredEta,
     _fit_multinomial_logistic,
-    _kernel_outcome_matrix,
+    _lagrange_weights,
+    _outcome_operator,
     _softmax_first_pinned,
     fold_stream,
     fit_propensity_all,
@@ -144,56 +144,105 @@ class TestSilverman:
         assert silverman_bandwidth(np.full(30, 0.4)) >= 1e-3
 
 
+def training_outcomes(table, level, regressor):
+    """The level's training covariates and outcomes in the order a fitted
+    model holds them (Nadaraya-Watson rows sorted by their first covariate)."""
+    x, y = table.x[table.a == level], table.y[table.a == level]
+    if regressor == "nadaraya_watson":
+        order = np.argsort(x[:, 0], kind="stable")
+        x, y = x[order], y[order]
+    return x, y
+
+
+def switch_bandwidth(y, cells):
+    """The bandwidth at which the outcome lattice of y has ``cells`` cells,
+    so cells + 8 nodes: 16 range(y) / h lands half a cell below ``cells``."""
+    return 16.0 * (y.max() - y.min()) / (cells - 0.5)
+
+
 class TestOutcomeKernel:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lagrange_weights_sum_to_one_and_reproduce_degree_seven(self, seed):
+        # sum_j w_j b_j^p = f^p for the stencil offsets b_j and p = 0..7: the
+        # interpolant is exact on every polynomial of degree up to 7, and not on
+        # degree 8; f = 0 picks the cell's left node alone
+        frac = np.random.default_rng(seed).uniform(size=1000)
+        frac[:2] = [0.0, 0.5]
+        w = _lagrange_weights(frac)
+        assert w.shape == (1000, 8)
+        assert np.allclose(w.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+        for p in range(8):
+            scale = np.abs(w) @ np.abs(_STENCIL.astype(float)) ** p
+            assert np.all(np.abs(w @ _STENCIL.astype(float) ** p - frac**p) <= 1e-14 * scale)
+        assert not np.allclose(w @ _STENCIL.astype(float) ** 8, frac**8, rtol=1e-3)
+        assert np.array_equal(w[0], (_STENCIL == 0).astype(float))
+
     @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
-    @pytest.mark.parametrize("size", [64, 128, 509, 512])
-    @pytest.mark.parametrize("h", [1e-6, 1e-3, 0.005, 0.02, 0.041, 0.07, 0.3, 2.0])
-    def test_bit_identical_to_full_reference(self, rule, size, h):
-        # m is not a multiple of the row block, and y hits both ends and the
-        # middle; at h = 0.07 and above both reflections reach every row. The
-        # U-shaped y puts whole row blocks next to each end of [0, 1], where
-        # the reflections' staircase matters most, and h = 1e-6 leaves the
-        # main term's band only a few columns per block
+    @pytest.mark.parametrize("size", [64, 509, 512])
+    @pytest.mark.parametrize("h", [1e-6, 1e-3, 0.005])
+    def test_nodes_are_the_outcomes_where_the_lattice_is_as_large(self, rule, size, h):
+        # m = 1000 outcomes, and the lattice at these h has more nodes than
+        # that: B Phi is the exact kernel, bit for bit. y hits both ends and
+        # the middle; the U-shaped y puts many outcomes next to each end, where
+        # the reflections matter, and h = 1e-6 leaves each term only a few
+        # grid points within reach
         m = 1000
-        assert m % _CHUNK
         rng = np.random.default_rng(size)
         points = make_grid(size, rule).points
         for y in (rng.uniform(size=m), rng.beta(0.3, 0.3, size=m)):
             y[[0, 411, m - 1]] = [0.0, 0.5, 1.0]
-            got = _kernel_outcome_matrix(y, points, h).astype(np.float32, copy=False)
-            ref = kernel_outcome_reference(y, points, h).astype(np.float32)
-            assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
+            cell, weights, phi = _outcome_operator(y, points, h)
+            assert phi.shape == (m, size) and np.array_equal(weights, np.ones((m, 1)))
+            assert np.array_equal(phi[cell], kernel_outcome_reference(y, points, h))
 
-    @pytest.mark.parametrize("h, bound", [(0.003, 0.25), (0.041, 1.25)])
-    def test_kernel_entries_evaluated(self, h, bound, grid, monkeypatch):
-        # the entries _gauss evaluates, per m G: the full main term plus the
-        # reflections' squares would be 1.00 at h = 0.003 and 2.21 at
-        # h = 0.041; the band and the staircase bring them to 0.16 and 1.11
-        m = 2845
-        y = np.random.default_rng(5).beta(2.0, 3.0, size=m)
-        count = [0]
-        gauss = nuisance._gauss
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+    @pytest.mark.parametrize("h", [0.02, 0.041, 0.07, 0.3, 2.0])
+    def test_lattice_kernel_within_1e9_of_the_peak(self, rule, h):
+        # 3000 outcomes: at these h the lattice has fewer nodes, and every
+        # entry of B Phi lies within 1e-9 of the exact kernel's peak
+        m = 3000
+        rng = np.random.default_rng(int(100 * h))
+        points = make_grid(512, rule).points
+        for y in (rng.uniform(size=m), rng.beta(0.3, 0.3, size=m)):
+            y[[0, 411, m - 1]] = [0.0, 0.5, 1.0]
+            cell, weights, phi = _outcome_operator(y, points, h)
+            assert weights.shape == (m, 8) and len(phi) < m
+            exact = kernel_outcome_reference(y, points, h)
+            dense = np.einsum("iw,iwg->ig", weights, phi[cell[:, None] + np.arange(8)])
+            assert np.abs(dense - exact).max() <= 1e-9 * exact.max()
 
-        def counting(yy, points, hh, buf):
-            count[0] += len(yy) * len(points)
-            return gauss(yy, points, hh, buf)
+    def test_the_switch_is_at_m_nodes(self, rng, grid128):
+        # at cells = m - 8 the lattice has m nodes, and the nodes are the
+        # outcomes; one cell fewer and it is the lattice of m - 1 nodes
+        y = rng.uniform(size=300)
+        for cells, width, nodes in ((292, 1, 300), (291, 8, 299)):
+            h = switch_bandwidth(y, cells)
+            cell, weights, phi = _outcome_operator(y, grid128.points, h)
+            assert weights.shape == (300, width) and len(phi) == nodes
+            if width == 8:
+                assert cell.min() == 0 and cell.max() == cells - 1
 
-        monkeypatch.setattr(nuisance, "_gauss", counting)
-        _kernel_outcome_matrix(y, grid.points, h)
-        assert count[0] < bound * m * grid.size
+    def test_the_last_stencil_ends_at_the_last_node(self, grid128):
+        # y spans [0, 1] and h = 1/4: range(y) is 64 steps exactly, so the
+        # largest outcome sits on node 64 + 3 with fraction 0, and its stencil
+        # ends at the lattice's last node
+        y = np.linspace(0.0, 1.0, 100)
+        cell, weights, phi = _outcome_operator(y, grid128.points, 0.25)
+        assert len(phi) == 72 and cell.max() == 64
+        assert np.array_equal(weights[-1], (_STENCIL == 0).astype(float))
+        exact = kernel_outcome_reference(y, grid128.points, 0.25)
+        dense = np.einsum("iw,iwg->ig", weights, phi[cell[:, None] + np.arange(8)])
+        assert np.abs(dense - exact).max() <= 1e-9 * exact.max()
 
-    def test_model_keeps_the_float32_kernel(self, rng, grid128):
+    def test_nadaraya_watson_rows_must_be_sorted(self, rng, grid128):
         # Nadaraya-Watson rows come sorted by their first covariate, as
         # fit_cond_density sorts them; unsorted ones are rejected
         table = uniform_table(200, rng)
-        x, y = table.x[table.a == 1], table.y[table.a == 1]
-        order = np.argsort(x[:, 0], kind="stable")
-        kmat = _kernel_outcome_matrix(y[order], grid128.points, 0.05)
-        model = CondDensityModel(1, x[order], kmat, "nadaraya_watson", 0.05)
-        assert np.shares_memory(model.kmat, kmat)
+        x, y = training_outcomes(table, 1, "nadaraya_watson")
+        CondDensityModel(1, x, y, grid128.points, "nadaraya_watson", 0.05)
         with pytest.raises(DataError, match="sorted by their first covariate"):
-            CondDensityModel(1, x[order[::-1]], kmat, "nadaraya_watson", 0.05)
-        CondDensityModel(1, x[order[::-1]], kmat, "knn", 0.05)
+            CondDensityModel(1, x[::-1], y[::-1], grid128.points, "nadaraya_watson", 0.05)
+        CondDensityModel(1, x[::-1], y[::-1], grid128.points, "knn", 0.05)
 
 
 class TestCondDensity:
@@ -280,18 +329,69 @@ class TestFactoredEta:
     @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
     def test_predict_is_the_dense_view(self, regressor, size, rng):
         # predict (FactoredEta contracted with the identity) against the dense
-        # reference, on rows inside and far outside the training cloud
+        # reference, on rows inside and far outside the training cloud. The
+        # two sum W K over the band and over every training row, in different
+        # orders: 2.25e-15 apart at most here (1.97e-15 with a float32 K)
         grid = make_grid(size, "trapezoid")
         table = get_dgp("confounded_shift").sample(1200, rng)
         model = fit_cond_density(table, 1, grid, regressor=regressor)
         x = np.vstack([rng.uniform(size=(300, 2)), 30.0 + 10.0 * rng.uniform(size=(300, 2))])
         ref = predict_reference(model, x, grid)
-        assert np.allclose(model.predict(x, grid), ref, rtol=2e-15, atol=0.0)
+        assert np.allclose(model.predict(x, grid), ref, rtol=3e-15, atol=0.0)
+
+
+class TestOperatorAgainstTheExactKernel:
+    """Each training kernel's mass, 1/mass, ``contract`` and the row sums of
+    the operator B Phi against the same quantities from the exact float64
+    kernel, within 1e-9 of the kernel's peak per unit of kernel mass: on the
+    lattice, on the outcomes as nodes, and on either side of the switch
+    between them, for every regressor and grid rule, with rows far outside
+    the training cloud (the Nadaraya-Watson fallback rows) included."""
+
+    @pytest.mark.parametrize("nodes", ["lattice", "outcomes", "switch_outcomes",
+                                       "switch_lattice"])
+    @pytest.mark.parametrize("rule", ["trapezoid", "gauss_legendre"])
+    @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
+    def test_products_match_the_exact_kernel(self, regressor, rule, nodes):
+        grid = make_grid(128, rule)
+        rng = np.random.default_rng(7)
+        table = get_dgp("confounded_shift").sample(1200, rng)
+        _, y = training_outcomes(table, 1, regressor)
+        m = len(y)
+        bandwidth = {"lattice": "silverman", "outcomes": 0.01,
+                     "switch_outcomes": switch_bandwidth(y, m - 8),
+                     "switch_lattice": switch_bandwidth(y, m - 9)}[nodes]
+        model = fit_cond_density(table, 1, grid, bandwidth=bandwidth, regressor=regressor)
+        _, weights, phi = _outcome_operator(y, grid.points, model.h_y)
+        assert weights.shape[1] == (8 if nodes.endswith("lattice") else 1)
+        assert len(phi) < m if nodes.endswith("lattice") else len(phi) == m
+        exact = kernel_outcome_reference(y, grid.points, model.h_y)
+        if regressor == "marginal":
+            exact = exact.sum(axis=0, keepdims=True)
+        kw = exact @ grid.weights
+        assert np.abs(model.k_dot(grid.weights) - kw).max() <= 1e-9 * exact.max()
+        tol = 1e-9 * exact.max() / kw.min()             # per unit of kernel mass
+
+        far = 30.0 + 10.0 * rng.uniform(size=(50, 2))
+        x = np.vstack([rng.uniform(size=(300, 2)), far, -far])
+        v = rng.uniform(size=(len(x), 2)) / len(x)
+        eta = FactoredEta(model, x, grid, v)
+        if regressor == "nadaraya_watson":
+            assert len(eta._fallback[0]) == 100
+        rows = weighted_kernel_rows(model, x, exact)
+        mass = rows @ grid.weights
+        ref = rows / mass[:, None]
+        assert np.all(np.abs(eta.inv_mass * mass - 1.0) <= tol)
+        wh = grid.weights[:, None] * np.column_stack([grid.points**2, np.cos(5 * grid.points)])
+        assert np.abs(eta.contract(wh) - ref @ wh).max() <= tol
+        assert np.abs(eta.contract(wh[:, 0]) - ref @ wh[:, 0]).max() <= tol
+        assert np.abs(eta.row_sums - v.T @ ref).max() <= tol * ref.max()
 
 
 class TestKProducts:
-    """Every product with the float32 K runs one full-width row block of
-    ``_BLOCK`` float64 values at a time, against the whole cast at once."""
+    """Every product with Phi runs one full-width row block of at most
+    ``_BLOCK`` float64 values at a time (``_k_blocks``), against the whole
+    product at once."""
 
     @staticmethod
     def factored(model, x, grid, v, h):
@@ -304,110 +404,61 @@ class TestKProducts:
                                                              monkeypatch):
         # kw enters inv_mass (and the fallback rows), row_sums is the
         # accumulated v.T W K, contract both a (G,) and a (G, k) product. The
-        # reference takes each product in one float64 cast of all of K
+        # reference takes each product with all of Phi at once
         grid = make_grid(size, "trapezoid")
         table = get_dgp("confounded_shift").sample(2600, rng)
         model = fit_cond_density(table, 1, grid, regressor=regressor)
-        m, step = len(model.kmat), _BLOCK // size
+        step = _BLOCK // size
         if regressor == "marginal":
-            assert model.kmat.shape == (1, size) and model.kmat.dtype == np.float64
-        else:
-            assert m > step and m % step, (m, step)     # several blocks, the last one short
+            assert model.phi.shape == (1, size) and model.m == 1
+        elif size == 512:                               # several blocks, the last one short
+            assert len(model.phi) > step and len(model.phi) % step, (model.phi.shape, step)
         x = np.vstack([rng.uniform(size=(500, 2)), [[40.0, -40.0]]])
         v = rng.uniform(size=(len(x), 2))
         h = np.column_stack([grid.points**2, np.cos(5 * grid.points), np.ones(size)])
         eta, one, many = self.factored(model, x, grid, v, h)
-        monkeypatch.setattr(nuisance, "_k_blocks",
-                            lambda kmat: iter([(slice(None), kmat.astype(float))]))
+        monkeypatch.setattr(nuisance, "_k_blocks", lambda phi: iter([(slice(None), phi)]))
         ref, ref_one, ref_many = self.factored(model, x, grid, v, h)
         assert np.allclose(eta.inv_mass, ref.inv_mass, rtol=1e-14, atol=0.0)
         assert np.allclose(eta.row_sums, ref.row_sums, rtol=1e-14, atol=0.0)
         assert np.allclose(one, ref_one, rtol=1e-14, atol=0.0)
         assert np.allclose(many, ref_many, rtol=1e-14, atol=0.0)
 
-    def test_no_float64_copy_of_k(self, rng, grid):
-        # building the factored form and contracting it allocate less than
-        # K's own size: a float64 copy of K would be twice that
-        table = get_dgp("confounded_shift").sample(7000, rng)
-        model = fit_cond_density(table.rows(np.arange(6000)), 1, grid)
-        kbytes = model.kmat.nbytes
-        assert kbytes > 4 * _BLOCK * 8
-        x, v = table.x[6000:], np.full((1000, 2), 1e-3)
-        wh = grid.weights[:, None] * np.column_stack([grid.points, grid.points**2])
-        tracemalloc.start()
-        try:
-            FactoredEta(model, x, grid, v).contract(wh)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < kbytes, (peak, kbytes)
+    @pytest.mark.parametrize("bandwidth", ["silverman", 0.002])
+    @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
+    def test_no_product_takes_more_than_a_block_of_phi(self, regressor, bandwidth, grid,
+                                                       monkeypatch):
+        # Phi is handed out as an array that records the size of every Phi
+        # operand of a matmul and refuses every other numpy function (np.dot,
+        # einsum, ...), through the fit (the marginal's row sum), FactoredEta,
+        # a (G, 8) contract and predict. A product with more of Phi than a
+        # block starts OpenBLAS's threads (``_k_blocks``); h = 0.002 puts the
+        # outcomes themselves at the nodes, the largest Phi
+        sizes = []
 
+        class Guarded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                assert ufunc is np.matmul and method == "__call__", ufunc
+                sizes.extend(a.size for a in inputs if isinstance(a, Guarded))
+                return ufunc(*(a.view(np.ndarray) if isinstance(a, Guarded) else a
+                               for a in inputs), **kwargs)
 
-class TestKStorage:
-    """A fold stream builds each level's K in one storage while no array of
-    the last one is alive, and in new storage otherwise."""
+            def __array_function__(self, func, types, args, kwargs):
+                raise AssertionError(f"{func.__name__} on Phi")
 
-    N, K = 1500, 4
-
-    @pytest.fixture(scope="class")
-    def sample(self):
-        table = get_dgp("confounded_shift").sample(self.N, np.random.default_rng(11))
-        return table, make_folds(self.N, self.K, seed=6)
-
-    @staticmethod
-    def address(fold, lev):
-        return fold.eta[lev].model.kmat.__array_interface__["data"][0]
-
-    def test_a_stream_dropping_each_fold_reuses_one_buffer_per_level(self, sample, grid128):
-        table, folds = sample
-        seen = []
-
-        def spy(fold):          # map drops the fold before it asks for the next
-            seen.append({lev: self.address(fold, lev) for lev in (0, 1)})
-
-        for _ in map(spy, fold_stream(table, folds, (0, 1), grid128)):
-            pass
-        assert len(seen) == self.K
-        assert all(s == seen[0] for s in seen)
-        assert seen[0][0] != seen[0][1]
-
-    def test_a_live_subview_keeps_its_storage(self, sample, grid128):
-        table, folds = sample
-        kept = []
-
-        def spy(fold):          # keep a view of a view of level 1's K, nothing else
-            kept.append(fold.eta[1].model.kmat[5:][:, 3:].T)
-            return self.address(fold, 0), self.address(fold, 1)
-
-        seen = list(map(spy, fold_stream(table, folds, (0, 1), grid128)))
-        assert len({s[0] for s in seen}) == 1
-        assert len({s[1] for s in seen}) == self.K
-        for i, view in enumerate(kept):
-            assert not any(np.shares_memory(view, other) for other in kept[i + 1:])
-
-    def test_cross_fit_folds_share_no_storage(self, sample, grid128):
-        table, folds = sample
-        fn = cross_fit(table, folds, (0, 1), grid128)
-        kmats = [fold.eta[lev].model.kmat for fold in fn for lev in (0, 1)]
-        for i, a in enumerate(kmats):
-            assert not any(np.shares_memory(a, b) for b in kmats[i + 1:])
-
-    def test_a_kept_fold_equals_a_fresh_fit(self, sample, grid128):
-        # every fold of the list is compared once all of them have been fit
-        table, folds = sample
-        kept = list(fold_stream(table, folds, (0, 1), grid128))
-        wh = grid128.weights[:, None] * np.column_stack([grid128.points, grid128.points**3])
-        for fold, (_, train_idx, eval_idx) in zip(kept, folds.splits()):
-            fresh = single_split(table, train_idx, eval_idx, (0, 1), grid128)
-            for lev in (0, 1):
-                got, want = fold.eta[lev], fresh.eta[lev]
-                assert np.array_equal(got.model.kmat.view(np.uint32),
-                                      want.model.kmat.view(np.uint32))
-                assert np.array_equal(got.inv_mass, want.inv_mass)
-                assert np.array_equal(got.row_sums, want.row_sums)
-                assert np.array_equal(got.contract(wh), want.contract(wh))
-                assert np.array_equal(fold.p_hat[lev], fresh.p_hat[lev])
-                assert np.array_equal(fold.d_hat[lev], fresh.d_hat[lev])
+        build = nuisance._outcome_kernel
+        monkeypatch.setattr(nuisance, "_outcome_kernel",
+                            lambda *args: build(*args).view(Guarded))
+        table = get_dgp("confounded_shift").sample(2600, np.random.default_rng(4))
+        model = fit_cond_density(table.rows(np.arange(2000)), 1, grid, bandwidth=bandwidth,
+                                 regressor=regressor)
+        model.phi = model.phi.view(Guarded)
+        x = table.x[2000:]
+        wh = grid.weights[:, None] * np.cos(np.outer(grid.points, np.arange(8)))
+        FactoredEta(model, x, grid, np.ones((len(x), 2))).contract(wh)
+        model.predict(x[:50], grid)
+        assert regressor == "marginal" or model.phi.size > 2 * _BLOCK
+        assert sizes and max(sizes) <= _BLOCK
 
 
 class TestCovariateWeights:
@@ -432,7 +483,7 @@ class TestCovariateWeights:
     @pytest.mark.parametrize("constant", [0, 1, 2])
     def test_blocks_match_the_row_max_builder(self, constant, rng, grid128, monkeypatch):
         model, x = self.far_rows(rng, grid128, constant)
-        m = len(model.kmat)
+        m = model.m
         v = rng.uniform(size=(len(x), 2))
         eta = FactoredEta(model, x, grid128, v)
         xa = eta._xa                        # the eval rows, sorted by the band coordinate
@@ -476,7 +527,7 @@ class TestCovariateWeights:
         # 1/mass (in the caller's row order) and row sums as the full-width
         # row-max builder forms them: the band and the per-row fallback
         # change the GEMM's and the sums' rounding only
-        kmat = model.kmat.astype(float)
+        kmat = dense_operator(model)
         kw = kmat @ grid128.weights
         inv_mass = np.empty(len(x))
         acc = np.zeros((2, len(kw)))
@@ -504,13 +555,16 @@ class TestCovariateWeights:
 
         monkeypatch.setattr(model, "weight_blocks", counting)
         FactoredEta(model, table.x[2000:], grid128, np.ones((2000, 1))).contract(grid128.weights)
-        assert count[0] < 0.65 * 2 * 2000 * len(model.kmat)
+        assert count[0] < 0.65 * 2 * 2000 * model.m
 
     def test_fallback_to_a_massless_kernel_raises(self, rng, grid128):
+        # B's row of the far row's nearest training row set to 0: that
+        # training kernel, its only fallback, has no mass
         model, x = self.far_rows(rng, grid128)
         far = x[250:251]
         nearest = (model.covariates(far) @ model._train_aug.T).argmax()
-        model.kmat[nearest] = 0.0
+        FactoredEta(model, far, grid128, np.ones((1, 1)))
+        model._weights[nearest] = 0.0
         with pytest.raises(DataError, match="no kernel mass"):
             FactoredEta(model, far, grid128, np.ones((1, 1)))
 
@@ -522,6 +576,27 @@ class TestZeroMassRows:
         grid8 = make_grid(8, "trapezoid")
         table = get_dgp("confounded_shift").sample(600, np.random.default_rng(0))
         model = fit_cond_density(table.rows(np.arange(300)), 1, grid8, bandwidth=1e-4)
+        x = table.x[300:]
+        with pytest.raises(DataError, match="no kernel mass"):
+            FactoredEta(model, x, grid8, np.ones((300, 1)))
+        with pytest.raises(DataError, match="no kernel mass"):
+            model.predict(x, grid8)
+
+    @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
+    def test_a_subnormal_mass_raises(self, regressor):
+        # every training outcome sits 38.1 h_y above grid point 3 of 8 and
+        # far from the rest: each training kernel's mass is a subnormal
+        # float64 (about 3e-314), kept where float32 would flush it to 0, and
+        # every eval row's mass is one too small to invert
+        grid8 = make_grid(8, "trapezoid")
+        h = 1e-3
+        table = get_dgp("confounded_shift").sample(600, np.random.default_rng(0))
+        table = ObservationTable(table.x, table.a, np.full(600, grid8.points[3] + 38.1 * h),
+                                 (0.0, 1.0))
+        model = fit_cond_density(table.rows(np.arange(300)), 1, grid8, bandwidth=h,
+                                 regressor=regressor)
+        kw = model.k_dot(grid8.weights)
+        assert np.all((kw > 0.0) & (kw < np.finfo(float).tiny))
         x = table.x[300:]
         with pytest.raises(DataError, match="no kernel mass"):
             FactoredEta(model, x, grid8, np.ones((300, 1)))
