@@ -211,6 +211,24 @@ class TestOutcomeKernel:
             dense = np.einsum("iw,iwg->ig", weights, phi[cell[:, None] + np.arange(8)])
             assert np.abs(dense - exact).max() <= 1e-9 * exact.max()
 
+    @pytest.mark.parametrize("h, bound", [(0.003, 0.3), (0.01, 0.95)])
+    def test_kernel_entries_evaluated(self, h, bound, grid, monkeypatch):
+        # the exp entries _outcome_kernel evaluates, per S G: all three terms
+        # everywhere would be 3; within _TAIL h of each block's centres they
+        # are 0.27 at h = 0.003 (S = m, the outcomes) and 0.85 at h = 0.01
+        # (the lattice of 1508 nodes)
+        y = np.random.default_rng(5).beta(2.0, 3.0, size=2845)
+        count = [0]
+        exp = np.exp
+
+        def counting(z, out=None):
+            count[0] += z.size
+            return exp(z, out=out)
+
+        monkeypatch.setattr(nuisance.np, "exp", counting)
+        _, _, phi = _outcome_operator(y, grid.points, h)
+        assert 0 < count[0] < bound * phi.size
+
     def test_the_switch_is_at_m_nodes(self, rng, grid128):
         # at cells = m - 8 the lattice has m nodes, and the nodes are the
         # outcomes; one cell fewer and it is the lattice of m - 1 nodes
@@ -686,6 +704,32 @@ class TestCrossFit:
                 assert fold.pi[lev].min() >= 0.01
                 assert np.allclose(fold.eta[lev].contract(grid128.weights), 1.0, atol=1e-6)
                 assert abs(fold.p_hat[lev] @ grid128.weights - 1.0) < 1e-6
+
+    def test_cross_fit_folds_share_no_storage(self, rng, grid128):
+        table = get_dgp("confounded_shift").sample(1500, rng)
+        fn = cross_fit(table, make_folds(1500, 4, seed=6), (0, 1), grid128)
+        arrays = [a for fold in fn for lev in (0, 1)
+                  for a in (fold.eta[lev].model.phi, fold.eta[lev].model._weights)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_a_kept_fold_equals_a_fresh_fit(self, rng, grid128):
+        # every fold of the stream is compared once all of them have been fit
+        table = get_dgp("confounded_shift").sample(1500, rng)
+        folds = make_folds(1500, 4, seed=6)
+        kept = list(fold_stream(table, folds, (0, 1), grid128))
+        wh = grid128.weights[:, None] * np.column_stack([grid128.points, grid128.points**3])
+        for fold, (_, train_idx, eval_idx) in zip(kept, folds.splits()):
+            fresh = single_split(table, train_idx, eval_idx, (0, 1), grid128)
+            for lev in (0, 1):
+                got, want = fold.eta[lev], fresh.eta[lev]
+                assert np.array_equal(got.model.phi, want.model.phi)
+                assert np.array_equal(got.model._weights, want.model._weights)
+                assert np.array_equal(got.inv_mass, want.inv_mass)
+                assert np.array_equal(got.row_sums, want.row_sums)
+                assert np.array_equal(got.contract(wh), want.contract(wh))
+                assert np.array_equal(fold.p_hat[lev], fresh.p_hat[lev])
+                assert np.array_equal(fold.d_hat[lev], fresh.d_hat[lev])
 
     def test_single_split_matches_manual(self, rng, grid128):
         dgp = get_dgp("randomized_shift")
