@@ -21,8 +21,11 @@ against thousands of training rows, so each product with K (each training
 kernel's mass, ``contract``'s K (w h), the row sums acc K) costs O(m + S G)
 instead of O(m G). Where the lattice would have at least m nodes (a tiny
 h_y), the nodes are the training outcomes themselves and B only picks each
-row's own node: K is then the exact kernel in float64. Every product with
-Phi runs on full-width row blocks of about 512 KB (``_k_blocks``).
+row's own node: K is then the exact kernel in float64. Phi is built, stored
+and applied in row blocks of at most 512 KB (``_k_blocks``), each stored only
+on the grid points its kernels reach. So Phi's size follows h_y, not n: S G
+values at a large h_y, and for outcomes in [0, 1] never more than about
+65536 + 1240 G of them (5.6 MB at G = 512), lattice or outcome nodes alike.
 
 The covariate weights are clipped Epanechnikov windows, built in blocks of
 about 512 KB of float64 (one core's L2). Nadaraya-Watson training rows are
@@ -81,18 +84,16 @@ def _block_rows(m):
     return min(256, max(32, _BLOCK // m))
 
 
-def _k_blocks(phi):
-    """Yield (rows, Phi[rows]) over full-width row blocks of the outcome
-    kernel Phi of at most ``_BLOCK`` float64 values (about 512 KB), in which
-    Phi is built and every product with it is taken. A block stays in L2 and
-    its products stay on one thread. Taken with the whole Phi instead, they
-    start OpenBLAS's threads: on a 2-core x86-64 Xeon (OpenBLAS 0.3.31) the
-    sweep-2k benchmark then used 0.47 s of CPU time for 0.25 s of wall time,
-    against 0.24 s of each in blocks."""
-    step = max(1, _BLOCK // phi.shape[1])
-    for lo in range(0, len(phi), step):
-        rows = slice(lo, lo + step)
-        yield rows, phi[rows]
+def _k_blocks(nodes, size):
+    """Row slices of the outcome kernel Phi (nodes, size) in blocks of at
+    most ``_BLOCK`` float64 values (about 512 KB), in which Phi is built,
+    stored and applied. A block stays in L2 and its products stay on one
+    thread. Taken with the whole Phi instead, they start OpenBLAS's threads:
+    on a 2-core x86-64 Xeon (OpenBLAS 0.3.31) the sweep-2k benchmark then
+    used 0.47 s of CPU time for 0.25 s of wall time, against 0.24 s of each
+    in blocks."""
+    step = max(1, _BLOCK // size)
+    return [slice(lo, min(lo + step, nodes)) for lo in range(0, nodes, step)]
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +264,8 @@ def _lagrange_weights(frac):
 
 def _outcome_kernel(nodes, points, h):
     """Gaussian kernel in the outcome, reflected at both ends of [0,1], between
-    sorted outcome nodes u and the grid points t: Phi, (S, G) float64.
+    sorted outcome nodes u and the grid points t: Phi (S, G) float64, held as
+    a list of (rows, cols, block), block = Phi[rows, cols].
 
     Phi[s, j] = phi_h(u_s - t_j) + phi_h(-u_s - t_j) + phi_h(2 - u_s - t_j),
     with phi_h the N(0, h^2) density, summed in that order. Reflection removes
@@ -272,22 +274,30 @@ def _outcome_kernel(nodes, points, h):
     the effect estimators picks up a visible bias. Nothing is clipped, so an
     entry may be subnormal. Each term of a ``_k_blocks`` row block is
     evaluated only on the grid points within ``_TAIL`` h of its centres in
-    the block: every term skipped is an exact 0, and its exp would take
-    numpy's slow path for a result below the smallest normal float64.
+    the block, and the block is stored only on the columns cols some term
+    reaches: every entry skipped is an exact 0. So at a small h, where a
+    block's nodes reach a few grid points, Phi holds far fewer than S G
+    values.
     """
-    phi = np.zeros((len(nodes), len(points)))
-    buf = np.empty(max(_BLOCK, len(points)))          # every term's z, in place
-    for rows, block in _k_blocks(phi):
+    phi, blocks = [], _k_blocks(len(nodes), len(points))
+    buf = np.empty((blocks[0].stop - blocks[0].start) * len(points))     # every term's z
+    for rows in blocks:
         u = nodes[rows]
-        for c in (u, -u, 2.0 - u):
-            lo, hi = np.searchsorted(points, [c.min() - _TAIL * h, c.max() + _TAIL * h])
+        terms = [(c, *np.searchsorted(points, [c.min() - _TAIL * h, c.max() + _TAIL * h]))
+                 for c in (u, -u, 2.0 - u)]
+        terms = [(c, lo, hi) for c, lo, hi in terms if hi > lo]
+        first = min((lo for _, lo, _ in terms), default=0)
+        block = np.zeros((len(u), max((hi for _, _, hi in terms), default=0) - first))
+        for c, lo, hi in terms:
             z = buf[:len(c) * (hi - lo)].reshape(len(c), hi - lo)
             np.subtract.outer(c, points[lo:hi], out=z)
-            z /= h
-            np.square(z, out=z)
+            with np.errstate(over="ignore"):   # |z| beyond 1e154 at a tiny h: exp(-inf) = 0
+                z /= h
+                np.square(z, out=z)
             z *= -0.5
-            block[:, lo:hi] += np.exp(z, out=z)
-    phi /= h * np.sqrt(2.0 * np.pi)
+            block[:, lo - first:hi - first] += np.exp(z, out=z)
+        block /= h * np.sqrt(2.0 * np.pi)
+        phi.append((rows, slice(first, first + block.shape[1]), block))
     return phi
 
 
@@ -305,12 +315,14 @@ def _outcome_operator(y, points, h):
     """
     step = h / _LATTICE
     low = y.min()
-    cells = int(np.ceil((y.max() - low) / step))
-    if cells + len(_STENCIL) >= len(y):
+    # ceil(range / step) + 8 >= m, without the quotient, which overflows at a
+    # subnormal h
+    if not y.max() - low <= (len(y) - len(_STENCIL) - 1) * step:
         order = np.argsort(y, kind="stable")
         cell = np.empty(len(y), dtype=np.intp)
         cell[order] = np.arange(len(y))
         return cell, np.ones((len(y), 1)), _outcome_kernel(y[order], points, h)
+    cells = int(np.ceil((y.max() - low) / step))
     pos = (y - low) / step
     cell = np.floor(pos).astype(np.intp)
     nodes = low + step * np.arange(_STENCIL[0], cells + _STENCIL[-1] + 1)
@@ -336,11 +348,11 @@ class CondDensityModel:
     weight blocks are banded on that coordinate.
 
     K is held as the operator B Phi of ``_outcome_operator``, built from the
-    training outcomes y_train on the grid points: ``phi`` (S, G) float64
-    and B's rows, and K enters only through ``k_dot`` (K v) and ``dot_k``
-    (acc K). ``predict`` materialises (n, G) rows on request, as the dense
-    view of ``FactoredEta``; the estimators only ever contract the factored
-    form.
+    training outcomes y_train on the grid points: ``phi``, the (rows, cols,
+    block) row blocks of Phi (S, G) float64, and B's rows, and K enters only
+    through ``k_dot`` (K v) and ``dot_k`` (acc K). ``predict`` materialises
+    (n, G) rows on request, as the dense view of ``FactoredEta``; the
+    estimators only ever contract the factored form.
     """
 
     def __init__(self, level, x_train, y_train, points, regressor, h_y):
@@ -371,11 +383,12 @@ class CondDensityModel:
         if regressor == "nadaraya_watson" and np.any(self._key[1:] < self._key[:-1]):
             raise DataError("Nadaraya-Watson training rows must be sorted by their "
                             "first covariate")
+        self._size = len(points)
         self._cell, self._weights, self.phi = _outcome_operator(y_train, points, h_y)
         if regressor == "marginal":
             # uniform covariate weights: K collapses to the sum of its rows,
             # one node with weight 1
-            self.phi = self.dot_k(np.ones((1, m)))
+            self.phi = [(slice(0, 1), slice(0, self._size), self.dot_k(np.ones((1, m))))]
             self._cell, self._weights = np.zeros(1, dtype=np.intp), np.ones((1, 1))
 
     @property
@@ -385,7 +398,7 @@ class CondDensityModel:
 
     def k_dot(self, v):
         """K v = B (Phi v) for v of shape (G,) or (G, k): (m,) or (m, k)."""
-        pv = np.concatenate([p @ v for _, p in _k_blocks(self.phi)])
+        pv = np.concatenate([p @ v[cols] for _, cols, p in self.phi])
         width = self._weights.shape[1]
         window = np.lib.stride_tricks.sliding_window_view(pv, width, axis=0)[self._cell]
         return np.einsum("iw,i...w->i...", self._weights, window)
@@ -393,12 +406,15 @@ class CondDensityModel:
     def dot_k(self, acc):
         """acc K = (acc B) Phi for acc of shape (k, m): (k, G), with acc B
         from one ``bincount`` over the (row of acc, node) pairs."""
-        k, s = len(acc), len(self.phi)
+        k, s = len(acc), self.phi[-1][0].stop           # s nodes
         nodes = self._cell[:, None] + np.arange(self._weights.shape[1])
         acc_b = np.bincount((s * np.arange(k)[:, None, None] + nodes).ravel(),
                             (acc[:, :, None] * self._weights).ravel(),
                             minlength=k * s).reshape(k, s)
-        return sum(acc_b[:, rows] @ p for rows, p in _k_blocks(self.phi))
+        out = np.zeros((k, self._size))
+        for rows, cols, p in self.phi:
+            out[:, cols] += acc_b[:, rows] @ p
+        return out
 
     def covariates(self, x):
         """Standardized covariates of the rows of x, augmented to [2x/b^2, 1 - |x|^2/b^2, 1]."""
@@ -582,6 +598,10 @@ def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
     h = silverman_bandwidth(y) if bandwidth == "silverman" else float(bandwidth)
     if not (0.0 < h < np.inf):  # nan fails too
         raise DataError(f"bandwidth must be positive and finite, got {h}")
+    if h < 3.0 / np.sqrt(2.0 * np.pi) / np.finfo(float).max:
+        # three terms at the kernel's peak 1 / (h sqrt(2 pi)) would overflow
+        raise DataError(f"level {level}: h_y={h} leaves no kernel mass on the "
+                        f"{grid.size}-point grid: the kernel's peak overflows float64")
     if regressor == "nadaraya_watson":
         # sorted by the band coordinate; B's rows follow this order
         order = np.argsort(x[:, 0], kind="stable")

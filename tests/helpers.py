@@ -111,13 +111,21 @@ def kernel_outcome_reference(y_train, points, h):
     return out
 
 
+def dense_kernel(phi, size):
+    """The outcome kernel Phi of ``nuisance._outcome_kernel``, stored as
+    (rows, cols, block) triples, as one dense (S, size) array: every entry
+    outside the stored blocks is 0."""
+    out = np.zeros((phi[-1][0].stop, size))
+    for rows, cols, block in phi:
+        out[rows, cols] = block
+    return out
+
+
 def dense_operator(model):
-    """A fitted model's K = B Phi as one dense (m, G) matrix, row i the sum
-    of B's weights on row i times the rows of Phi they weight, taken whole:
-    the reference the blocked products ``CondDensityModel.k_dot`` and
-    ``dot_k`` must match to rounding."""
-    nodes = model._cell[:, None] + np.arange(model._weights.shape[1])
-    return np.einsum("iw,iwg->ig", model._weights, model.phi[nodes])
+    """A fitted model's K = B Phi as one dense (m, G) matrix, K I, formed by
+    the model's own ``k_dot``: the K that the banded products of
+    ``FactoredEta`` must match to rounding."""
+    return model.k_dot(np.eye(model._size))
 
 
 def weight_blocks_reference(model, xa):
@@ -150,17 +158,18 @@ def softmax_first_pinned_reference(z, coef):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def weighted_kernel_rows(model, x, kmat):
+def weighted_kernel_rows(model, x, kmat, dtype=float):
     """W K on the rows of x in their given order, for a dense (m, G) K,
-    block by block in float64: W from ``weight_blocks_reference`` for
-    Nadaraya-Watson (full width, no band) and from the model's own unbanded
-    ``weight_blocks`` for k-NN and marginal."""
+    block by block, multiplied and summed in ``dtype``: W from
+    ``weight_blocks_reference`` for Nadaraya-Watson (full width, no band) and
+    from the model's own unbanded ``weight_blocks`` for k-NN and marginal."""
     xa = model.covariates(x)
     blocks = (weight_blocks_reference(model, xa) if model.regressor == "nadaraya_watson"
               else model.weight_blocks(xa))
-    out = np.empty((len(xa), kmat.shape[1]))
+    kmat = kmat.astype(dtype)
+    out = np.empty((len(xa), kmat.shape[1]), dtype=dtype)
     for rows, cols, w in blocks:
-        out[rows] = w @ kmat[cols]
+        out[rows] = w.astype(dtype) @ kmat[cols]
     return out
 
 
@@ -169,8 +178,13 @@ def predict_reference(model, x, grid):
     ``weighted_kernel_rows`` forms from the model's ``dense_operator``, each
     scaled to unit mass under the grid quadrature (a row with no mass raises
     ``DataError``). The reference ``FactoredEta`` and its dense view
-    ``CondDensityModel.predict`` are checked against."""
-    return _normalize_rows_to_density(weighted_kernel_rows(model, x, dense_operator(model)), grid)
+    ``CondDensityModel.predict`` are checked against. Its sums run in
+    ``np.longdouble`` (x87 extended precision on x86-64 Linux): a W K row
+    sums some 700 positive terms, so a float64 reference would carry as
+    much summation error as the float64 model it checks (1.8e-15 against
+    1.4e-15 relative in ``test_predict_is_the_dense_view``)."""
+    rows = weighted_kernel_rows(model, x, dense_operator(model), np.longdouble)
+    return _normalize_rows_to_density(rows, grid)
 
 
 def generic_root(distance, model, folds_nuis, level, grid):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import (dense_operator, kernel_outcome_reference, predict_reference,
+from helpers import (dense_kernel, dense_operator, kernel_outcome_reference, predict_reference,
                      softmax_first_pinned_reference, weight_blocks_reference,
                      weighted_kernel_rows)
 
@@ -192,6 +192,7 @@ class TestOutcomeKernel:
         for y in (rng.uniform(size=m), rng.beta(0.3, 0.3, size=m)):
             y[[0, 411, m - 1]] = [0.0, 0.5, 1.0]
             cell, weights, phi = _outcome_operator(y, points, h)
+            phi = dense_kernel(phi, size)
             assert phi.shape == (m, size) and np.array_equal(weights, np.ones((m, 1)))
             assert np.array_equal(phi[cell], kernel_outcome_reference(y, points, h))
 
@@ -206,17 +207,21 @@ class TestOutcomeKernel:
         for y in (rng.uniform(size=m), rng.beta(0.3, 0.3, size=m)):
             y[[0, 411, m - 1]] = [0.0, 0.5, 1.0]
             cell, weights, phi = _outcome_operator(y, points, h)
+            phi = dense_kernel(phi, len(points))
             assert weights.shape == (m, 8) and len(phi) < m
             exact = kernel_outcome_reference(y, points, h)
             dense = np.einsum("iw,iwg->ig", weights, phi[cell[:, None] + np.arange(8)])
             assert np.abs(dense - exact).max() <= 1e-9 * exact.max()
 
-    @pytest.mark.parametrize("h, bound", [(0.003, 0.3), (0.01, 0.95)])
-    def test_kernel_entries_evaluated(self, h, bound, grid, monkeypatch):
-        # the exp entries _outcome_kernel evaluates, per S G: all three terms
-        # everywhere would be 3; within _TAIL h of each block's centres they
-        # are 0.27 at h = 0.003 (S = m, the outcomes) and 0.85 at h = 0.01
-        # (the lattice of 1508 nodes)
+    @pytest.mark.parametrize("h, evaluated, stored", [(0.001, 0.12, 0.12), (0.003, 0.28, 0.27),
+                                                      (0.01, 0.86, 0.69)])
+    def test_kernel_entries_evaluated_and_stored(self, h, evaluated, stored, grid,
+                                                 monkeypatch):
+        # the exp entries _outcome_kernel evaluates and the entries Phi keeps,
+        # per S G: all three terms everywhere would be 3, and a dense Phi 1.
+        # Within _TAIL h of each block's centres they are 0.116 and 0.114 at
+        # h = 0.001 and 0.270 and 0.264 at h = 0.003 (S = m, the outcomes),
+        # 0.852 and 0.684 at h = 0.01 (the lattice of 1508 nodes)
         y = np.random.default_rng(5).beta(2.0, 3.0, size=2845)
         count = [0]
         exp = np.exp
@@ -227,7 +232,9 @@ class TestOutcomeKernel:
 
         monkeypatch.setattr(nuisance.np, "exp", counting)
         _, _, phi = _outcome_operator(y, grid.points, h)
-        assert 0 < count[0] < bound * phi.size
+        size = phi[-1][0].stop * grid.size
+        assert 0 < count[0] < evaluated * size
+        assert sum(block.size for _, _, block in phi) < stored * size
 
     def test_the_switch_is_at_m_nodes(self, rng, grid128):
         # at cells = m - 8 the lattice has m nodes, and the nodes are the
@@ -236,7 +243,7 @@ class TestOutcomeKernel:
         for cells, width, nodes in ((292, 1, 300), (291, 8, 299)):
             h = switch_bandwidth(y, cells)
             cell, weights, phi = _outcome_operator(y, grid128.points, h)
-            assert weights.shape == (300, width) and len(phi) == nodes
+            assert weights.shape == (300, width) and phi[-1][0].stop == nodes
             if width == 8:
                 assert cell.min() == 0 and cell.max() == cells - 1
 
@@ -246,6 +253,7 @@ class TestOutcomeKernel:
         # ends at the lattice's last node
         y = np.linspace(0.0, 1.0, 100)
         cell, weights, phi = _outcome_operator(y, grid128.points, 0.25)
+        phi = dense_kernel(phi, grid128.size)
         assert len(phi) == 72 and cell.max() == 64
         assert np.array_equal(weights[-1], (_STENCIL == 0).astype(float))
         exact = kernel_outcome_reference(y, grid128.points, 0.25)
@@ -347,15 +355,13 @@ class TestFactoredEta:
     @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
     def test_predict_is_the_dense_view(self, regressor, size, rng):
         # predict (FactoredEta contracted with the identity) against the dense
-        # reference, on rows inside and far outside the training cloud. The
-        # two sum W K over the band and over every training row, in different
-        # orders: 2.25e-15 apart at most here (1.97e-15 with a float32 K)
+        # reference, on rows inside and far outside the training cloud
         grid = make_grid(size, "trapezoid")
         table = get_dgp("confounded_shift").sample(1200, rng)
         model = fit_cond_density(table, 1, grid, regressor=regressor)
         x = np.vstack([rng.uniform(size=(300, 2)), 30.0 + 10.0 * rng.uniform(size=(300, 2))])
         ref = predict_reference(model, x, grid)
-        assert np.allclose(model.predict(x, grid), ref, rtol=3e-15, atol=0.0)
+        assert np.allclose(model.predict(x, grid), ref, rtol=2e-15, atol=0.0)
 
 
 class TestOperatorAgainstTheExactKernel:
@@ -381,8 +387,9 @@ class TestOperatorAgainstTheExactKernel:
                      "switch_lattice": switch_bandwidth(y, m - 9)}[nodes]
         model = fit_cond_density(table, 1, grid, bandwidth=bandwidth, regressor=regressor)
         _, weights, phi = _outcome_operator(y, grid.points, model.h_y)
+        s = phi[-1][0].stop
         assert weights.shape[1] == (8 if nodes.endswith("lattice") else 1)
-        assert len(phi) < m if nodes.endswith("lattice") else len(phi) == m
+        assert s < m if nodes.endswith("lattice") else s == m
         exact = kernel_outcome_reference(y, grid.points, model.h_y)
         if regressor == "marginal":
             exact = exact.sum(axis=0, keepdims=True)
@@ -416,27 +423,38 @@ class TestKProducts:
         eta = FactoredEta(model, x, grid, v)
         return eta, eta.contract(grid.weights * h[:, 0]), eta.contract(grid.weights[:, None] * h)
 
+    @pytest.mark.parametrize("bandwidth", [0.014, 0.002])
     @pytest.mark.parametrize("size", [64, 128, 512])
     @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
-    def test_blocked_products_match_the_full_float64_product(self, regressor, size, rng,
-                                                             monkeypatch):
+    def test_blocked_products_match_the_full_float64_product(self, regressor, size, bandwidth,
+                                                             rng, monkeypatch):
         # kw enters inv_mass (and the fallback rows), row_sums is the
-        # accumulated v.T W K, contract both a (G,) and a (G, k) product. The
-        # reference takes each product with all of Phi at once
+        # accumulated v.T W K, contract both a (G,) and a (G, k) product.
+        # h = 0.014 keeps the lattice, 1143 nodes against 1411 training rows,
+        # and h = 0.002 puts the outcomes at the nodes: several row blocks at
+        # every G, some of them stored on fewer than G columns. The reference
+        # is the same fit with all of Phi as one block, so it takes each
+        # product with all of Phi at once
         grid = make_grid(size, "trapezoid")
         table = get_dgp("confounded_shift").sample(2600, rng)
-        model = fit_cond_density(table, 1, grid, regressor=regressor)
+        model = fit_cond_density(table, 1, grid, bandwidth=bandwidth, regressor=regressor)
         step = _BLOCK // size
+        widths = [cols.stop - cols.start for _, cols, _ in model.phi]
         if regressor == "marginal":
-            assert model.phi.shape == (1, size) and model.m == 1
-        elif size == 512:                               # several blocks, the last one short
-            assert len(model.phi) > step and len(model.phi) % step, (model.phi.shape, step)
+            assert widths == [size] and model.m == 1
+        else:
+            nodes = model.phi[-1][0].stop
+            assert nodes > step and nodes % step, (nodes, step)     # the last block short
+            assert nodes == (1143 if bandwidth == 0.014 else model.m)
+            assert min(widths) < size
         x = np.vstack([rng.uniform(size=(500, 2)), [[40.0, -40.0]]])
         v = rng.uniform(size=(len(x), 2))
         h = np.column_stack([grid.points**2, np.cos(5 * grid.points), np.ones(size)])
         eta, one, many = self.factored(model, x, grid, v, h)
-        monkeypatch.setattr(nuisance, "_k_blocks", lambda phi: iter([(slice(None), phi)]))
-        ref, ref_one, ref_many = self.factored(model, x, grid, v, h)
+        monkeypatch.setattr(nuisance, "_k_blocks", lambda nodes, size: [slice(0, nodes)])
+        whole = fit_cond_density(table, 1, grid, bandwidth=bandwidth, regressor=regressor)
+        assert len(whole.phi) == 1
+        ref, ref_one, ref_many = self.factored(whole, x, grid, v, h)
         assert np.allclose(eta.inv_mass, ref.inv_mass, rtol=1e-14, atol=0.0)
         assert np.allclose(eta.row_sums, ref.row_sums, rtol=1e-14, atol=0.0)
         assert np.allclose(one, ref_one, rtol=1e-14, atol=0.0)
@@ -451,7 +469,7 @@ class TestKProducts:
         # einsum, ...), through the fit (the marginal's row sum), FactoredEta,
         # a (G, 8) contract and predict. A product with more of Phi than a
         # block starts OpenBLAS's threads (``_k_blocks``); h = 0.002 puts the
-        # outcomes themselves at the nodes, the largest Phi
+        # outcomes themselves at the nodes, the most nodes
         sizes = []
 
         class Guarded(np.ndarray):
@@ -464,18 +482,20 @@ class TestKProducts:
             def __array_function__(self, func, types, args, kwargs):
                 raise AssertionError(f"{func.__name__} on Phi")
 
+        def guarded(phi):
+            return [(rows, cols, block.view(Guarded)) for rows, cols, block in phi]
+
         build = nuisance._outcome_kernel
-        monkeypatch.setattr(nuisance, "_outcome_kernel",
-                            lambda *args: build(*args).view(Guarded))
+        monkeypatch.setattr(nuisance, "_outcome_kernel", lambda *args: guarded(build(*args)))
         table = get_dgp("confounded_shift").sample(2600, np.random.default_rng(4))
         model = fit_cond_density(table.rows(np.arange(2000)), 1, grid, bandwidth=bandwidth,
                                  regressor=regressor)
-        model.phi = model.phi.view(Guarded)
+        model.phi = guarded(model.phi)
         x = table.x[2000:]
         wh = grid.weights[:, None] * np.cos(np.outer(grid.points, np.arange(8)))
         FactoredEta(model, x, grid, np.ones((len(x), 2))).contract(wh)
         model.predict(x[:50], grid)
-        assert regressor == "marginal" or model.phi.size > 2 * _BLOCK
+        assert regressor == "marginal" or len(model.phi) > 2
         assert sizes and max(sizes) <= _BLOCK
 
 
@@ -621,6 +641,17 @@ class TestZeroMassRows:
         with pytest.raises(DataError, match="no kernel mass"):
             model.predict(x, grid8)
 
+    @pytest.mark.parametrize("h", [1e-308, 1e-310])
+    def test_a_subnormal_bandwidth_raises(self, h, grid128):
+        # at h_y = 1e-308 the lattice step h_y / 16 is subnormal and range(y)
+        # over it overflows: the nodes are the outcomes, none of them on a
+        # grid point, so no eval row has mass. At 1e-310 the kernel's peak
+        # 1 / (h_y sqrt(2 pi)) overflows and the fit itself raises
+        table = get_dgp("confounded_shift").sample(600, np.random.default_rng(0))
+        with pytest.raises(DataError, match="no kernel mass"):
+            model = fit_cond_density(table.rows(np.arange(300)), 1, grid128, bandwidth=h)
+            FactoredEta(model, table.x[300:], grid128, np.ones((300, 1)))
+
     def test_tabulate_raises_on_a_zero_row(self, rng, grid128):
         table = uniform_table(50, rng)
 
@@ -708,8 +739,9 @@ class TestCrossFit:
     def test_cross_fit_folds_share_no_storage(self, rng, grid128):
         table = get_dgp("confounded_shift").sample(1500, rng)
         fn = cross_fit(table, make_folds(1500, 4, seed=6), (0, 1), grid128)
-        arrays = [a for fold in fn for lev in (0, 1)
-                  for a in (fold.eta[lev].model.phi, fold.eta[lev].model._weights)]
+        arrays = [a for fold in fn for lev in (0, 1) for a in
+                  (*(block for _, _, block in fold.eta[lev].model.phi),
+                   fold.eta[lev].model._weights)]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
@@ -723,7 +755,9 @@ class TestCrossFit:
             fresh = single_split(table, train_idx, eval_idx, (0, 1), grid128)
             for lev in (0, 1):
                 got, want = fold.eta[lev], fresh.eta[lev]
-                assert np.array_equal(got.model.phi, want.model.phi)
+                for (rows, cols, block), want_block in zip(got.model.phi, want.model.phi):
+                    assert (rows, cols) == want_block[:2]
+                    assert np.array_equal(block, want_block[2])
                 assert np.array_equal(got.model._weights, want.model._weights)
                 assert np.array_equal(got.inv_mass, want.inv_mass)
                 assert np.array_equal(got.row_sums, want.row_sums)
