@@ -19,12 +19,13 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import __version__
-from .data import load_csv, make_folds, make_grid
+from .data import GRID_RULES, load_csv, make_folds, make_grid
 from .distances import parse_distance
 from .effects import effect_onestep
 from .errors import CfdensError, ConfigError, DataError, SolverError
 from .models import TruncatedSeries, CosineBasis, parse_model
-from .nuisance import NuisanceConfig, cross_fit, fold_stream
+from .nuisance import (DENSITY_REGRESSORS, PROPENSITY_METHODS, NuisanceConfig, cross_fit,
+                       fold_stream)
 from .oracle import EXPERIMENTS, mc_run
 from .projection import solve_onestep
 from .selection import aggregate_linear, select_model
@@ -92,15 +93,15 @@ def _validate(cfg: RunConfig):
         bad.append(f"seed: need >= 0, got {cfg.seed}")
     if cfg.grid < 8:
         bad.append(f"grid: {cfg.grid} too coarse, need >= 8")
-    if cfg.grid_rule not in ("trapezoid", "gauss_legendre"):
+    if cfg.grid_rule not in GRID_RULES:
         bad.append(f"grid-rule: unknown rule {cfg.grid_rule!r}")
     if cfg.folds < 2:
         bad.append(f"folds: need >= 2, got {cfg.folds}")
     if not (0.0 < cfg.clip_eps < 0.5):
         bad.append(f"clip-eps: {cfg.clip_eps} outside (0, 0.5)")
-    if cfg.nuisance_propensity not in ("logistic", "knn"):
+    if cfg.nuisance_propensity not in PROPENSITY_METHODS:
         bad.append(f"nuisance-propensity: unknown method {cfg.nuisance_propensity!r}")
-    if cfg.nuisance_density not in ("nadaraya_watson", "knn", "marginal"):
+    if cfg.nuisance_density not in DENSITY_REGRESSORS:
         bad.append(f"nuisance-density: unknown method {cfg.nuisance_density!r}")
     if cfg.bandwidth != "silverman":
         try:

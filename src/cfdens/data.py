@@ -24,6 +24,7 @@ from .errors import (
 )
 
 MISSING_LEVEL = -1  # treatment label for rows whose outcome was never observed
+GRID_RULES = ("trapezoid", "gauss_legendre")
 
 
 def _freeze(arr):
@@ -315,16 +316,16 @@ def make_grid(size, rule="trapezoid") -> EvalGrid:
     """
     if size < 8:
         raise GridError(f"grid of {size} points is too coarse; need at least 8")
+    if rule not in GRID_RULES:
+        raise GridError(f"unknown grid rule: {rule!r}")
     if rule == "trapezoid":
         pts = np.linspace(0.0, 1.0, size)
         wts = np.full(size, 1.0 / (size - 1))
         wts[0] *= 0.5
         wts[-1] *= 0.5
         return EvalGrid(pts, wts)
-    if rule == "gauss_legendre":
-        nodes, wts = np.polynomial.legendre.leggauss(size)
-        return EvalGrid(0.5 * (nodes + 1.0), 0.5 * wts)
-    raise GridError(f"unknown grid rule: {rule!r}")
+    nodes, wts = np.polynomial.legendre.leggauss(size)
+    return EvalGrid(0.5 * (nodes + 1.0), 0.5 * wts)
 
 
 @dataclass(frozen=True)

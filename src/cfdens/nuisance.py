@@ -27,7 +27,11 @@ on the grid points its kernels reach. So Phi's size follows h_y, not n: S G
 values at a large h_y, and for outcomes in [0, 1] never more than about
 65536 + 1240 G of them (5.6 MB at G = 512), lattice or outcome nodes alike.
 
-The covariate weights are clipped Epanechnikov windows, built in blocks of
+Both regressions on X, the propensity's (of the level indicators) and the
+conditional density's (of the outcome kernels), read one covariate-weights
+layer, ``CovariateWeights``, with two responses: its standardization, its
+weight blocks and, for k-NN, its one neighbour search and tie rule. The
+Nadaraya-Watson weights are clipped Epanechnikov windows, built in blocks of
 about 512 KB of float64 (one core's L2). Nadaraya-Watson training rows are
 sorted by their first covariate at fit and ``FactoredEta`` sorts its eval rows
 the same way, so each block multiplies only the training rows whose first
@@ -38,9 +42,10 @@ row falls back to its nearest training row. An eval row whose mass is 0, or so
 small that 1/mass overflows, raises ``DataError`` in ``FactoredEta``, and so
 in ``predict``, its dense view; ``tabulate_nuisances`` raises one for an
 injected row without finite, positive mass. Shipped learners are multinomial
-logistic regression and k-NN for the propensity, and Nadaraya-Watson / k-NN /
-marginal-only kernel regressions of a Gaussian-kernel-transformed outcome
-for the conditional density. Analytic or deliberately misspecified
+logistic regression and k-NN for the propensity (``PROPENSITY_METHODS``), and
+Nadaraya-Watson / k-NN / marginal-only kernel regressions of a
+Gaussian-kernel-transformed outcome for the conditional density
+(``DENSITY_REGRESSORS``). Analytic or deliberately misspecified
 nuisances enter through ``tabulate_nuisances``, the dense special case.
 
 ``fold_stream`` yields the folds one at a time, as they are fit, for a
@@ -68,19 +73,21 @@ _DENOM = np.array([np.prod(a - _STENCIL[_STENCIL != a]) for a in _STENCIL], dtyp
 _TAIL = 38.7
 LOGIT_TOL = 1e-8        # gradient norm at which the logistic Newton fit stops
 LOGIT_MAX_ITER = 100
+PROPENSITY_METHODS = ("logistic", "knn")
+DENSITY_REGRESSORS = ("nadaraya_watson", "knn", "marginal")
 
 
 @dataclass(frozen=True)
 class NuisanceConfig:
-    propensity: str = "logistic"        # logistic | knn
-    density: str = "nadaraya_watson"    # nadaraya_watson | knn | marginal
+    propensity: str = "logistic"        # one of PROPENSITY_METHODS
+    density: str = "nadaraya_watson"    # one of DENSITY_REGRESSORS
     bandwidth: object = "silverman"     # "silverman" or a fixed float
     clip_eps: float = 0.01
 
 
 def _block_rows(m):
     """Rows per block of float64 values against m training rows: about 512 KB,
-    so a block stays in a core's L2 (covariate weights, k-NN distances)."""
+    so a block stays in a core's L2 (``CovariateWeights.weight_blocks``)."""
     return min(256, max(32, _BLOCK // m))
 
 
@@ -94,6 +101,129 @@ def _k_blocks(nodes, size):
     in blocks."""
     step = max(1, _BLOCK // size)
     return [slice(lo, min(lo + step, nodes)) for lo in range(0, nodes, step)]
+
+
+# ---------------------------------------------------------------------------
+# covariate weights, shared by the propensity and the conditional density
+
+class CovariateWeights:
+    """Weights W(x) (m,) of covariate rows x against m training rows: the
+    covariate half of both regressions on X, the propensity's (of the level
+    indicators) and the conditional density's (of the outcome kernels).
+
+    Covariates are standardized by the training rows' mean and sd (a column
+    with sd below 1e-12 carries no distance). ``covariates(x)`` augments the
+    rows so that one GEMM against the training half gives 1 - |x - x_j|^2 / b^2
+    for every pair (``weight_blocks``). The ``regressor``:
+
+    - ``nadaraya_watson``: Epanechnikov windows of bandwidth
+      b = 3.5 m^(-1/(d+4)), clipped at 0 (compact support keeps them cheap).
+      The training rows must come sorted by their first covariate (unsorted
+      rows raise ``DataError``): the weight blocks are banded on it. A row
+      with no in-window neighbour falls back to its nearest one
+      (``nearest_rows``, the one fallback rule).
+    - ``knn``: 1 on the k nearest training rows, 0 elsewhere (b = 1: k-NN only
+      ranks distances). Among rows tied at the k-th distance the selection is
+      ``np.argpartition``'s over the GEMM's values: deterministic for given
+      inputs, but no row order decides it. Both k-NN learners share it.
+    - ``marginal``: uniform weights on one column (m = 1), which the
+      conditional density pairs with the sum of its outcome kernels.
+    """
+
+    def __init__(self, x_train, regressor, k):
+        self.regressor = regressor
+        self._k = k                 # read by the k-NN regressor only
+        self._x_mean = x_train.mean(axis=0)
+        sd = x_train.std(axis=0)
+        self._x_sd = np.where(sd < 1e-12, np.inf, sd)  # inf: dim carries no distance
+        m, d = x_train.shape
+        self.m = 1 if regressor == "marginal" else m     # columns of W
+        x_bw = 1.0  # k-NN only ranks distances
+        if regressor == "nadaraya_watson":
+            # Scott-style rate; the constant is sized for regression, where
+            # local sample size matters more than in density estimation
+            x_bw = 3.5 * m ** (-1.0 / (d + 4))
+        self._inv_bw2 = 1.0 / x_bw**2
+        xt = (x_train - self._x_mean) / self._x_sd
+        # training half of [2x/b^2, 1 - |x|^2/b^2, 1] . [x_j, 1, -|x_j|^2/b^2]
+        # = 1 - |x - x_j|^2 / b^2
+        self._train_aug = np.column_stack(
+            [xt, np.ones(m), -self._inv_bw2 * (xt**2).sum(axis=1)])
+        # the band coordinate in the scale of covariates(x)[:, 0], and the
+        # window's reach in it: b plus a margin for the GEMM's cancellation
+        self._key = 2.0 * self._inv_bw2 * xt[:, 0]
+        self._reach = 2.0 * self._inv_bw2 * (x_bw * (1.0 + 1e-6) + 1e-9)
+        if regressor == "nadaraya_watson" and np.any(self._key[1:] < self._key[:-1]):
+            raise DataError("Nadaraya-Watson training rows must be sorted by their "
+                            "first covariate")
+
+    def covariates(self, x):
+        """Standardized covariates of the rows of x, augmented to [2x/b^2, 1 - |x|^2/b^2, 1]."""
+        xn = (np.asarray(x, dtype=float) - self._x_mean) / self._x_sd
+        return np.column_stack([2.0 * self._inv_bw2 * xn,
+                                1.0 - self._inv_bw2 * (xn**2).sum(axis=1),
+                                np.ones(len(xn))])
+
+    def weight_blocks(self, xa):
+        """Yield (rows, cols, W): unnormalised covariate weights of a block of
+        rows of ``covariates(x)`` against the training rows ``cols``, each
+        block from one GEMM.
+
+        A block holds ``_block_rows(m)`` = min(256, max(32, 65536 // m)) rows,
+        about 512 KB of float64, so it stays in a core's L2. Nadaraya-Watson
+        blocks expect xa sorted by its first column (``FactoredEta`` sorts
+        it): a block then spans only the training rows whose band key lies
+        within the window's reach of the block's key range, as every other
+        entry clips to 0. k-NN and marginal blocks span every training row.
+        Nadaraya-Watson weights are only clipped at 0 here, in place, so a row
+        with an empty window is all zero: it has zero mass, and the caller
+        gives it its nearest-neighbour fallback from ``nearest_rows``.
+
+        Every block is written into one buffer, allocated once per pass, so a
+        block is valid only until the next one is yielded. A new array per
+        block (up to ``_block_rows(m)`` x m float64) is one the allocator may
+        return to the system on free and fault in afresh for the next block.
+        """
+        m = self.m
+        step = _block_rows(m)
+        buf = np.empty(min(step, len(xa)) * m)
+        for lo in range(0, len(xa), step):
+            rows = slice(lo, min(lo + step, len(xa)))
+            cols = slice(0, m)
+            if self.regressor == "nadaraya_watson":
+                cols = slice(np.searchsorted(self._key, xa[lo, 0] - self._reach),
+                             np.searchsorted(self._key, xa[rows.stop - 1, 0] + self._reach,
+                                             side="right"))
+            shape = (rows.stop - lo, cols.stop - cols.start)
+            w = buf[:shape[0] * shape[1]].reshape(shape)
+            if self.regressor == "marginal":
+                w.fill(1.0)
+                yield rows, cols, w
+                continue
+            np.matmul(xa[rows], self._train_aug[cols].T, out=w)   # 1 - |x - x_j|^2 / b^2
+            if self.regressor == "knn":
+                nbr = np.argpartition(w, m - self._k, axis=1)[:, m - self._k:]
+                w.fill(0.0)
+                np.put_along_axis(w, nbr, 1.0, axis=1)
+            else:
+                np.maximum(w, 0.0, out=w)
+            yield rows, cols, w
+
+    def nearest_rows(self, xa):
+        """(empty, nearest): the rows of ``covariates(x)`` xa whose
+        Epanechnikov window holds no training row, and the nearest training
+        row of each, their fallback.
+
+        Called only with the rows of zero mass, so its GEMM against every
+        training row (a nearest row may lie outside the band) runs for those
+        rows alone; the nearest row is the argmax of the values the window
+        clips. k-NN and marginal windows are never empty.
+        """
+        if self.regressor != "nadaraya_watson":
+            return np.arange(0), np.arange(0)
+        w = xa @ self._train_aug.T
+        empty = np.flatnonzero(w.max(axis=1) <= 0.0)
+        return empty, w[empty].argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +326,19 @@ def _fit_multinomial_logistic(x, a, levels):
 
 
 def _fit_knn_propensity(x, a, levels):
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
-    sd = np.where(sd < 1e-12, 1.0, sd)
-    xt = (x - mean) / sd
+    """The level shares among each row's k = min(m, max(10, ceil(m^(2/3))))
+    nearest training rows: the one-hot level indicators regressed on the
+    k-NN ``CovariateWeights``, block by block ``w @ onehot[cols] / k``."""
     m = len(a)
     k = min(m, max(10, int(np.ceil(m ** (2.0 / 3.0)))))
-    step = _block_rows(m)
+    weights = CovariateWeights(x, "knn", k)
     onehot = np.stack([(a == lev).astype(float) for lev in levels], axis=1)
 
     def predict_raw(x_new):
-        xn = (np.asarray(x_new, dtype=float) - mean) / sd
-        out = np.empty((len(xn), len(levels)))
-        for lo in range(0, len(xn), step):
-            blk = xn[lo:lo + step]
-            d2 = ((blk**2).sum(axis=1)[:, None] + (xt**2).sum(axis=1)[None, :]
-                  - 2.0 * blk @ xt.T)
-            nbr = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            out[lo:lo + len(blk)] = onehot[nbr].mean(axis=1)
+        xa = weights.covariates(x_new)
+        out = np.empty((len(xa), len(levels)))
+        for rows, cols, w in weights.weight_blocks(xa):
+            out[rows] = w @ onehot[cols] / k
         return out
 
     return predict_raw
@@ -225,12 +350,12 @@ def fit_propensity_all(train: ObservationTable, method="logistic",
     levels = train.levels()
     if len(levels) < 2:
         raise DataError(f"propensity fit needs rows at two levels or more; have {list(levels)}")
-    if method == "logistic":
-        predict_raw, converged = _fit_multinomial_logistic(train.x, train.a, levels)
-        return PropensityModel(levels, predict_raw, clip_eps, warn=not converged)
+    if method not in PROPENSITY_METHODS:
+        raise DataError(f"unknown propensity method {method!r}")
     if method == "knn":
         return PropensityModel(levels, _fit_knn_propensity(train.x, train.a, levels), clip_eps)
-    raise DataError(f"unknown propensity method {method!r}")
+    predict_raw, converged = _fit_multinomial_logistic(train.x, train.a, levels)
+    return PropensityModel(levels, predict_raw, clip_eps, warn=not converged)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +454,7 @@ def _outcome_operator(y, points, h):
     return cell, _lagrange_weights(pos - cell), _outcome_kernel(nodes, points, h)
 
 
-class CondDensityModel:
+class CondDensityModel(CovariateWeights):
     """Conditional density eta_hat(. | x) on an EvalGrid, held in factored form.
 
     Regression of the Gaussian-kernel-transformed outcome on covariates among
@@ -337,15 +462,12 @@ class CondDensityModel:
     (m, G) the training rows' outcome kernels on the grid, W(x) (m,) the
     covariate weights of x against the training rows and mass(x) = W(x) K w
     the unit-mass normaliser under the grid quadrature w (so the scale of W
-    never matters). Nadaraya-Watson weights are Epanechnikov on standardized
-    coordinates (compact support keeps them cheap) and a row with no
-    in-window neighbor falls back to its nearest one (``nearest_rows``, the
-    one fallback rule); k-NN weights mark the k nearest rows; marginal weights
-    are uniform, so there K collapses to the (1, G) sum of its rows.
-
-    Nadaraya-Watson training rows must come sorted by their first covariate
-    (``fit_cond_density`` sorts them; unsorted rows raise ``DataError``): the
-    weight blocks are banded on that coordinate.
+    never matters). W is the inherited ``CovariateWeights`` of the
+    regressor, with k = min(m, max(20, ceil(m^0.7))) for k-NN; this class
+    adds the outcome half. For the marginal regressor K collapses to the
+    (1, G) sum of its rows, the partner of W's one uniform column.
+    ``fit_cond_density`` sorts Nadaraya-Watson training rows by their first
+    covariate, as the banded weight blocks need.
 
     K is held as the operator B Phi of ``_outcome_operator``, built from the
     training outcomes y_train on the grid points: ``phi``, the (rows, cols,
@@ -356,33 +478,10 @@ class CondDensityModel:
     """
 
     def __init__(self, level, x_train, y_train, points, regressor, h_y):
+        m = len(y_train)
+        super().__init__(x_train, regressor, k=min(m, max(20, int(np.ceil(m ** 0.7)))))
         self.level = int(level)
         self.h_y = float(h_y)
-        self.regressor = regressor
-        self._x_mean = x_train.mean(axis=0)
-        sd = x_train.std(axis=0)
-        self._x_sd = np.where(sd < 1e-12, np.inf, sd)  # inf: dim carries no distance
-        m, d = x_train.shape
-        x_bw = 1.0  # k-NN only ranks distances
-        if regressor == "nadaraya_watson":
-            # Scott-style rate; the constant is sized for regression, where
-            # local sample size matters more than in density estimation
-            x_bw = 3.5 * m ** (-1.0 / (d + 4))
-        elif regressor == "knn":
-            self._k = min(m, max(20, int(np.ceil(m ** 0.7))))
-        self._inv_bw2 = 1.0 / x_bw**2
-        xt = (x_train - self._x_mean) / self._x_sd
-        # training half of [2x/b^2, 1 - |x|^2/b^2, 1] . [x_j, 1, -|x_j|^2/b^2]
-        # = 1 - |x - x_j|^2 / b^2
-        self._train_aug = np.column_stack(
-            [xt, np.ones(m), -self._inv_bw2 * (xt**2).sum(axis=1)])
-        # the band coordinate in the scale of covariates(x)[:, 0], and the
-        # window's reach in it: b plus a margin for the GEMM's cancellation
-        self._key = 2.0 * self._inv_bw2 * xt[:, 0]
-        self._reach = 2.0 * self._inv_bw2 * (x_bw * (1.0 + 1e-6) + 1e-9)
-        if regressor == "nadaraya_watson" and np.any(self._key[1:] < self._key[:-1]):
-            raise DataError("Nadaraya-Watson training rows must be sorted by their "
-                            "first covariate")
         self._size = len(points)
         self._cell, self._weights, self.phi = _outcome_operator(y_train, points, h_y)
         if regressor == "marginal":
@@ -390,11 +489,6 @@ class CondDensityModel:
             # one node with weight 1
             self.phi = [(slice(0, 1), slice(0, self._size), self.dot_k(np.ones((1, m))))]
             self._cell, self._weights = np.zeros(1, dtype=np.intp), np.ones((1, 1))
-
-    @property
-    def m(self):
-        """Rows of K: the training rows, or 1 for the marginal regressor."""
-        return len(self._cell)
 
     def k_dot(self, v):
         """K v = B (Phi v) for v of shape (G,) or (G, k): (m,) or (m, k)."""
@@ -415,74 +509,6 @@ class CondDensityModel:
         for rows, cols, p in self.phi:
             out[:, cols] += acc_b[:, rows] @ p
         return out
-
-    def covariates(self, x):
-        """Standardized covariates of the rows of x, augmented to [2x/b^2, 1 - |x|^2/b^2, 1]."""
-        xn = (np.asarray(x, dtype=float) - self._x_mean) / self._x_sd
-        return np.column_stack([2.0 * self._inv_bw2 * xn,
-                                1.0 - self._inv_bw2 * (xn**2).sum(axis=1),
-                                np.ones(len(xn))])
-
-    def weight_blocks(self, xa):
-        """Yield (rows, cols, W): unnormalised covariate weights of a block of
-        rows of ``covariates(x)`` against the training rows ``cols``, each
-        block from one GEMM.
-
-        A block holds ``_block_rows(m)`` = min(256, max(32, 65536 // m)) rows,
-        about 512 KB of float64, so it stays in a core's L2. Nadaraya-Watson
-        blocks expect xa sorted by its first column (``FactoredEta`` sorts
-        it): a block then spans only the training rows whose band key lies
-        within the window's reach of the block's key range, as every other
-        entry clips to 0. k-NN and marginal blocks span every training row.
-        Nadaraya-Watson weights are only clipped at 0 here, in place, so a row
-        with an empty window is all zero: it has zero mass, and the caller
-        gives it its nearest-neighbour fallback from ``nearest_rows``.
-
-        Every block is written into one buffer, allocated once per pass, so a
-        block is valid only until the next one is yielded. A new array per
-        block (up to ``_block_rows(m)`` x m float64) is one the allocator may
-        return to the system on free and fault in afresh for the next block.
-        """
-        m = self.m
-        step = _block_rows(m)
-        buf = np.empty(min(step, len(xa)) * m)
-        for lo in range(0, len(xa), step):
-            rows = slice(lo, min(lo + step, len(xa)))
-            cols = slice(0, m)
-            if self.regressor == "nadaraya_watson":
-                cols = slice(np.searchsorted(self._key, xa[lo, 0] - self._reach),
-                             np.searchsorted(self._key, xa[rows.stop - 1, 0] + self._reach,
-                                             side="right"))
-            shape = (rows.stop - lo, cols.stop - cols.start)
-            w = buf[:shape[0] * shape[1]].reshape(shape)
-            if self.regressor == "marginal":
-                w.fill(1.0)
-                yield rows, cols, w
-                continue
-            np.matmul(xa[rows], self._train_aug[cols].T, out=w)   # 1 - |x - x_j|^2 / b^2
-            if self.regressor == "knn":
-                nbr = np.argpartition(w, m - self._k, axis=1)[:, m - self._k:]
-                w.fill(0.0)
-                np.put_along_axis(w, nbr, 1.0, axis=1)
-            else:
-                np.maximum(w, 0.0, out=w)
-            yield rows, cols, w
-
-    def nearest_rows(self, xa):
-        """(empty, nearest): the rows of ``covariates(x)`` xa whose
-        Epanechnikov window holds no training row, and the nearest training
-        row of each, their fallback.
-
-        Called only with the rows of zero mass, so its GEMM against every
-        training row (a nearest row may lie outside the band) runs for those
-        rows alone; the nearest row is the argmax of the values the window
-        clips. k-NN and marginal windows are never empty.
-        """
-        if self.regressor != "nadaraya_watson":
-            return np.arange(0), np.arange(0)
-        w = xa @ self._train_aug.T
-        empty = np.flatnonzero(w.max(axis=1) <= 0.0)
-        return empty, w[empty].argmax(axis=1)
 
     def predict(self, x, grid: EvalGrid):
         """Materialise eta_hat on the rows of x: (n, G), each row unit mass.
@@ -592,7 +618,7 @@ def fit_cond_density(train: ObservationTable, level, grid: EvalGrid,
         raise InsufficientDataError(
             f"conditional density at level {level}: {m} training rows, need >= 20"
         )
-    if regressor not in ("nadaraya_watson", "knn", "marginal"):
+    if regressor not in DENSITY_REGRESSORS:
         raise DataError(f"unknown conditional-density regressor {regressor!r}")
     x, y = train.x[mask], train.y[mask]
     h = silverman_bandwidth(y) if bandwidth == "silverman" else float(bandwidth)

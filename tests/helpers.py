@@ -158,32 +158,62 @@ def softmax_first_pinned_reference(z, coef):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _reference_blocks(model, xa):
+    """W block by block: ``weight_blocks_reference`` for Nadaraya-Watson
+    (full width, no band) and the model's own unbanded ``weight_blocks`` for
+    k-NN and marginal."""
+    if model.regressor == "nadaraya_watson":
+        return weight_blocks_reference(model, xa)
+    return model.weight_blocks(xa)
+
+
 def weighted_kernel_rows(model, x, kmat, dtype=float):
     """W K on the rows of x in their given order, for a dense (m, G) K,
-    block by block, multiplied and summed in ``dtype``: W from
-    ``weight_blocks_reference`` for Nadaraya-Watson (full width, no band) and
-    from the model's own unbanded ``weight_blocks`` for k-NN and marginal."""
-    xa = model.covariates(x)
-    blocks = (weight_blocks_reference(model, xa) if model.regressor == "nadaraya_watson"
-              else model.weight_blocks(xa))
+    block by block (``_reference_blocks``), multiplied and summed in
+    ``dtype``."""
     kmat = kmat.astype(dtype)
-    out = np.empty((len(xa), kmat.shape[1]), dtype=dtype)
-    for rows, cols, w in blocks:
+    out = np.empty((len(x), kmat.shape[1]), dtype=dtype)
+    for rows, cols, w in _reference_blocks(model, model.covariates(x)):
         out[rows] = w.astype(dtype) @ kmat[cols]
     return out
 
 
+def compensated_kernel_rows(model, x, kmat):
+    """W K on the rows of x in their given order, in float64, each sum over
+    the training rows a Neumaier-compensated loop (Neumaier 1974). Every
+    product w_ij K_jt is rounded once, and the compensation leaves the sum
+    one more rounding, so on positive terms the result is within about
+    2.2e-16 relative of the exact W K: the reference's sums where
+    ``np.longdouble`` has no 64-bit mantissa."""
+    out = np.empty((len(x), kmat.shape[1]))
+    for rows, cols, w in _reference_blocks(model, model.covariates(x)):
+        total = np.zeros((w.shape[0], kmat.shape[1]))
+        comp = np.zeros_like(total)
+        for w_j, k_j in zip(w.T, kmat[cols]):
+            term = np.outer(w_j, k_j)
+            new = total + term
+            comp += np.where(np.abs(total) >= np.abs(term), (total - new) + term,
+                             (term - new) + total)
+            total = new
+        out[rows] = total + comp
+    return out
+
+
 def predict_reference(model, x, grid):
-    """eta_hat on the rows of x in their given order, materialised: the rows
-    ``weighted_kernel_rows`` forms from the model's ``dense_operator``, each
-    scaled to unit mass under the grid quadrature (a row with no mass raises
-    ``DataError``). The reference ``FactoredEta`` and its dense view
-    ``CondDensityModel.predict`` are checked against. Its sums run in
-    ``np.longdouble`` (x87 extended precision on x86-64 Linux): a W K row
-    sums some 700 positive terms, so a float64 reference would carry as
-    much summation error as the float64 model it checks (1.8e-15 against
-    1.4e-15 relative in ``test_predict_is_the_dense_view``)."""
-    rows = weighted_kernel_rows(model, x, dense_operator(model), np.longdouble)
+    """eta_hat on the rows of x in their given order, materialised: W K from
+    the model's ``dense_operator``, each row scaled to unit mass under the
+    grid quadrature (a row with no mass raises ``DataError``). The reference
+    ``FactoredEta`` and its dense view ``CondDensityModel.predict`` are
+    checked against. A W K row sums some 700 positive terms, so a plain
+    float64 sum would carry as much summation error as the float64 model it
+    checks (1.8e-15 against 1.4e-15 relative in
+    ``test_predict_is_the_dense_view``). Its sums run in ``np.longdouble``
+    where that has a 64-bit mantissa or more (x87 extended precision on
+    x86-64 Linux, quad precision on aarch64 Linux), and otherwise in
+    ``compensated_kernel_rows``."""
+    kmat = dense_operator(model)
+    rows = (weighted_kernel_rows(model, x, kmat, np.longdouble)
+            if np.finfo(np.longdouble).nmant >= 63 else compensated_kernel_rows(model, x, kmat))
     return _normalize_rows_to_density(rows, grid)
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (dense_kernel, dense_operator, kernel_outcome_reference, predict_reference,
+from helpers import (compensated_kernel_rows, dense_kernel, dense_operator,
+                     kernel_outcome_reference, predict_reference,
                      softmax_first_pinned_reference, weight_blocks_reference,
                      weighted_kernel_rows)
 
@@ -363,6 +364,19 @@ class TestFactoredEta:
         ref = predict_reference(model, x, grid)
         assert np.allclose(model.predict(x, grid), ref, rtol=2e-15, atol=0.0)
 
+    @pytest.mark.parametrize("regressor", ["nadaraya_watson", "knn", "marginal"])
+    def test_compensated_reference_sums_match_the_longdouble_sums(self, regressor, rng,
+                                                                  grid128):
+        # the reference's float64 path, for platforms whose long double has
+        # no 64-bit mantissa, forced here and held to the longdouble sums
+        table = get_dgp("confounded_shift").sample(400, rng)
+        model = fit_cond_density(table, 1, grid128, regressor=regressor)
+        x = np.vstack([rng.uniform(size=(60, 2)), 30.0 + rng.uniform(size=(5, 2))])
+        kmat = dense_operator(model)
+        want = weighted_kernel_rows(model, x, kmat, np.longdouble)
+        got = compensated_kernel_rows(model, x, kmat)
+        assert np.all(np.abs(got - want) <= 3e-16 * np.abs(want))
+
 
 class TestOperatorAgainstTheExactKernel:
     """Each training kernel's mass, 1/mass, ``contract`` and the row sums of
@@ -605,6 +619,53 @@ class TestCovariateWeights:
         model._weights[nearest] = 0.0
         with pytest.raises(DataError, match="no kernel mass"):
             FactoredEta(model, far, grid128, np.ones((1, 1)))
+
+    def test_knn_density_blocks_match_a_single_block_argsort(self):
+        # tie-free covariates: the k-NN density's weight blocks (m = 1125
+        # training rows, blocks of 58 rows) mark, for every eval row, the k
+        # rows an argsort of the plain squared differences ranks first
+        table = get_dgp("confounded_shift").sample(2500, np.random.default_rng(5))
+        train = table.rows(np.arange(2000))
+        model = fit_cond_density(train, 1, make_grid(128), regressor="knn")
+        x = train.x[train.a == 1]
+        m = len(x)
+        k = max(20, int(np.ceil(m ** 0.7)))
+        xt = (x - x.mean(axis=0)) / x.std(axis=0)
+        xn = (table.x[2000:] - x.mean(axis=0)) / x.std(axis=0)
+        d2 = ((xn[:, None, :] - xt[None, :, :]) ** 2).sum(axis=2)
+        want = np.zeros((500, m))
+        np.put_along_axis(want, np.argsort(d2, axis=1)[:, :k], 1.0, axis=1)
+        blocks = [(rows, w.copy()) for rows, _, w in
+                  model.weight_blocks(model.covariates(table.x[2000:]))]
+        assert len(blocks) == -(-500 // nuisance._block_rows(m)) > 1
+        assert np.array_equal(np.vstack([w for _, w in blocks]), want)
+
+    def test_knn_ties_are_cut_by_one_search_for_both_learners(self, grid128):
+        # 30 distinct covariate rows, 10 copies each: k = 45 (the propensity's
+        # rule at m = 300) cuts a group of tied rows for every eval row. The
+        # rows chosen are never farther than the rows left out, and the
+        # propensity is the level shares of the k-NN density's neighbour set
+        # at the same k
+        rng = np.random.default_rng(9)
+        x = np.repeat(rng.uniform(size=(30, 2)), 10, axis=0)
+        table = ObservationTable(x, rng.integers(0, 2, size=300), rng.uniform(size=300),
+                                 (0.0, 1.0))
+        x_new = np.vstack([x[::7], rng.uniform(size=(40, 2))])
+        k = int(np.ceil(300 ** (2.0 / 3.0)))
+        density = CondDensityModel(1, x, table.y, grid128.points, "knn", 0.05)
+        density._k = k
+        w = np.vstack([w.copy() for _, _, w in
+                       density.weight_blocks(density.covariates(x_new))])
+        chosen = w == 1.0
+        assert np.all(chosen.sum(axis=1) == k) and np.all(chosen | (w == 0.0))
+        mean, sd = x.mean(axis=0), x.std(axis=0)
+        d2 = ((((x_new - mean) / sd)[:, None, :] - ((x - mean) / sd)[None, :, :]) ** 2).sum(axis=2)
+        farthest_in = np.where(chosen, d2, -np.inf).max(axis=1)
+        nearest_out = np.where(chosen, np.inf, d2).min(axis=1)
+        assert np.array_equal(farthest_in, nearest_out)     # a tie cut in every row
+        model = fit_propensity_all(table, method="knn")
+        onehot = np.stack([table.a == lev for lev in model.levels], axis=1)
+        assert np.array_equal(model.predict(x_new), floor_probs(w @ onehot / k, model.clip_eps))
 
 
 class TestZeroMassRows:
